@@ -3,8 +3,9 @@ core, deterministic training, and netpbm data tooling."""
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, to_network
 from .config import RunConfig, parse_config, parse_config_text
-from .data import (Dataset, Sample, load_directory, resize_bilinear,
-                   stratified_folds, synth_generate, write_dataset)
+from .data import (Dataset, Sample, load_directory, load_image,
+                   resize_bilinear, stratified_folds, synth_generate,
+                   write_dataset)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (ConfusionMatrix, MetricsReport, compare_report,
                          confusion, evaluate, export_attention, metrics,

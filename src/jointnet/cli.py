@@ -12,19 +12,14 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, to_network
 from .config import RunConfig, parse_config
-from .data import (load_directory, resize_bilinear, synth_generate,
-                   write_dataset, _adapt_channels)
+from .data import load_directory, load_image, synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compare_report, evaluate, export_attention,
                          render_metrics_kv)
 from .gradcheck import TOLERANCE, run_battery
-from .netpbm import read_netpbm
-from .tensor import Tensor
 from .training import kfold_train
 
 LOG_COLUMNS = "epoch,train_loss,train_ls,train_lu,val_loss,val_accuracy,lr,phi"
@@ -198,9 +193,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_export_attn(args) -> int:
     ckpt = load_checkpoint(args.model)
     net = to_network(ckpt)
-    raw, maxval = read_netpbm(args.image)
-    img = _adapt_channels(raw / maxval, ckpt.arch.input_channels, args.image)
-    image = resize_bilinear(Tensor(img), ckpt.arch.input_size)
+    image = load_image(args.image, ckpt.arch.input_size, ckpt.arch.input_channels)
     paths = export_attention(net, image, args.out)
     for path in paths:
         print(str(path))

@@ -105,6 +105,14 @@ def _adapt_channels(img: np.ndarray, channels: int, source: str) -> np.ndarray:
     raise DataError(f"{source}: cannot adapt {c}-channel image to {channels} channels")
 
 
+def load_image(path: str | Path, size: int, channels: int = 3) -> Tensor:
+    """Read one netpbm image as [channels, size, size] intensities in
+    [0, 1]: gray and RGB are adapted to ``channels``, then resized."""
+    raw, maxval = read_netpbm(path)
+    img = _adapt_channels(raw / maxval, channels, str(path))
+    return Tensor(_resize_array(img, size))
+
+
 def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dataset:
     """Load every netpbm image under ``root/<class>/``, normalized to [0, 1]
     and resized to ``target_size``. Deterministic in directory contents."""
@@ -122,10 +130,7 @@ def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dat
         if not files:
             raise DataError(f"{class_dir}: class directory contains no netpbm images")
         for f in files:
-            raw, maxval = read_netpbm(f)
-            img = _adapt_channels(raw / maxval, channels, str(f))
-            img = _resize_array(img, target_size)
-            samples.append(Sample(Tensor(img), label, str(f)))
+            samples.append(Sample(load_image(f, target_size, channels), label, str(f)))
     return Dataset(samples, [d.name for d in class_dirs])
 
 

@@ -89,7 +89,8 @@ def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
 
 def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tensor]], Tensor], dict[str, Tensor]]]:
     """(name, loss_fn, params) triples covering every primitive and both loss
-    heads, finishing with a full two-stage joint network on a 16x16 input."""
+    heads, on one sample and on a batch of two, finishing with a full
+    two-stage joint network on one 16x16 input and on a batch of two."""
     from . import training
     from .network import ArchConfig, build, forward_joint
     from .tensor import (add, conv2d, dense, global_avg_pool, maxpool2x2,
@@ -185,23 +186,76 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
         {"k": t(4, 2, 3, 3), "kb": t(4), "w": t(3, 4), "b": t(3)},
     ))
 
-    # the joint instance gets a fresh stream so its gradients do not depend
-    # on how many draws the smaller checks consumed above
+    # the same primitives on a leading batch axis of 2
+    xb_conv = t(2, 2, 6, 6)
+    checks.append((
+        "conv2d_same_batch2",
+        lambda p: tensor_sum(conv2d(xb_conv, p["k"], p["b"], 1, "same")),
+        {"k": t(3, 2, 3, 3), "b": t(3)},
+    ))
+    xb_convv = t(2, 2, 7, 7)
+    checks.append((
+        "conv2d_valid_stride2_batch2",
+        lambda p: tensor_sum(conv2d(xb_convv, p["k"], p["b"], 2, "valid")),
+        {"k": t(2, 2, 3, 3), "b": t(2)},
+    ))
+    checks.append((
+        "maxpool2x2_batch2",
+        lambda p: tensor_sum(maxpool2x2(p["x"])),
+        {"x": t(2, 2, 4, 4)},
+    ))
+    checks.append((
+        "upsample2x2_batch2",
+        lambda p: tensor_sum(sigmoid(upsample2x2(p["x"]))),
+        {"x": t(2, 2, 3, 3)},
+    ))
+    xb_dense = t(2, 4)
+    checks.append((
+        "dense_batch2",
+        lambda p: tensor_sum(sigmoid(dense(xb_dense, p["w"], p["b"]))),
+        {"w": t(3, 4), "b": t(3)},
+    ))
+    onehots3 = Tensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    checks.append((
+        "softmax_cross_entropy_batch2",
+        lambda p: training.cross_entropy(onehots3, softmax(p["x"])),
+        {"x": t(2, 3)},
+    ))
+    checks.append((
+        "global_avg_pool_batch2",
+        lambda p: tensor_sum(sigmoid(global_avg_pool(p["x"]))),
+        {"x": t(2, 3, 4, 4)},
+    ))
+
+    # the joint instances get a fresh stream so their gradients do not
+    # depend on how many draws the smaller checks consumed above
     joint_rng = make_rng(seed, GRADCHECK)
     arch = ArchConfig(n_stages=2, input_channels=1, input_size=16,
                       base_channels=4, n_classes=3)
     net = build(arch, seed=seed)
     image = Tensor(joint_rng.uniform(0.0, 1.0, (1, 16, 16)))
     label = Tensor(np.array([1.0, 0.0, 0.0]))
+    # The batch repeats the image under two labels, so each row gets its own
+    # gradient but no relu or maxpool sits nearer a switch than in the
+    # single-image check: a switch within STEP corrupts central differences.
+    # Distinct images are covered by the primitive batch checks above and
+    # by the batched-versus-single gradient test in the training tests.
+    images = Tensor(np.stack([image.data, image.data]))
+    labels = Tensor(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
-    def joint_loss(p: dict[str, Tensor]) -> Tensor:
-        net.params = dict(p)
-        out = forward_joint(net, image)
-        ls = training.cross_entropy(label, out.class_probs)
-        lu = training.mse(image, out.reconstruction)
-        return training.combined_loss(ls, lu, 0.5)
+    def joint_loss_on(image: Tensor, label: Tensor):
+        def joint_loss(p: dict[str, Tensor]) -> Tensor:
+            net.params = dict(p)
+            out = forward_joint(net, image)
+            ls = training.cross_entropy(label, out.class_probs)
+            lu = training.mse(image, out.reconstruction)
+            return training.combined_loss(ls, lu, 0.5)
+        return joint_loss
 
-    checks.append(("joint_16x16_2stage", joint_loss, dict(net.params)))
+    checks.append(("joint_16x16_2stage", joint_loss_on(image, label),
+                   dict(net.params)))
+    checks.append(("joint_16x16_2stage_batch2", joint_loss_on(images, labels),
+                   dict(net.params)))
     return checks
 
 

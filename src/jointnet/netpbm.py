@@ -97,6 +97,12 @@ def read_netpbm(path: str | Path) -> tuple[np.ndarray, int]:
         dtype = ">u2" if bytes_per == 2 else np.uint8
         values = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     else:
+        # every sample but the last takes at least a digit and a separator,
+        # so the bytes left bound the count before anything is allocated
+        left = len(data) - sc.off
+        if count > (left + 1) // 2:
+            sc.fail(f"raster truncated: header declares {count} samples but "
+                    f"only {left} bytes remain")
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
             values[i] = sc.int_token("sample", 0, 1 << 31)

@@ -11,6 +11,9 @@ Spatial bookkeeping for input size S: stage k emits its skip at
 S / 2^(k-1); the bottleneck sits at S / 2^n; decoder map i lives at
 S / 2^(n-i). Channel widths double per stage from ``base_channels`` and
 the decoder stays at the bottleneck width.
+
+Both forward passes take one [C,S,S] image or an [N,C,S,S] batch; every
+output then carries the same leading batch axis.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def build(config: ArchConfig, seed: int = 0) -> JointNetwork:
 @dataclass
 class JointOutput:
     """Both heads of one forward pass plus the fused decoder maps
-    (index i holds the stage-i fusion, spatial size S / 2^(n-i))."""
+    (index i holds the stage-i fusion, spatial size S / 2^(n-i)). For a
+    batch, each tensor has the batch as its leading axis."""
 
     class_probs: Tensor
     reconstruction: Tensor
@@ -148,8 +152,10 @@ class JointOutput:
 
 def _check_image(config: ArchConfig, image: Tensor) -> None:
     expected = (config.input_channels, config.input_size, config.input_size)
-    if image.shape != expected:
-        raise ValueError(f"image shape {image.shape} does not match configured {expected}")
+    if image.ndim not in (3, 4) or image.shape[-3:] != expected:
+        raise ValueError(
+            f"image shape {image.shape} does not match configured {expected} "
+            f"or [N, *{expected}]")
     if image.data.min() < 0.0 or image.data.max() > 1.0:
         raise ValueError("image values must lie within [0, 1]")
 
@@ -177,7 +183,8 @@ def _classify(net: JointNetwork, bottleneck: Tensor) -> Tensor:
 
 
 def forward_backbone(net: JointNetwork, image: Tensor) -> Tensor:
-    """Classifier path only; the decoder is never touched."""
+    """Classifier path only; the decoder is never touched. Returns [K]
+    probabilities for one image, [N,K] for a batch."""
     _check_image(net.config, image)
     _, bottleneck = _encode(net, image)
     return _classify(net, bottleneck)
@@ -211,11 +218,15 @@ def extract_attention(output: JointOutput, stage: int) -> Tensor:
     """Channel-mean of a fused decoder map, min-max normalized to [0, 1].
 
     A constant map normalizes to all zeros. Returns shape [1, H, W].
+    ``output`` must come from a single-image forward pass.
     """
     if not 1 <= stage <= len(output.attention_maps):
         raise ValueError(
             f"stage must be within 1..{len(output.attention_maps)}, got {stage}")
-    plane = output.attention_maps[stage - 1].data.mean(axis=0)
+    fused = output.attention_maps[stage - 1]
+    if fused.ndim != 3:
+        raise ValueError(f"extract_attention expects one image's maps, got {fused.shape}")
+    plane = fused.data.mean(axis=0)
     lo, hi = plane.min(), plane.max()
     if hi > lo:
         plane = (plane - lo) / (hi - lo)

@@ -5,12 +5,17 @@ compute eagerly on numpy arrays; when a Tape is active (``with tape:``) each
 op appends a node holding its inputs, output, and a backward closure, in
 execution order. ``backward`` then walks the node list in reverse.
 
+Shapes: each primitive acts on its trailing axes ([C,H,W] for the spatial
+ops, [K] for dense and softmax) and treats any leading axes as the batch,
+so one call and one tape node cover a whole minibatch.
+
 Determinism is a hard contract: reductions use fixed numpy orderings, and
 maxpool ties break to the first (row-major) window position.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -175,18 +180,32 @@ def _require_finite(name: str, *tensors: Tensor) -> None:
             raise NumericError(f"{name}: non-finite input")
 
 
+def _batched(x: Tensor, trailing: int) -> Array:
+    """View ``x`` as a batch: any leading axes folded into one axis in front
+    of its ``trailing`` axes."""
+    return x.data.reshape((-1,) + x.shape[x.ndim - trailing:])
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
            padding: str = "same") -> Tensor:
-    """2-D cross-correlation over [C,H,W] with a [C_out,C_in,kH,kW] kernel.
+    """2-D cross-correlation over [..., C,H,W] with a [C_out,C_in,kH,kW]
+    kernel; any leading axes are the batch.
 
     "same" keeps H' = ceil(H/stride) (odd kernels only); "valid" gives
     H' = floor((H-kH)/stride) + 1. Bias is per output channel.
+
+    Each kernel tap is one GEMM over the whole batch. The input is copied,
+    channel-major, into a zero-filled padded grid flattened to
+    [C_in, N*Hp*Wp]; tap (i, j) then reads the contiguous column range
+    shifted by i*Wp + j, so no column matrix is built. The GEMMs fill the
+    stride-1 output at every grid position and the strided, in-image
+    positions are kept.
     """
-    if x.ndim != 3 or kernel.ndim != 4 or bias.ndim != 1:
+    if x.ndim < 3 or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
-            f"conv2d expects input [C,H,W], kernel [C_out,C_in,kH,kW], bias "
-            f"[C_out]; got {x.shape}, {kernel.shape}, {bias.shape}")
-    c_in, h, w = x.shape
+            f"conv2d expects input [..., C,H,W], kernel [C_out,C_in,kH,kW], "
+            f"bias [C_out]; got {x.shape}, {kernel.shape}, {bias.shape}")
+    c_in, h, w = x.shape[-3:]
     c_out, kc, kh, kw = kernel.shape
     if kc != c_in:
         raise ValueError(
@@ -214,28 +233,53 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         w_out = (w - kw) // stride + 1
         pad_h = pad_w = 0
     top, left = pad_h // 2, pad_w // 2
-    padded = np.pad(x.data, ((0, 0), (top, pad_h - top), (left, pad_w - left)))
-    s0, s1, s2 = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(c_in, h_out, w_out, kh, kw),
-        strides=(s0, s1 * stride, s2 * stride, s1, s2),
-    )
-    out_data = np.tensordot(kernel.data, windows, axes=([1, 2, 3], [0, 3, 4]))
-    out = Tensor(out_data + bias.data[:, None, None])
-
+    n = math.prod(x.shape[:-3])
+    hp, wp = h + pad_h, w + pad_w
+    # the last in-image output reads the last grid cell with its last tap
+    span = n * hp * wp - (kh - 1) * wp - (kw - 1)
+    taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
+    kept = (slice(None), slice(None), slice(0, stride * h_out, stride),
+            slice(0, stride * w_out, stride))
     kdata = kernel.data
 
+    def padded_flat() -> Array:
+        # rebuilt in backward rather than kept on the tape alongside x
+        padded = np.zeros((c_in, n, hp, wp))
+        padded[:, :, top:top + h, left:left + w] = _batched(x, 3).transpose(1, 0, 2, 3)
+        return padded.reshape(c_in, n * hp * wp)
+
+    flat = padded_flat()
+    # every kept position lies below span, so the grid's tail is never read
+    grid = np.empty((c_out, n, hp, wp))
+    acc = grid.reshape(c_out, -1)[:, :span]
+    tmp = np.empty_like(acc)
+    for t, (ki, kj, off) in enumerate(taps):
+        np.matmul(kdata[:, :, ki, kj], flat[:, off:off + span], out=tmp if t else acc)
+        if t:
+            acc += tmp
+    del flat, tmp
+    out_data = grid[kept].transpose(1, 0, 2, 3) + bias.data[:, None, None]
+    out = Tensor(out_data.reshape(x.shape[:-3] + (c_out, h_out, w_out)))
+
     def backward_fn(g: Array):
-        db = g.sum(axis=(1, 2))
-        dk = np.tensordot(g, windows, axes=([1, 2], [1, 2]))
-        dpadded = np.zeros_like(padded)
-        for ki in range(kh):
-            for kj in range(kw):
-                contrib = np.tensordot(kdata[:, :, ki, kj], g, axes=([0], [0]))
-                dpadded[:, ki:ki + stride * h_out:stride,
-                        kj:kj + stride * w_out:stride] += contrib
-        dx = dpadded[:, top:top + h, left:left + w]
+        gb = g.reshape(-1, c_out, h_out, w_out)
+        db = gb.sum(axis=(0, 2, 3))
+        ggrid = np.zeros((c_out, n, hp, wp))
+        ggrid[kept] = gb.transpose(1, 0, 2, 3)
+        gflat = ggrid.reshape(c_out, -1)[:, :span]
+        flat = padded_flat()
+        dk = np.empty_like(kdata)
+        for ki, kj, off in taps:
+            dk[:, :, ki, kj] = gflat @ flat[:, off:off + span].T
+        dflat = flat  # the padded input is spent; its buffer takes dx
+        dflat.fill(0.0)
+        tmp = np.empty((c_in, span))
+        for ki, kj, off in taps:
+            np.matmul(kdata[:, :, ki, kj].T, gflat, out=tmp)
+            dflat[:, off:off + span] += tmp
+        # a view into dflat: no copy of the input gradient
+        dx = (dflat.reshape(c_in, n, hp, wp)[:, :, top:top + h, left:left + w]
+              .transpose(1, 0, 2, 3).reshape(x.shape))
         return dx, dk, db
 
     record("conv2d", (x, kernel, bias), out, backward_fn)
@@ -243,26 +287,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; requires even spatial dims."""
-    if x.ndim != 3:
-        raise ValueError(f"maxpool2x2 expects [C,H,W], got {x.shape}")
-    c, h, w = x.shape
+    """2x2 max pooling with stride 2 over [..., C,H,W]; requires even
+    spatial dims."""
+    if x.ndim < 3:
+        raise ValueError(f"maxpool2x2 expects [..., C,H,W], got {x.shape}")
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 requires even spatial dims, got {h}x{w}")
     _require_finite("maxpool2x2", x)
-    windows = (x.data.reshape(c, h // 2, 2, w // 2, 2)
+    planes = _batched(x, 2)
+    windows = (planes.reshape(-1, h // 2, 2, w // 2, 2)
                .transpose(0, 1, 3, 2, 4)
-               .reshape(c, h // 2, w // 2, 4))
+               .reshape(-1, h // 2, w // 2, 4))
     # argmax over the row-major window gives the top-left-most tie winner
     idx = windows.argmax(axis=3)
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=3)[..., 0])
+    pooled = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
+    out = Tensor(pooled.reshape(x.shape[:-2] + (h // 2, w // 2)))
 
     def backward_fn(g: Array):
-        dwin = np.zeros_like(windows)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=3)
-        dx = (dwin.reshape(c, h // 2, w // 2, 2, 2)
+        dwin = np.zeros(idx.shape + (4,))
+        np.put_along_axis(dwin, idx[..., None],
+                          g.reshape(-1, h // 2, w // 2, 1), axis=3)
+        dx = (dwin.reshape(-1, h // 2, w // 2, 2, 2)
               .transpose(0, 1, 3, 2, 4)
-              .reshape(c, h, w))
+              .reshape(x.shape))
         return (dx,)
 
     record("maxpool2x2", (x,), out, backward_fn)
@@ -270,38 +318,42 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 
 def upsample2x2(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsampling; backward sums the four replicas."""
-    if x.ndim != 3:
-        raise ValueError(f"upsample2x2 expects [C,H,W], got {x.shape}")
+    """Nearest-neighbor 2x upsampling of [..., C,H,W]; backward sums the
+    four replicas."""
+    if x.ndim < 3:
+        raise ValueError(f"upsample2x2 expects [..., C,H,W], got {x.shape}")
     _require_finite("upsample2x2", x)
-    c, h, w = x.shape
-    out = Tensor(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2))
+    h, w = x.shape[-2:]
+    planes = _batched(x, 2)
+    up = np.broadcast_to(planes[:, :, None, :, None], planes.shape[:2] + (2, w, 2))
+    out = Tensor(up.reshape(x.shape[:-2] + (2 * h, 2 * w)))
 
     def backward_fn(g: Array):
-        return (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
+        return (g.reshape(-1, h, 2, w, 2).sum(axis=(2, 4)).reshape(x.shape),)
 
     record("upsample2x2", (x,), out, backward_fn)
     return out
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Fully connected layer: out[k] = sum_d weights[k,d]*x[d] + bias[k]."""
-    if x.ndim != 1 or weights.ndim != 2 or bias.ndim != 1:
+    """Fully connected layer over [..., D]: out[..., k] = sum_d
+    weights[k,d]*x[..., d] + bias[k]; any leading axes are the batch."""
+    if x.ndim < 1 or weights.ndim != 2 or bias.ndim != 1:
         raise ValueError(
-            f"dense expects x [D], weights [K,D], bias [K]; got "
+            f"dense expects x [..., D], weights [K,D], bias [K]; got "
             f"{x.shape}, {weights.shape}, {bias.shape}")
     k, d = weights.shape
-    if x.shape[0] != d or bias.shape[0] != k:
+    if x.shape[-1] != d or bias.shape[0] != k:
         raise ValueError(
             f"dense dimension mismatch: weights {weights.shape} vs input "
             f"{x.shape} and bias {bias.shape}")
     _require_finite("dense", x, weights, bias)
-    out = Tensor(weights.data @ x.data + bias.data)
-
-    xdata, wdata = x.data, weights.data
+    rows, wdata = _batched(x, 1), weights.data
+    out = Tensor((rows @ wdata.T + bias.data).reshape(x.shape[:-1] + (k,)))
 
     def backward_fn(g: Array):
-        return wdata.T @ g, np.outer(g, xdata), g.copy()
+        grows = g.reshape(-1, k)
+        return (grows @ wdata).reshape(x.shape), grows.T @ rows, grows.sum(axis=0)
 
     record("dense", (x, weights, bias), out, backward_fn)
     return out
@@ -338,32 +390,35 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Stable softmax over a 1-D tensor (shift by the max is mandatory)."""
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"softmax expects a non-empty 1-D tensor, got {x.shape}")
+    """Stable softmax over the last axis (shift by the row max is
+    mandatory); any leading axes are the batch."""
+    if x.ndim < 1 or x.size < 1:
+        raise ValueError(f"softmax expects a non-empty tensor [..., K], got {x.shape}")
     _require_finite("softmax", x)
-    shifted = x.data - x.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    out = Tensor(p)
+    rows = _batched(x, 1)
+    e = np.exp(rows - rows.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    out = Tensor(p.reshape(x.shape))
 
     def backward_fn(g: Array):
-        return (p * (g - np.dot(g, p)),)
+        grows = g.reshape(p.shape)
+        dot = (grows * p).sum(axis=1, keepdims=True)
+        return ((p * (grows - dot)).reshape(x.shape),)
 
     record("softmax", (x,), out, backward_fn)
     return out
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over each channel plane: [C,H,W] -> [C]."""
-    if x.ndim != 3:
-        raise ValueError(f"global_avg_pool expects [C,H,W], got {x.shape}")
+    """Mean over each channel plane: [..., C,H,W] -> [..., C]."""
+    if x.ndim < 3:
+        raise ValueError(f"global_avg_pool expects [..., C,H,W], got {x.shape}")
     _require_finite("global_avg_pool", x)
-    c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(1, 2)))
+    h, w = x.shape[-2:]
+    out = Tensor(x.data.mean(axis=(-2, -1)))
 
     def backward_fn(g: Array):
-        return (np.broadcast_to(g[:, None, None] / (h * w), (c, h, w)).copy(),)
+        return (np.broadcast_to(g[..., None, None] / (h * w), x.shape).copy(),)
 
     record("global_avg_pool", (x,), out, backward_fn)
     return out

@@ -5,15 +5,20 @@ cross-entropy on the classifier head and L_u is mean squared error on the
 reconstruction. Both terms and the blend are tape ops, so at phi = 0 or
 phi = 1 the switched-off branch receives exact-zero gradients.
 
+Both losses are means over the batch, so one forward pass, one tape and
+one backward pass cover a whole minibatch. Validation likewise runs one
+forward pass per chunk of ``batch_size`` samples and reads the loss and
+the accuracy from it.
+
 Training is deterministic for a fixed seed: the epoch shuffle has its own
-random stream, and each batch accumulates per-sample losses in ascending
-sample-index order.
+random stream, and each minibatch is stacked in ascending sample-index
+order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,11 +38,7 @@ MODES = ("joint", "backbone")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyper-parameters.
-
-    ``phi_schedule`` optionally re-weights the loss mid-run: a tuple of
-    (epoch, phi) pairs, each taking effect at the start of that epoch.
-    """
+    """Optimization hyper-parameters."""
 
     phi: float = 0.5
     lr: float = 1e-4
@@ -48,7 +49,6 @@ class TrainConfig:
     seed: int = 0
     folds: int = 5
     lr_floor: float = 1e-7
-    phi_schedule: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.phi <= 1.0:
@@ -70,11 +70,6 @@ class TrainConfig:
         if not 0.0 < self.lr_floor <= self.lr:
             raise ConfigError(
                 f"lr_floor must be within (0, lr], got {self.lr_floor}")
-        for epoch, phi in self.phi_schedule:
-            if epoch < 1 or not 0.0 <= phi <= 1.0:
-                raise ConfigError(
-                    f"phi_schedule entries need epoch >= 1 and phi in [0, 1], "
-                    f"got ({epoch}, {phi})")
 
 
 # ---------------------------------------------------------------------------
@@ -82,30 +77,35 @@ class TrainConfig:
 
 
 def cross_entropy(true_onehot: Tensor, predicted: Tensor) -> Tensor:
-    """-sum(y * log(max(p, 1e-12))) for a one-hot label and a probability
-    vector. The clamp bounds the loss; where it engages, the gradient is
+    """Mean over rows of -sum(y * log(max(p, 1e-12))) for one-hot labels and
+    probability vectors along the last axis; any leading axes are the
+    batch. The clamp bounds the loss; where it engages, the gradient is
     exactly zero."""
-    y, p = true_onehot.data, predicted.data
-    if y.shape != p.shape or y.ndim != 1:
+    if true_onehot.shape != predicted.shape or predicted.ndim < 1:
         raise ValueError(
-            f"cross_entropy expects matching 1-D tensors, got {y.shape} and {p.shape}")
-    if not (np.all((y == 0.0) | (y == 1.0)) and y.sum() == 1.0):
-        raise ValueError("true_onehot must be a one-hot vector")
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("predicted must be a probability vector")
+            f"cross_entropy expects matching [..., K] tensors, got "
+            f"{true_onehot.shape} and {predicted.shape}")
+    y = true_onehot.data.reshape(-1, predicted.shape[-1])
+    p = predicted.data.reshape(y.shape)
+    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)):
+        raise ValueError("true_onehot must hold one-hot vectors")
+    if p.min() < 0.0 or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("predicted must hold probability vectors")
+    rows = y.shape[0]
     clamped = np.maximum(p, LOG_CLAMP)
-    out = Tensor(-(y * np.log(clamped)).sum())
+    out = Tensor(-(y * np.log(clamped)).sum(axis=1).mean())
 
     def backward_fn(g):
-        dp = np.where(p > LOG_CLAMP, -y / clamped, 0.0) * g
-        return None, dp
+        dp = np.where(p > LOG_CLAMP, -y / clamped, 0.0) * (g / rows)
+        return None, dp.reshape(predicted.shape)
 
     record("cross_entropy", (true_onehot, predicted), out, backward_fn)
     return out
 
 
 def mse(input_pixels: Tensor, reconstructed: Tensor) -> Tensor:
-    """Mean squared error over all pixels of two same-shape tensors."""
+    """Mean squared error over all entries of two same-shape tensors; for a
+    batch of equal-size images that is the mean of the per-image losses."""
     if input_pixels.shape != reconstructed.shape:
         raise ValueError(
             f"mse shape mismatch: {input_pixels.shape} vs {reconstructed.shape}")
@@ -145,13 +145,6 @@ class Adam:
         self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.step_count = 0
-
-    def restore(self, m: dict[str, np.ndarray], v: dict[str, np.ndarray],
-                step_count: int) -> None:
-        for name in self.m:
-            self.m[name] = m[name].copy()
-            self.v[name] = v[name].copy()
-        self.step_count = step_count
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
              lr: float) -> dict[str, Tensor]:
@@ -235,18 +228,26 @@ class TrainResult:
     log: list[EpochLog]
 
 
-def _sample_losses(net: JointNetwork, sample, onehots: np.ndarray, mode: str,
-                   phi: float) -> tuple[Tensor, float, float]:
-    """One sample's blended loss tensor plus float L_s and L_u readings."""
-    label_vec = Tensor(onehots[sample.label])
+def _stack(dataset: Dataset, indices, onehots: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The samples at ``indices`` as an [N,C,H,W] image batch and [N,K]
+    one-hot labels, in the given order."""
+    samples = [dataset.samples[i] for i in indices]
+    return (Tensor(np.stack([s.image.data for s in samples])),
+            Tensor(onehots[[s.label for s in samples]]))
+
+
+def _batch_losses(net: JointNetwork, images: Tensor, targets: Tensor, mode: str,
+                  phi: float) -> tuple[Tensor, float, float, Tensor]:
+    """One batch's blended mean loss tensor, float L_s and L_u readings, and
+    the class probabilities."""
     if mode == "joint":
-        out = forward_joint(net, sample.image)
-        ls = cross_entropy(label_vec, out.class_probs)
-        lu = mse(sample.image, out.reconstruction)
-        return combined_loss(ls, lu, phi), float(ls.data), float(lu.data)
-    probs = forward_backbone(net, sample.image)
-    ls = cross_entropy(label_vec, probs)
-    return ls, float(ls.data), 0.0
+        out = forward_joint(net, images)
+        ls = cross_entropy(targets, out.class_probs)
+        lu = mse(images, out.reconstruction)
+        return combined_loss(ls, lu, phi), float(ls.data), float(lu.data), out.class_probs
+    probs = forward_backbone(net, images)
+    ls = cross_entropy(targets, probs)
+    return ls, float(ls.data), 0.0, probs
 
 
 def _validate_sets(net: JointNetwork, train_set: Dataset, val_set: Dataset) -> None:
@@ -261,8 +262,7 @@ def _validate_sets(net: JointNetwork, train_set: Dataset, val_set: Dataset) -> N
 
 
 def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
-          config: TrainConfig, mode: str = "joint",
-          resume_from: Checkpoint | None = None) -> TrainResult:
+          config: TrainConfig, mode: str = "joint") -> TrainResult:
     """Optimize ``net`` in place; returns the best-epoch checkpoint (lowest
     validation loss, earlier epoch on ties) and the full epoch log."""
     if mode not in MODES:
@@ -272,58 +272,47 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
     onehots = np.eye(net.config.n_classes)
     shuffle_rng = make_rng(config.seed, SHUFFLE)
     optimizer = Adam({name: p.shape for name, p in net.params.items()})
-    if resume_from is not None:
-        net.params = {name: Tensor(arr.copy())
-                      for name, arr in resume_from.params.items()}
-        optimizer.restore(resume_from.adam_m, resume_from.adam_v, resume_from.step)
     scheduler = PlateauScheduler(config.lr, config.patience, config.kappa,
                                  config.lr_floor)
-    phi_overrides = dict(config.phi_schedule)
     phi = config.phi
+    val_labels = val_set.labels()
 
     best: Checkpoint | None = None
     log: list[EpochLog] = []
-    n_train = len(train_set)
+    n_train, n_val = len(train_set), len(val_set)
 
     for epoch in range(1, config.epochs + 1):
-        phi = phi_overrides.get(epoch, phi)
         lr_used = scheduler.lr
         order = shuffle_rng.permutation(n_train)
         sum_l = sum_ls = sum_lu = 0.0
         for start in range(0, n_train, config.batch_size):
             batch = sorted(order[start:start + config.batch_size].tolist())
+            images, targets = _stack(train_set, batch, onehots)
             tape = Tape()
             with tape:
                 for p in net.params.values():
                     tape.watch(p)
-                total: Tensor | None = None
-                for idx in batch:
-                    loss, ls_val, lu_val = _sample_losses(
-                        net, train_set.samples[idx], onehots, mode, phi)
-                    sum_ls += ls_val
-                    sum_lu += lu_val
-                    total = loss if total is None else add(total, loss)
-                batch_loss = scale(total, 1.0 / len(batch))
+                batch_loss, ls_val, lu_val, _ = _batch_losses(
+                    net, images, targets, mode, phi)
             if not np.isfinite(batch_loss.data):
                 raise NumericError(f"non-finite training loss at epoch {epoch}")
             sum_l += float(batch_loss.data) * len(batch)
+            sum_ls += ls_val * len(batch)
+            sum_lu += lu_val * len(batch)
             grads = backward(tape, batch_loss)
             grad_arrays = {name: grads[p].data for name, p in net.params.items()}
             net.params = optimizer.step(net.params, grad_arrays, lr_used)
 
         val_correct = 0
         val_sum = 0.0
-        for sample in val_set.samples:
-            loss, _, _ = _sample_losses(net, sample, onehots, mode, phi)
-            val_sum += float(loss.data)
-            if mode == "joint":
-                probs = forward_joint(net, sample.image).class_probs
-            else:
-                probs = forward_backbone(net, sample.image)
-            if int(np.argmax(probs.data)) == sample.label:
-                val_correct += 1
-        val_loss = val_sum / len(val_set)
-        val_accuracy = val_correct / len(val_set)
+        for start in range(0, n_val, config.batch_size):
+            chunk = range(start, min(start + config.batch_size, n_val))
+            images, targets = _stack(val_set, chunk, onehots)
+            loss, _, _, probs = _batch_losses(net, images, targets, mode, phi)
+            val_sum += float(loss.data) * len(chunk)
+            val_correct += int(np.sum(probs.data.argmax(axis=1) == val_labels[chunk]))
+        val_loss = val_sum / n_val
+        val_accuracy = val_correct / n_val
         if not np.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
@@ -371,14 +360,8 @@ def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig,
     summaries: list[FoldSummary] = []
     for f, (train_idx, val_idx) in enumerate(splits):
         net = build(arch, seed=config.seed + f)
-        fold_config = TrainConfig(
-            phi=config.phi, lr=config.lr, kappa=config.kappa,
-            patience=config.patience, epochs=config.epochs,
-            batch_size=config.batch_size, seed=config.seed + f,
-            folds=config.folds, lr_floor=config.lr_floor,
-            phi_schedule=config.phi_schedule)
         result = train(net, dataset.subset(train_idx), dataset.subset(val_idx),
-                       fold_config, mode=mode)
+                       replace(config, seed=config.seed + f), mode=mode)
         ckpt = result.checkpoint
         accuracy = result.log[ckpt.epoch - 1].val_accuracy
         summaries.append(FoldSummary(f, ckpt, result.log, accuracy,

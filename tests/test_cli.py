@@ -130,6 +130,16 @@ class TestEval:
                      "--report", str(tmp_path / "r.txt")]) == 2
 
 
+    def test_oversized_ascii_header_exits_2(self, workspace, tmp_path, capsys):
+        amd = tmp_path / "data" / "AMD"
+        amd.mkdir(parents=True)
+        (amd / "huge.pgm").write_bytes(b"P2 2000000000 2000000000 255\n0\n")
+        assert main(["eval", "--model", str(workspace["model"]),
+                     "--data", str(tmp_path / "data"),
+                     "--report", str(tmp_path / "r.txt")]) == 2
+        assert "huge.pgm" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_side_by_side_table(self, workspace, tmp_path):
         report = tmp_path / "cmp.txt"

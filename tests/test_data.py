@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jointnet import (ConfigError, DataError, Tensor, load_directory,
-                      resize_bilinear, stratified_folds, synth_generate,
-                      write_dataset, write_pgm)
+                      load_image, resize_bilinear, stratified_folds,
+                      synth_generate, write_dataset, write_pgm)
 from jointnet.data import CLASS_NAMES, Dataset, Sample
 
 
@@ -65,6 +65,20 @@ class TestLoadDirectory:
         img = ds.samples[0].image.data
         np.testing.assert_array_equal(img[0], img[1])
         np.testing.assert_array_equal(img[0], img[2])
+
+    def test_directory_samples_are_load_image(self, tmp_path):
+        self._make_tree(tmp_path, classes=("only",), n=2, size=6)
+        ds = load_directory(tmp_path, target_size=4, channels=3)
+        for s in ds.samples:
+            image = load_image(s.source_id, 4, 3)
+            assert image.shape == (3, 4, 4)
+            np.testing.assert_array_equal(image.data, s.image.data)
+
+    def test_load_image_reduces_color_to_gray(self, tmp_path):
+        p = tmp_path / "rgb.ppm"
+        p.write_bytes(b"P6\n1 1\n255\n" + bytes([0, 51, 255]))
+        image = load_image(p, 2, channels=1)
+        np.testing.assert_allclose(image.data, np.full((1, 2, 2), 0.4))
 
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(DataError, match="not a directory"):

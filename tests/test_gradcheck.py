@@ -61,6 +61,16 @@ class TestBattery:
         for r in results:
             assert r.passed, f"{r.name}: {r.max_relative_error}"
 
+    def test_batched_cases_carry_a_batch_axis(self):
+        """Each stock primitive and the joint network are also checked on a
+        leading batch axis of 2 (the pass/fail runs with the battery)."""
+        from jointnet.gradcheck import standard_battery
+        names = {name for name, _, _ in standard_battery(seed=0)}
+        for case in ("conv2d_same", "conv2d_valid_stride2", "maxpool2x2",
+                     "upsample2x2", "dense", "softmax_cross_entropy",
+                     "global_avg_pool", "joint_16x16_2stage"):
+            assert case in names and f"{case}_batch2" in names, case
+
     def test_second_seed_passes(self):
         for r in run_battery(seed=1):
             assert r.passed, f"{r.name}: {r.max_relative_error}"

@@ -81,6 +81,27 @@ class TestReadAscii:
             read_netpbm(p)
 
 
+class TestReadAsciiSampleBound:
+    """The header's sample count is checked against the bytes present
+    before any raster memory is allocated."""
+
+    @pytest.mark.parametrize("header", [b"P2 2000000000 2000000000 255",
+                                        b"P2 40000 40000 255",
+                                        b"P3 2 2 255"])
+    def test_count_beyond_file_rejected(self, tmp_path, header):
+        p = tmp_path / "big.pgm"
+        p.write_bytes(header + b"\n0 0 0\n")
+        with pytest.raises(DataError, match="truncated"):
+            read_netpbm(p)
+
+    def test_densest_raster_accepted(self, tmp_path):
+        """One-digit samples with single separators sit exactly at the bound."""
+        p = tmp_path / "dense.pgm"
+        p.write_bytes(b"P2\n3 1\n9\n1 2 3")
+        pixels, _ = read_netpbm(p)
+        np.testing.assert_array_equal(pixels, [[[1, 2, 3]]])
+
+
 class TestReadP6:
     def test_interleaved_channels(self, tmp_path):
         p = tmp_path / "rgb.ppm"

@@ -137,6 +137,54 @@ class TestForward:
             forward_joint(net, Tensor(bad))
 
 
+class TestBatchedForward:
+    """One [N,C,H,W] pass equals N single-image passes, stacked. The bound
+    is float64 round-off (eps 2.2e-16) grown by the summation depth of the
+    network, far below any learned difference."""
+
+    RTOL = 1e-12
+
+    def _batch(self, arch, n=3):
+        return [_image(arch, seed=20 + i) for i in range(n)]
+
+    def test_joint_matches_stacked_single_images(self):
+        arch = ArchConfig()
+        net = build(arch, seed=3)
+        images = self._batch(arch)
+        batched = forward_joint(net, Tensor(np.stack([im.data for im in images])))
+        singles = [forward_joint(net, im) for im in images]
+        pairs = [(batched.class_probs, [s.class_probs for s in singles]),
+                 (batched.reconstruction, [s.reconstruction for s in singles])]
+        pairs += [(m, [s.attention_maps[i] for s in singles])
+                  for i, m in enumerate(batched.attention_maps)]
+        for got, rows in pairs:
+            assert got.shape == (len(images),) + rows[0].shape
+            np.testing.assert_allclose(got.data, np.stack([r.data for r in rows]),
+                                       rtol=self.RTOL, atol=0)
+
+    def test_backbone_matches_stacked_single_images(self):
+        arch = ArchConfig(n_stages=3, input_size=32, base_channels=4)
+        net = build(arch, seed=3)
+        images = self._batch(arch, n=2)
+        batched = forward_backbone(net, Tensor(np.stack([im.data for im in images])))
+        singles = np.stack([forward_backbone(net, im).data for im in images])
+        np.testing.assert_allclose(batched.data, singles, rtol=self.RTOL, atol=0)
+
+    def test_batch_with_wrong_image_shape_rejected(self):
+        net = build(ArchConfig(), seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            forward_joint(net, Tensor(np.zeros((2, 3, 16, 16))))
+        with pytest.raises(ValueError, match="shape"):
+            forward_backbone(net, Tensor(np.zeros((1, 2, 3, 32, 32))))
+
+    def test_attention_needs_a_single_image_pass(self):
+        arch = ArchConfig()
+        out = forward_joint(build(arch, seed=0),
+                            Tensor(np.stack([_image(arch).data] * 2)))
+        with pytest.raises(ValueError, match="one image"):
+            extract_attention(out, 1)
+
+
 class TestAttention:
     def test_normalized_to_unit_range(self):
         arch = ArchConfig()

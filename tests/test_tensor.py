@@ -199,3 +199,63 @@ class TestBackward:
         before = Tape()
         relu(Tensor([1.0]))
         assert before.nodes == []
+
+
+class TestBatchAxis:
+    """A leading batch axis gives, row for row, the single-sample results."""
+
+    RTOL = 1e-12
+
+    def _forward_and_grads(self, fn, xs):
+        x = Tensor(xs)
+        tape = Tape()
+        with tape:
+            tape.watch(x)
+            out = fn(x)
+            loss = tensor_sum(sigmoid(out))
+        return out.data, backward(tape, loss)[x].data
+
+    @pytest.mark.parametrize("name", ["conv_same", "conv_valid_stride2",
+                                      "maxpool", "upsample", "dense",
+                                      "softmax", "global_avg_pool"])
+    def test_rows_match_single_samples(self, name):
+        rng = np.random.default_rng(17)
+        kernel = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        cbias = Tensor(rng.normal(size=3))
+        weights, dbias = Tensor(rng.normal(size=(3, 5))), Tensor(rng.normal(size=3))
+        fn, shape = {
+            "conv_same": (lambda x: conv2d(x, kernel, cbias), (2, 6, 6)),
+            "conv_valid_stride2": (lambda x: conv2d(x, kernel, cbias, 2, "valid"),
+                                   (2, 7, 7)),
+            "maxpool": (maxpool2x2, (2, 4, 6)),
+            "upsample": (upsample2x2, (2, 3, 2)),
+            "dense": (lambda x: dense(x, weights, dbias), (5,)),
+            "softmax": (softmax, (4,)),
+            "global_avg_pool": (global_avg_pool, (3, 4, 4)),
+        }[name]
+        batch = rng.normal(size=(3,) + shape)
+        out, grad = self._forward_and_grads(fn, batch)
+        for i in range(3):
+            out_i, grad_i = self._forward_and_grads(fn, batch[i])
+            np.testing.assert_allclose(out[i], out_i, rtol=self.RTOL, atol=0)
+            np.testing.assert_allclose(grad[i], grad_i, rtol=self.RTOL, atol=0)
+
+    def test_maxpool_ties_in_a_batch_go_to_first_position(self):
+        x = Tensor(np.array([[[[1.0, 1.0], [1.0, 1.0]]],
+                             [[[0.0, 5.0], [5.0, 5.0]]]]))
+        tape = Tape()
+        with tape:
+            tape.watch(x)
+            loss = tensor_sum(maxpool2x2(x))
+        np.testing.assert_array_equal(
+            backward(tape, loss)[x].data,
+            [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 1.0], [0.0, 0.0]]]])
+
+    def test_extra_leading_axes_fold_into_the_batch(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 1, 4, 4))
+        kernel, bias = Tensor(rng.normal(size=(2, 1, 3, 3))), Tensor(np.zeros(2))
+        out = conv2d(Tensor(x), kernel, bias)
+        assert out.shape == (2, 3, 2, 4, 4)
+        flat = conv2d(Tensor(x.reshape(6, 1, 4, 4)), kernel, bias)
+        np.testing.assert_array_equal(out.data.reshape(6, 2, 4, 4), flat.data)

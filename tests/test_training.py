@@ -51,6 +51,28 @@ class TestLosses:
         loss = mse(Tensor([0.0, 0.5, 1.0]), Tensor([0.0, 0.8, 0.7]))
         assert loss.item() == pytest.approx(0.06, abs=1e-12)
 
+    def test_cross_entropy_is_mean_over_rows(self):
+        y = Tensor([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        p = Tensor([[0.1, 0.8, 0.1], [0.5, 0.25, 0.25]])
+        rows = [cross_entropy(Tensor(y.data[i]), Tensor(p.data[i])).item()
+                for i in range(2)]
+        assert cross_entropy(y, p).item() == pytest.approx(sum(rows) / 2, abs=1e-15)
+
+    def test_cross_entropy_checks_every_row(self):
+        with pytest.raises(ValueError, match="one-hot"):
+            cross_entropy(Tensor([[1.0, 0.0], [1.0, 1.0]]),
+                          Tensor([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="probability"):
+            cross_entropy(Tensor([[1.0, 0.0], [0.0, 1.0]]),
+                          Tensor([[0.5, 0.5], [0.9, 0.3]]))
+
+    def test_mse_of_a_batch_is_mean_of_images(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.uniform(size=(2, 1, 4, 4)), rng.uniform(size=(2, 1, 4, 4))
+        per_image = [mse(Tensor(a[i]), Tensor(b[i])).item() for i in range(2)]
+        assert mse(Tensor(a), Tensor(b)).item() == pytest.approx(
+            sum(per_image) / 2, abs=1e-15)
+
     def test_mse_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             mse(Tensor([0.0]), Tensor([0.0, 1.0]))
@@ -199,6 +221,57 @@ class TestBatchOrder:
             np.testing.assert_array_equal(results[0][name], results[1][name])
 
 
+class TestBatchedStep:
+    def test_batch_gradient_is_mean_of_sample_gradients(self):
+        """One tape over a stacked batch gives the mean of the per-image
+        gradients, for distinct images and labels."""
+        net = build(ArchConfig(n_stages=2, input_channels=1, input_size=16,
+                               base_channels=4, n_classes=3), seed=0)
+        rng = np.random.default_rng(8)
+        images = rng.uniform(0.0, 1.0, (3, 1, 16, 16))
+        labels = np.eye(3)[[2, 0, 1]]
+
+        def loss_and_grads(x, y):
+            tape = Tape()
+            with tape:
+                for p in net.params.values():
+                    tape.watch(p)
+                out = forward_joint(net, Tensor(x))
+                loss = combined_loss(cross_entropy(Tensor(y), out.class_probs),
+                                     mse(Tensor(x), out.reconstruction), 0.5)
+            grads = backward(tape, loss)
+            return loss.item(), {n: grads[p].data for n, p in net.params.items()}
+
+        batch_loss, batch_grads = loss_and_grads(images, labels)
+        singles = [loss_and_grads(images[i], labels[i]) for i in range(3)]
+        assert batch_loss == pytest.approx(sum(l for l, _ in singles) / 3, rel=1e-12)
+        for name, got in batch_grads.items():
+            want = sum(g[name] for _, g in singles) / 3
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("mode", ["joint", "backbone"])
+    def test_validation_runs_one_forward_per_chunk(self, monkeypatch, mode):
+        from jointnet import training
+        from jointnet.tensor import active_tape
+
+        name = "forward_joint" if mode == "joint" else "forward_backbone"
+        original = getattr(training, name)
+        calls = {"taped": [], "untaped": []}
+
+        def counting(net, images):
+            key = "untaped" if active_tape() is None else "taped"
+            calls[key].append(images.shape[0])
+            return original(net, images)
+
+        monkeypatch.setattr(training, name, counting)
+        train(build(TINY_ARCH, seed=0), _tiny_dataset(3), _tiny_dataset(2, seed=9),
+              TrainConfig(epochs=2, batch_size=4, seed=0), mode=mode)
+        # 9 training samples make batches of 4, 4, 1; 6 validation
+        # samples make chunks of 4 and 2; one forward pass each
+        assert calls["taped"] == [4, 4, 1] * 2
+        assert calls["untaped"] == [4, 2] * 2
+
+
 class TestTrainLoop:
     def test_learns_tiny_problem(self):
         ds = _tiny_dataset(6)
@@ -260,6 +333,22 @@ class TestKFold:
                    (best.val_accuracy == f.val_accuracy and
                     best.val_loss <= f.val_loss)
                    for f in result.folds)
+
+    def test_fold_seeds_offset_by_fold(self, monkeypatch):
+        from jointnet import training
+        seen = []
+        original = training.train
+
+        def recording(net, train_set, val_set, config, mode="joint"):
+            seen.append(config)
+            return original(net, train_set, val_set, config, mode=mode)
+
+        monkeypatch.setattr(training, "train", recording)
+        config = TrainConfig(epochs=1, folds=2, seed=5, lr=1e-3, batch_size=3)
+        kfold_train(_tiny_dataset(2), TINY_ARCH, config)
+        assert [c.seed for c in seen] == [5, 6]
+        assert all(c == TrainConfig(epochs=1, folds=2, seed=c.seed, lr=1e-3,
+                                    batch_size=3) for c in seen)
 
     def test_class_smaller_than_folds_rejected(self):
         from jointnet import DataError
