@@ -22,6 +22,6 @@ from .tensor import (Tape, Tensor, add, backward, conv2d, dense,
 from .training import (Adam, EpochLog, FoldSummary, KFoldResult,
                        PlateauScheduler, TrainConfig, TrainResult,
                        combined_loss, cross_entropy, kfold_train, mse,
-                       plateau_update, train)
+                       train)
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Layout, all integers little-endian:
 
 * 4-byte magic ``JANW``, then u8 format version.
 * u32 byte length + UTF-8 ``key = value`` block holding the architecture
-  dims, the epoch the snapshot was taken at, and its validation loss
-  (floats written via ``repr`` so they round-trip bit-exactly).
+  dims (the fields of ``ArchConfig``, in declaration order), the epoch the
+  snapshot was taken at, and its validation loss (floats written via
+  ``repr`` so they round-trip bit-exactly).
 * u32 parameter tensor count, then one record per parameter in canonical
   order: u16 name length + UTF-8 name, u8 rank, u32 per-dim sizes,
   float64 row-major payload.
@@ -19,7 +20,7 @@ Writing the same state twice yields identical bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,6 @@ from .tensor import Tensor
 
 MAGIC = b"JANW"
 VERSION = 1
-
-_CONFIG_INT_KEYS = ("n_stages", "input_channels", "input_size",
-                    "base_channels", "n_classes", "epoch")
 
 
 @dataclass
@@ -66,15 +64,10 @@ def _tensor_record(buf: bytearray, name: str, arr: np.ndarray) -> None:
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     names = [name for name, _, _ in parameter_specs(ckpt.arch)]
-    header = format_kv([
-        ("n_stages", ckpt.arch.n_stages),
-        ("input_channels", ckpt.arch.input_channels),
-        ("input_size", ckpt.arch.input_size),
-        ("base_channels", ckpt.arch.base_channels),
-        ("n_classes", ckpt.arch.n_classes),
-        ("epoch", ckpt.epoch),
-        ("best_val_loss", repr(float(ckpt.best_val_loss))),
-    ]).encode("utf-8")
+    header = format_kv(
+        [(f.name, getattr(ckpt.arch, f.name)) for f in fields(ArchConfig)]
+        + [("epoch", ckpt.epoch),
+           ("best_val_loss", repr(float(ckpt.best_val_loss)))]).encode("utf-8")
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<B", VERSION)
@@ -111,18 +104,19 @@ class _Cursor:
 
 def _read_record(cur: _Cursor, expect_name: str, expect_shape: tuple[int, ...]) -> np.ndarray:
     name_len = cur.unpack("<H", "tensor name length")
-    name = cur.take(name_len, "tensor name").decode("utf-8")
-    if name != expect_name:
+    name = cur.take(name_len, "tensor name")
+    if name != expect_name.encode("utf-8"):
         raise DataError(
             f"{cur.source}: tensor name mismatch at byte {cur.off}: "
-            f"found '{name}', expected '{expect_name}'")
+            f"found {name.decode('utf-8', 'replace')!r}, expected '{expect_name}'")
     rank = cur.unpack("<B", "tensor rank")
     shape = tuple(cur.unpack("<I", "tensor dim") for _ in range(rank))
     if shape != expect_shape:
         raise DataError(
-            f"{cur.source}: tensor '{name}' has shape {shape}, expected {expect_shape}")
+            f"{cur.source}: tensor '{expect_name}' has shape {shape}, "
+            f"expected {expect_shape}")
     count = int(np.prod(shape)) if shape else 1
-    raw = cur.take(8 * count, f"tensor '{name}' payload")
+    raw = cur.take(8 * count, f"tensor '{expect_name}' payload")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
@@ -141,16 +135,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"{path}: unsupported checkpoint version {version} at byte 4")
 
     header_len = cur.unpack("<I", "header length")
-    header = parse_kv(cur.take(header_len, "header").decode("utf-8"),
-                      source=f"{path}#header")
-    expected_keys = set(_CONFIG_INT_KEYS) | {"best_val_loss"}
+    header_at = cur.off
+    try:
+        header = parse_kv(cur.take(header_len, "header").decode("utf-8"),
+                          source=f"{path}#header")
+    except UnicodeDecodeError as e:
+        raise DataError(
+            f"{path}: header is not UTF-8 at byte {header_at + e.start}") from e
+    except ConfigError as e:
+        raise DataError(f"{path}: malformed header at byte {header_at}: {e}") from e
+    # every architecture field is an integer, as is the epoch
+    int_keys = [f.name for f in fields(ArchConfig)] + ["epoch"]
+    expected_keys = set(int_keys) | {"best_val_loss"}
     if set(header) != expected_keys:
         raise DataError(
             f"{path}: header keys {sorted(header)} do not match {sorted(expected_keys)}")
-    fields: dict[str, int] = {}
-    for key in _CONFIG_INT_KEYS:
+    values: dict[str, int] = {}
+    for key in int_keys:
         try:
-            fields[key] = int(header[key])
+            values[key] = int(header[key])
         except ValueError as e:
             raise DataError(f"{path}: header key '{key}' is not an integer: "
                             f"{header[key]!r}") from e
@@ -158,12 +161,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         best_val_loss = float(header["best_val_loss"])
     except ValueError as e:
         raise DataError(f"{path}: header key 'best_val_loss' is not a float") from e
+    epoch = values.pop("epoch")
     try:
-        arch = ArchConfig(n_stages=fields["n_stages"],
-                          input_channels=fields["input_channels"],
-                          input_size=fields["input_size"],
-                          base_channels=fields["base_channels"],
-                          n_classes=fields["n_classes"])
+        arch = ArchConfig(**values)
     except ConfigError as e:
         raise DataError(f"{path}: invalid architecture in header: {e}") from e
 
@@ -183,5 +183,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(
             f"{path}: {len(data) - cur.off} trailing bytes after step counter "
             f"at byte {cur.off}")
-    return Checkpoint(arch, params, adam_m, adam_v, step,
-                      fields["epoch"], best_val_loss)
+    return Checkpoint(arch, params, adam_m, adam_v, step, epoch, best_val_loss)

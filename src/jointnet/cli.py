@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, to_network
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .data import load_directory, load_image, synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compare_report, evaluate, export_attention,
@@ -101,19 +102,17 @@ def _cmd_train(args) -> int:
     run = parse_config(args.config)
     overrides: list[tuple[str, object]] = []
     if args.mode is not None:
-        run.mode = args.mode
+        run = replace(run, mode=args.mode)
         overrides.append(("mode", args.mode))
     if args.phi is not None:
-        run.phi = args.phi
+        run = replace(run, train=replace(run.train, phi=args.phi))
         overrides.append(("phi", repr(args.phi)))
     if args.folds is not None:
-        run.folds = args.folds
+        run = replace(run, train=replace(run.train, folds=args.folds))
         overrides.append(("folds", args.folds))
-    run.validate()
-    arch = run.to_arch()
-    dataset = _load_for(arch, args.data)
+    dataset = _load_for(run.arch, args.data)
 
-    result = kfold_train(dataset, arch, run.to_train(), mode=run.mode)
+    result = kfold_train(dataset, run.arch, run.train, mode=run.mode)
     save_checkpoint(result.best_checkpoint, args.out)
 
     best = result.folds[result.best_fold]

@@ -9,6 +9,10 @@ Shapes: each primitive acts on its trailing axes ([C,H,W] for the spatial
 ops, [K] for dense and softmax) and treats any leading axes as the batch,
 so one call and one tape node cover a whole minibatch.
 
+Finiteness is checked once, where a value becomes a Tensor: the
+constructor rejects NaN and infinity, so every op output is checked and the
+primitives do not re-check their inputs.
+
 Determinism is a hard contract: reductions use fixed numpy orderings, and
 maxpool ties break to the first (row-major) window position.
 """
@@ -28,9 +32,12 @@ Array = np.ndarray
 
 
 class Tensor:
-    """Immutable dense array of 64-bit floats.
+    """Dense array of 64-bit floats.
 
     Values must be finite: NaN/Inf is an error state, never a silent value.
+    The constructor is the one place this is checked. Ops treat ``data`` as
+    read-only and build new tensors; the only in-place writer is gradcheck,
+    which perturbs a parameter by a finite step and restores it.
     """
 
     __slots__ = ("data",)
@@ -174,12 +181,6 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Tensor]:
 # primitives
 
 
-def _require_finite(name: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if not np.all(np.isfinite(t.data)):
-            raise NumericError(f"{name}: non-finite input")
-
-
 def _batched(x: Tensor, trailing: int) -> Array:
     """View ``x`` as a batch: any leading axes folded into one axis in front
     of its ``trailing`` axes."""
@@ -221,7 +222,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         raise ValueError(f"conv2d same padding requires odd kernel dims, got {kh}x{kw}")
     if padding == "valid" and (kh > h or kw > w):
         raise ValueError(f"conv2d kernel {kh}x{kw} larger than input {h}x{w} for valid padding")
-    _require_finite("conv2d", x, kernel, bias)
 
     if padding == "same":
         h_out = -(-h // stride)
@@ -294,7 +294,6 @@ def maxpool2x2(x: Tensor) -> Tensor:
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 requires even spatial dims, got {h}x{w}")
-    _require_finite("maxpool2x2", x)
     planes = _batched(x, 2)
     windows = (planes.reshape(-1, h // 2, 2, w // 2, 2)
                .transpose(0, 1, 3, 2, 4)
@@ -322,7 +321,6 @@ def upsample2x2(x: Tensor) -> Tensor:
     four replicas."""
     if x.ndim < 3:
         raise ValueError(f"upsample2x2 expects [..., C,H,W], got {x.shape}")
-    _require_finite("upsample2x2", x)
     h, w = x.shape[-2:]
     planes = _batched(x, 2)
     up = np.broadcast_to(planes[:, :, None, :, None], planes.shape[:2] + (2, w, 2))
@@ -347,7 +345,6 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(
             f"dense dimension mismatch: weights {weights.shape} vs input "
             f"{x.shape} and bias {bias.shape}")
-    _require_finite("dense", x, weights, bias)
     rows, wdata = _batched(x, 1), weights.data
     out = Tensor((rows @ wdata.T + bias.data).reshape(x.shape[:-1] + (k,)))
 
@@ -360,7 +357,6 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    _require_finite("relu", x)
     out = Tensor(np.maximum(x.data, 0.0))
     mask = x.data > 0
 
@@ -372,7 +368,6 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    _require_finite("sigmoid", x)
     xd = x.data
     # split by sign so exp never overflows
     out_data = np.empty_like(xd)
@@ -394,7 +389,6 @@ def softmax(x: Tensor) -> Tensor:
     mandatory); any leading axes are the batch."""
     if x.ndim < 1 or x.size < 1:
         raise ValueError(f"softmax expects a non-empty tensor [..., K], got {x.shape}")
-    _require_finite("softmax", x)
     rows = _batched(x, 1)
     e = np.exp(rows - rows.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
@@ -413,7 +407,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over each channel plane: [..., C,H,W] -> [..., C]."""
     if x.ndim < 3:
         raise ValueError(f"global_avg_pool expects [..., C,H,W], got {x.shape}")
-    _require_finite("global_avg_pool", x)
     h, w = x.shape[-2:]
     out = Tensor(x.data.mean(axis=(-2, -1)))
 
@@ -428,7 +421,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    _require_finite("add", a, b)
     out = Tensor(a.data + b.data)
 
     def backward_fn(g: Array):
@@ -443,7 +435,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     factor = float(factor)
     if not np.isfinite(factor):
         raise NumericError(f"scale factor must be finite, got {factor}")
-    _require_finite("scale", x)
     out = Tensor(x.data * factor)
 
     def backward_fn(g: Array):
@@ -455,7 +446,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
-    _require_finite("tensor_sum", x)
     out = Tensor(x.data.sum())
     shape = x.shape
 

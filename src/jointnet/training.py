@@ -33,6 +33,7 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 LOG_CLAMP = 1e-12
+LR_FLOOR = 1e-7
 MODES = ("joint", "backbone")
 
 
@@ -48,13 +49,12 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     folds: int = 5
-    lr_floor: float = 1e-7
 
     def __post_init__(self):
         if not 0.0 <= self.phi <= 1.0:
             raise ConfigError(f"phi must be within [0, 1], got {self.phi}")
-        if not self.lr > 0.0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not self.lr >= LR_FLOOR:
+            raise ConfigError(f"lr must be >= {LR_FLOOR}, got {self.lr}")
         if not 0.0 < self.kappa < 1.0:
             raise ConfigError(f"kappa must be within (0, 1), got {self.kappa}")
         if self.patience < 1:
@@ -67,9 +67,6 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if not 0.0 < self.lr_floor <= self.lr:
-            raise ConfigError(
-                f"lr_floor must be within (0, lr], got {self.lr_floor}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +165,13 @@ class Adam:
 
 class PlateauScheduler:
     """Multiply lr by kappa after ``patience`` consecutive epochs without a
-    strict improvement of the best seen validation loss; never below the
-    floor. The non-improvement counter resets on every reduction."""
+    strict improvement of the best seen validation loss; never below
+    ``LR_FLOOR``. The non-improvement counter resets on every reduction."""
 
-    def __init__(self, lr: float, patience: int, kappa: float,
-                 floor: float = 1e-7):
+    def __init__(self, lr: float, patience: int, kappa: float):
         self.lr = lr
         self.patience = patience
         self.kappa = kappa
-        self.floor = floor
         self.best = math.inf
         self.bad_epochs = 0
 
@@ -188,19 +183,9 @@ class PlateauScheduler:
         else:
             self.bad_epochs += 1
             if self.bad_epochs >= self.patience:
-                self.lr = max(self.lr * self.kappa, self.floor)
+                self.lr = max(self.lr * self.kappa, LR_FLOOR)
                 self.bad_epochs = 0
         return self.lr
-
-
-def plateau_update(history: list[float], lr: float, patience: int,
-                   kappa: float, floor: float = 1e-7) -> float:
-    """Replay a full validation-loss history through a fresh scheduler that
-    starts at ``lr``; returns the resulting learning rate."""
-    sched = PlateauScheduler(lr, patience, kappa, floor)
-    for val_loss in history:
-        sched.step(val_loss)
-    return sched.lr
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +257,7 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
     onehots = np.eye(net.config.n_classes)
     shuffle_rng = make_rng(config.seed, SHUFFLE)
     optimizer = Adam({name: p.shape for name, p in net.params.items()})
-    scheduler = PlateauScheduler(config.lr, config.patience, config.kappa,
-                                 config.lr_floor)
+    scheduler = PlateauScheduler(config.lr, config.patience, config.kappa)
     phi = config.phi
     val_labels = val_set.labels()
 
@@ -294,8 +278,6 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
                     tape.watch(p)
                 batch_loss, ls_val, lu_val, _ = _batch_losses(
                     net, images, targets, mode, phi)
-            if not np.isfinite(batch_loss.data):
-                raise NumericError(f"non-finite training loss at epoch {epoch}")
             sum_l += float(batch_loss.data) * len(batch)
             sum_ls += ls_val * len(batch)
             sum_lu += lu_val * len(batch)
@@ -313,8 +295,6 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
             val_correct += int(np.sum(probs.data.argmax(axis=1) == val_labels[chunk]))
         val_loss = val_sum / n_val
         val_accuracy = val_correct / n_val
-        if not np.isfinite(val_loss):
-            raise NumericError(f"non-finite validation loss at epoch {epoch}")
 
         if best is None or val_loss < best.best_val_loss:
             best = Checkpoint(

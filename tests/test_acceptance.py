@@ -14,8 +14,8 @@ from jointnet import (ArchConfig, MetricsReport, PlateauScheduler, Tape,
                       Tensor, TrainConfig, backward, build, combined_loss,
                       compare_report, confusion, cross_entropy, evaluate,
                       forward_backbone, forward_joint, load_checkpoint,
-                      metrics, mse, run_battery, save_checkpoint,
-                      synth_generate, to_network, train)
+                      metrics, mse, save_checkpoint, synth_generate,
+                      to_network, train)
 from jointnet.cli import main as cli_main
 
 # Frozen robustness-check recipe: clean training runs short enough that
@@ -26,10 +26,8 @@ WILD_EPOCHS = 12
 WILD_SEEDS = range(5)
 
 
-def test_1_gradient_battery():
-    start = time.monotonic()
-    results = run_battery(seed=0, tolerance=1e-4)
-    elapsed = time.monotonic() - start
+def test_1_gradient_battery(reference_battery):
+    results, elapsed = reference_battery
     worst = max(r.max_relative_error for r in results)
     assert all(r.passed for r in results), \
         [r.name for r in results if not r.passed]

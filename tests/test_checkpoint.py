@@ -1,5 +1,7 @@
 """Checkpoint serialization: byte stability, round trips, corruption."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ def _checkpoint(seed=0, step=17, epoch=3, best=0.1 + 0.2):
     m = {name: rng.normal(size=p.shape) * 1e-3 for name, p in net.params.items()}
     v = {name: rng.uniform(0, 1e-6, p.shape) for name, p in net.params.items()}
     return Checkpoint(ARCH, params, m, v, step, epoch, best)
+
+
+def _saved(tmp_path):
+    """A saved checkpoint's path and its bytes, ready to corrupt."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_checkpoint(), path)
+    return path, bytearray(path.read_bytes())
 
 
 class TestRoundTrip:
@@ -98,3 +107,43 @@ class TestFormat:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_header_bytes_pinned(self, tmp_path):
+        """The header follows ArchConfig's field order; reordering those
+        fields would change every checkpoint written."""
+        _, blob = _saved(tmp_path)
+        (length,) = struct.unpack("<I", blob[5:9])
+        assert blob[9:9 + length] == (
+            b"n_stages = 1\ninput_channels = 1\ninput_size = 16\n"
+            b"base_channels = 2\nn_classes = 3\nepoch = 3\n"
+            b"best_val_loss = 0.30000000000000004\n")
+
+
+class TestCorruptText:
+    """Undecodable or malformed text inside a checkpoint is a DataError
+    that names the file and a byte offset."""
+
+    def test_non_utf8_header_rejected(self, tmp_path):
+        path, blob = _saved(tmp_path)
+        blob[11] = 0xFF
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=r"m\.ckpt: header is not UTF-8 at byte 11"):
+            load_checkpoint(path)
+
+    def test_header_line_without_equals_rejected(self, tmp_path):
+        path, blob = _saved(tmp_path)
+        blob[blob.index(b"=")] = ord(" ")
+        path.write_bytes(blob)
+        with pytest.raises(DataError,
+                           match=r"m\.ckpt: malformed header at byte 9: .*key = value"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path, blob = _saved(tmp_path)
+        (header_length,) = struct.unpack("<I", blob[5:9])
+        # magic, version, header length, header, tensor count, name length
+        blob[4 + 1 + 4 + header_length + 4 + 2] = 0xFF
+        path.write_bytes(blob)
+        with pytest.raises(DataError,
+                           match=r"m\.ckpt: tensor name mismatch at byte \d+"):
+            load_checkpoint(path)

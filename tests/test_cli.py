@@ -129,6 +129,15 @@ class TestEval:
                      "--data", str(workspace["data"]),
                      "--report", str(tmp_path / "r.txt")]) == 2
 
+    def test_non_utf8_checkpoint_header_exits_2(self, workspace, tmp_path, capsys):
+        blob = bytearray(workspace["model"].read_bytes())
+        blob[9] = 0xFF  # first byte of the key = value header
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--model", str(bad),
+                     "--data", str(workspace["data"]),
+                     "--report", str(tmp_path / "r.txt")]) == 2
+        assert "header is not UTF-8 at byte 9" in capsys.readouterr().err
 
     def test_oversized_ascii_header_exits_2(self, workspace, tmp_path, capsys):
         amd = tmp_path / "data" / "AMD"

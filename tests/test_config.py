@@ -1,9 +1,15 @@
 """Config-file parsing."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from jointnet import ConfigError, parse_config_text
+from jointnet import ConfigError, RunConfig, parse_config, parse_config_text
 from jointnet.kvio import format_kv, parse_kv
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestKvLines:
@@ -27,13 +33,13 @@ class TestKvLines:
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
         run = parse_config_text("")
-        assert run.n_stages == 2
-        assert run.phi == 0.5
+        assert run.arch.n_stages == 2
+        assert run.train.phi == 0.5
         assert run.mode == "joint"
 
     def test_values_applied(self):
         run = parse_config_text("epochs = 7\nphi = 0.25\nmode = backbone\n")
-        assert (run.epochs, run.phi, run.mode) == (7, 0.25, "backbone")
+        assert (run.train.epochs, run.train.phi, run.mode) == (7, 0.25, "backbone")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'momentum'"):
@@ -51,3 +57,38 @@ class TestParseConfig:
         pairs = dict(parse_config_text("lr = 0.0001\n").pairs())
         assert pairs["lr"] == "0.0001"
         assert pairs["epochs"] == 30
+
+    def test_pairs_order_pinned(self):
+        """The train log header lists these pairs in this order; it follows
+        the field order of ArchConfig, then TrainConfig, then mode."""
+        assert parse_config_text("").pairs() == [
+            ("n_stages", 2), ("input_channels", 3), ("input_size", 32),
+            ("base_channels", 8), ("n_classes", 3), ("phi", "0.5"),
+            ("lr", "0.0001"), ("kappa", "0.1"), ("patience", 4),
+            ("epochs", 30), ("batch_size", 4), ("seed", 0), ("folds", 5),
+            ("mode", "joint")]
+
+    def test_replace_validates(self):
+        run = parse_config_text("")
+        with pytest.raises(ConfigError, match="mode"):
+            replace(run, mode="both")
+        with pytest.raises(ConfigError, match="phi"):
+            replace(run, train=replace(run.train, phi=2.0))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"epochs = 3\nphi = 0.\xff\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg: config is not UTF-8 at byte 19"):
+            parse_config(path)
+
+
+class TestReadmeTable:
+    def test_defaults_match_config(self):
+        """README's config table lists every key with its default, in
+        RunConfig order."""
+        text = README.read_text(encoding="utf-8")
+        table = re.search(r"^\| key +\| default +\|.*\n\|-[-|]*\n((?:\|.*\n)+)",
+                          text, flags=re.MULTILINE)
+        rows = [tuple(cell.strip() for cell in line.split("|")[1:3])
+                for line in table.group(1).splitlines()]
+        assert rows == [(key, str(value)) for key, value in RunConfig().pairs()]

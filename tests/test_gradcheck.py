@@ -52,8 +52,8 @@ class TestGradcheck:
 
 
 class TestBattery:
-    def test_all_checks_pass_on_reference_seed(self):
-        results = run_battery(seed=0)
+    def test_all_checks_pass_on_reference_seed(self, reference_battery):
+        results, _ = reference_battery
         names = [r.name for r in results]
         assert "joint_16x16_2stage" in names
         assert "dense_mse" in names

@@ -6,9 +6,9 @@ import pytest
 from jointnet import (Adam, ArchConfig, ConfigError, NumericError,
                       PlateauScheduler, Tape, Tensor, TrainConfig, add,
                       backward, build, combined_loss, cross_entropy,
-                      forward_joint, kfold_train, mse, plateau_update, scale,
-                      train)
+                      forward_joint, kfold_train, mse, scale, train)
 from jointnet.data import Dataset, Sample
+from jointnet.training import LR_FLOOR
 
 TINY_ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16,
                        base_channels=2, n_classes=3)
@@ -156,10 +156,6 @@ class TestPlateau:
         assert rates[:5] == [1e-4] * 5
         assert rates[5] == pytest.approx(1e-5)
 
-    def test_plateau_update_replays_history(self):
-        lr = plateau_update([1.0, 0.9, 0.91, 0.92, 0.93, 0.94], 1e-4, 4, 0.1)
-        assert lr == pytest.approx(1e-5)
-
     def test_improvement_resets_counter(self):
         sched = PlateauScheduler(1.0, patience=2, kappa=0.5)
         for v in [1.0, 1.1, 0.9, 1.0]:
@@ -173,7 +169,7 @@ class TestPlateau:
         assert sched.step(1.0) == 0.5
 
     def test_floor_clamps(self):
-        sched = PlateauScheduler(1e-6, patience=1, kappa=0.1, floor=1e-7)
+        sched = PlateauScheduler(1e-6, patience=1, kappa=0.1)
         sched.step(1.0)
         sched.step(1.0)
         sched.step(1.0)
@@ -188,6 +184,11 @@ class TestTrainConfig:
     def test_kappa_range_enforced(self):
         with pytest.raises(ConfigError, match="kappa"):
             TrainConfig(kappa=1.0)
+
+    def test_lr_floor_enforced(self):
+        assert TrainConfig(lr=LR_FLOOR).lr == LR_FLOOR
+        with pytest.raises(ConfigError, match="lr must be >= 1e-07"):
+            TrainConfig(lr=LR_FLOOR / 2)
 
     def test_defaults(self):
         cfg = TrainConfig()
