@@ -107,10 +107,18 @@ def _adapt_channels(img: np.ndarray, channels: int, source: str) -> np.ndarray:
 
 def load_image(path: str | Path, size: int, channels: int = 3) -> Tensor:
     """Read one netpbm image as [channels, size, size] intensities in
-    [0, 1]: gray and RGB are adapted to ``channels``, then resized."""
+    [0, 1], adapted to ``channels`` and resized.
+
+    Gray is resized first and then replicated: replication commutes with
+    the per-channel resize, so one plane is resized instead of
+    ``channels``. RGB is reduced to gray before resizing, because the
+    channel mean does not commute with it bit for bit.
+    """
     raw, maxval = read_netpbm(path)
-    img = _adapt_channels(raw / maxval, channels, str(path))
-    return Tensor(_resize_array(img, size))
+    img = raw / maxval
+    if img.shape[0] == 1:
+        return Tensor(_adapt_channels(_resize_array(img, size), channels, str(path)))
+    return Tensor(_resize_array(_adapt_channels(img, channels, str(path)), size))
 
 
 def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dataset:

@@ -9,12 +9,22 @@ Shapes: each primitive acts on its trailing axes ([C,H,W] for the spatial
 ops, [K] for dense and softmax) and treats any leading axes as the batch,
 so one call and one tape node cover a whole minibatch.
 
+Gradients flow only where they can reach a parameter: the tape tracks the
+watched parameters and every op output computed from a tracked tensor, and
+a primitive may skip the gradient of an untracked input (``conv2d`` skips
+the input-image gradient of the first layer). So ``watch`` must come before
+the parameter's first use on the tape.
+
 Finiteness is checked once, where a value becomes a Tensor: the
 constructor rejects NaN and infinity, so every op output is checked and the
 primitives do not re-check their inputs.
 
 Determinism is a hard contract: reductions use fixed numpy orderings, and
-maxpool ties break to the first (row-major) window position.
+maxpool ties break to the first (row-major) window position. Some numpy
+reductions sum in an order that follows the memory layout of their operand
+(``conv2d``'s bias gradient does), so the layout of each array a primitive
+returns is part of the contract, not only its values: the pooling kernels
+return C-ordered arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ class Tensor:
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor contains non-finite values")
         self.data = arr
 
@@ -95,17 +105,24 @@ class Tape:
 
     Activate with ``with tape:``. Parameters must be watched explicitly so
     that ``backward`` can return an exact-zero gradient for any parameter
-    the loss never touched. Single-writer: one tape records one forward
-    pass on one thread.
+    the loss never touched. The tape also tracks, by id, every tensor a
+    watched parameter flows into: the parameters themselves and the output
+    of each recorded op with a tracked input. Primitives read this to skip
+    input gradients no parameter needs, so a parameter must be watched
+    before its first use. Single-writer: one tape records one forward pass
+    on one thread.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
         self._watched: dict[int, Tensor] = {}
+        self._tracked: set[int] = set()
 
     def watch(self, parameter: Tensor) -> None:
-        """Flag a leaf tensor as trainable for the next backward call."""
+        """Flag a leaf tensor as trainable for the next backward call; call
+        before the tensor's first use on this tape."""
         self._watched[id(parameter)] = parameter
+        self._tracked.add(id(parameter))
 
     @property
     def watched(self) -> list[Tensor]:
@@ -139,10 +156,20 @@ def active_tape() -> Tape | None:
 
 def record(op: str, inputs: tuple[Tensor, ...], output: Tensor,
            backward_fn: Callable[[Array], tuple[Array | None, ...]]) -> None:
-    """Append a node to the active tape, if any. No-op during inference."""
+    """Append a node to the active tape, if any. No-op during inference.
+    The output is tracked when any input is."""
     tape = active_tape()
     if tape is not None:
         tape.nodes.append(TapeNode(op, inputs, output, backward_fn))
+        tracked = tape._tracked
+        if any(id(t) in tracked for t in inputs):
+            tracked.add(id(output))
+
+
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a watched parameter flows into ``t`` on the active tape."""
+    tape = active_tape()
+    return tape is not None and id(t) in tape._tracked
 
 
 def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Tensor]:
@@ -201,6 +228,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     shifted by i*Wp + j, so no column matrix is built. The GEMMs fill the
     stride-1 output at every grid position and the strided, in-image
     positions are kept.
+
+    Backward computes the input gradient only when the input is tracked on
+    the active tape (see ``Tape``); otherwise the closure returns None for
+    it. The bias gradient sums over ``g`` in an order that follows its
+    memory layout.
     """
     if x.ndim < 3 or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
@@ -241,6 +273,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     kept = (slice(None), slice(None), slice(0, stride * h_out, stride),
             slice(0, stride * w_out, stride))
     kdata = kernel.data
+    need_dx = _needs_grad(x)
 
     def padded_flat() -> Array:
         # rebuilt in backward rather than kept on the tape alongside x
@@ -271,6 +304,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         dk = np.empty_like(kdata)
         for ki, kj, off in taps:
             dk[:, :, ki, kj] = gflat @ flat[:, off:off + span].T
+        if not need_dx:
+            return None, dk, db
         dflat = flat  # the padded input is spent; its buffer takes dx
         dflat.fill(0.0)
         tmp = np.empty((c_in, span))
@@ -286,30 +321,45 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     return out
 
 
+# The four positions of a 2x2 window, in row-major (tie-break) order.
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 over [..., C,H,W]; requires even
-    spatial dims."""
+    spatial dims.
+
+    Forward is ``np.maximum`` over the four stride-2 views
+    ``x[..., i::2, j::2]``, so no window copy is made; the output is the
+    first maximum in row-major order, down to the sign of a zero. Backward
+    writes each window's gradient to that same first maximum, through the
+    stride-2 views of one array, and zeros elsewhere; it finds the position
+    again from ``x`` and the output, so the closure keeps no index array.
+    Both results are C-ordered whatever the layout of ``x`` (a batched
+    ``conv2d`` output is channel-major).
+    """
     if x.ndim < 3:
         raise ValueError(f"maxpool2x2 expects [..., C,H,W], got {x.shape}")
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 requires even spatial dims, got {h}x{w}")
-    planes = _batched(x, 2)
-    windows = (planes.reshape(-1, h // 2, 2, w // 2, 2)
-               .transpose(0, 1, 3, 2, 4)
-               .reshape(-1, h // 2, w // 2, 4))
-    # argmax over the row-major window gives the top-left-most tie winner
-    idx = windows.argmax(axis=3)
-    pooled = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
-    out = Tensor(pooled.reshape(x.shape[:-2] + (h // 2, w // 2)))
+    xd = x.data
+    v00, v01, v10, v11 = (xd[..., i::2, j::2] for i, j in _WINDOW)
+    pooled = np.empty(x.shape[:-2] + (h // 2, w // 2))
+    # on operands that compare equal (0.0 and -0.0) np.maximum returns the
+    # second, so the earlier positions go second
+    np.maximum(np.maximum(v11, v10), np.maximum(v01, v00), out=pooled)
+    out = Tensor(pooled)
 
     def backward_fn(g: Array):
-        dwin = np.zeros(idx.shape + (4,))
-        np.put_along_axis(dwin, idx[..., None],
-                          g.reshape(-1, h // 2, w // 2, 1), axis=3)
-        dx = (dwin.reshape(-1, h // 2, w // 2, 2, 2)
-              .transpose(0, 1, 3, 2, 4)
-              .reshape(x.shape))
+        dx = np.empty(x.shape)
+        free = np.ones(pooled.shape, dtype=bool)  # no maximum met yet
+        for i, j in _WINDOW[:3]:
+            hit = xd[..., i::2, j::2] == pooled
+            hit &= free
+            free ^= hit
+            dx[..., i::2, j::2] = np.where(hit, g, 0.0)
+        dx[..., 1::2, 1::2] = np.where(free, g, 0.0)
         return (dx,)
 
     record("maxpool2x2", (x,), out, backward_fn)
@@ -318,16 +368,33 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 def upsample2x2(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling of [..., C,H,W]; backward sums the
-    four replicas."""
+    four replicas.
+
+    Forward assigns ``x`` into the four stride-2 views of one array.
+    Backward adds the four stride-2 views of ``g`` into a C-ordered array
+    in numpy's order for ``g.reshape(..., H, 2, W, 2).sum(axis=(-3, -1))``:
+    ``(g00 + g01) + (g10 + g11)``, or left to right when W is 1. The
+    C order matters downstream: ``conv2d``'s bias gradient sums in an order
+    that follows the layout of its ``g``.
+    """
     if x.ndim < 3:
         raise ValueError(f"upsample2x2 expects [..., C,H,W], got {x.shape}")
     h, w = x.shape[-2:]
-    planes = _batched(x, 2)
-    up = np.broadcast_to(planes[:, :, None, :, None], planes.shape[:2] + (2, w, 2))
-    out = Tensor(up.reshape(x.shape[:-2] + (2 * h, 2 * w)))
+    up = np.empty(x.shape[:-2] + (2 * h, 2 * w))
+    for i, j in _WINDOW:
+        up[..., i::2, j::2] = x.data
+    out = Tensor(up)
 
     def backward_fn(g: Array):
-        return (g.reshape(-1, h, 2, w, 2).sum(axis=(2, 4)).reshape(x.shape),)
+        g00, g01, g10, g11 = (g[..., i::2, j::2] for i, j in _WINDOW)
+        dx = np.empty(x.shape)
+        np.add(g00, g01, out=dx)
+        if w == 1:
+            dx += g10
+            dx += g11
+        else:
+            dx += g10 + g11
+        return (dx,)
 
     record("upsample2x2", (x,), out, backward_fn)
     return out

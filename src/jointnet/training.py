@@ -133,34 +133,59 @@ def combined_loss(supervised: Tensor, unsupervised: Tensor, phi: float) -> Tenso
 class Adam:
     """Adam with bias correction over a named parameter set.
 
-    One shared step counter covers all parameters. ``step`` is functional:
-    it returns fresh tensors and never mutates its inputs, so checkpointed
-    snapshots stay valid by reference.
+    One shared step counter covers all parameters. The state is flat: the
+    moments are one vector each, laid out in the order of ``shapes``, and
+    each step concatenates the gradients and the parameters the same way,
+    so one ufunc per term updates every parameter. Each element goes
+    through the same expression as in a per-parameter loop, so the results
+    are bit for bit those of one. ``m`` and ``v`` map names to views of
+    the current moment vectors. ``step`` is functional: it makes fresh
+    moment and parameter vectors and never mutates its inputs or an
+    earlier step's arrays, so checkpointed snapshots stay valid by
+    reference.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
-        self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        self._slots: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self._slots[name] = (slice(offset, offset + size), tuple(shape))
+            offset += size
+        self._m = np.zeros(offset)
+        self._v = np.zeros(offset)
         self.step_count = 0
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[sl].reshape(shape)
+                for name, (sl, shape) in self._slots.items()}
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        """First-moment estimates by parameter name."""
+        return self._views(self._m)
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        """Second-moment estimates by parameter name."""
+        return self._views(self._v)
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
              lr: float) -> dict[str, Tensor]:
+        g = np.concatenate([np.ravel(grads[name]) for name in self._slots])
+        if not np.all(np.isfinite(g)):
+            bad = next(name for name in params
+                       if not np.all(np.isfinite(grads[name])))
+            raise NumericError(f"non-finite gradient for parameter '{bad}'")
+        p = np.concatenate([params[name].data.ravel() for name in self._slots])
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - BETA1 ** t
         c2 = 1.0 - BETA2 ** t
-        updated: dict[str, Tensor] = {}
-        for name, param in params.items():
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
-            m = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            v = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
-            self.m[name] = m
-            self.v[name] = v
-            step_arr = lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
-            updated[name] = Tensor(param.data - step_arr)
-        return updated
+        self._m = m = BETA1 * self._m + (1.0 - BETA1) * g
+        self._v = v = BETA2 * self._v + (1.0 - BETA2) * (g * g)
+        updated = self._views(p - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON))
+        return {name: Tensor(updated[name]) for name in params}
 
 
 class PlateauScheduler:
@@ -300,8 +325,8 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
             best = Checkpoint(
                 arch=net.config,
                 params={name: p.data for name, p in net.params.items()},
-                adam_m=dict(optimizer.m),
-                adam_v=dict(optimizer.v),
+                adam_m=optimizer.m,
+                adam_v=optimizer.v,
                 step=optimizer.step_count,
                 epoch=epoch,
                 best_val_loss=val_loss,

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import jointnet.cli
 from jointnet import load_checkpoint, read_netpbm
 from jointnet.cli import main
+from jointnet.gradcheck import GradcheckResult
 
 TINY_CONFIG = """\
 # tiny smoke-test run
@@ -177,11 +179,36 @@ class TestExportAttn:
 
 
 class TestGradcheck:
-    def test_battery_passes_and_prints_verdict(self, capsys):
+    """The command's verdict and exit code, over a stubbed battery: the
+    battery itself is checked by the shared seed-0 run."""
+
+    def _stub(self, monkeypatch, results):
+        calls = []
+
+        def run_battery(**kwargs):
+            calls.append(kwargs)
+            return results
+
+        monkeypatch.setattr(jointnet.cli, "run_battery", run_battery)
+        return calls
+
+    def test_battery_passes_and_prints_verdict(self, capsys, monkeypatch,
+                                               reference_battery):
+        calls = self._stub(monkeypatch, reference_battery[0])
         assert main(["gradcheck", "--tol", "1e-4"]) == 0
+        assert calls == [{"seed": 0, "tolerance": 1e-4}]
         out = capsys.readouterr().out
         assert "gradcheck PASS" in out
         assert "joint_16x16_2stage" in out
+
+    def test_failing_check_exits_3_and_names_the_entry(self, capsys, monkeypatch):
+        failing = GradcheckResult("conv2d_same", 0.5, False, "k", 7, 30)
+        passing = GradcheckResult("relu", 1e-9, True, "x", 0, 50)
+        self._stub(monkeypatch, [passing, failing])
+        assert main(["gradcheck", "--seed", "2"]) == 3
+        out = capsys.readouterr().out
+        assert "conv2d_same: max_rel_err=5.000e-01 (30 entries) FAIL at k[7]" in out
+        assert "gradcheck FAIL" in out
 
 
 class TestUsage:
@@ -196,7 +223,11 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out.lower() or True
+        listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.strip()}
+        for name in ("synth", "train", "eval", "compare", "gradcheck",
+                     "export-attn"):
+            assert name in listed
 
 
 class TestLoadedCheckpoint:

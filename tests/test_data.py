@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from jointnet import (ConfigError, DataError, Tensor, load_directory,
-                      load_image, resize_bilinear, stratified_folds,
-                      synth_generate, write_dataset, write_pgm)
-from jointnet.data import CLASS_NAMES, Dataset, Sample
+                      load_image, read_netpbm, resize_bilinear,
+                      stratified_folds, synth_generate, write_dataset,
+                      write_pgm)
+from jointnet.data import CLASS_NAMES, Dataset, Sample, _resize_array
 
 
 class TestResize:
@@ -73,6 +74,21 @@ class TestLoadDirectory:
             image = load_image(s.source_id, 4, 3)
             assert image.shape == (3, 4, 4)
             np.testing.assert_array_equal(image.data, s.image.data)
+
+    @pytest.mark.parametrize("shape,maxval,size", [((256, 256), 255, 32),
+                                                   ((37, 50), 1000, 16),
+                                                   ((8, 8), 255, 8)])
+    def test_gray_to_three_channels_equals_replicate_then_resize(
+            self, tmp_path, shape, maxval, size):
+        """Gray is resized once and then replicated; the bits equal the
+        earlier order, which replicated to three planes and resized each."""
+        p = tmp_path / "gray.pgm"
+        write_pgm(p, np.random.default_rng(8).integers(0, maxval + 1, shape), maxval)
+        raw, raw_maxval = read_netpbm(p)
+        expected = _resize_array(np.repeat(raw / raw_maxval, 3, axis=0), size)
+        image = load_image(p, size, 3).data
+        assert image.shape == expected.shape == (3, size, size)
+        assert image.tobytes() == expected.tobytes()
 
     def test_load_image_reduces_color_to_gray(self, tmp_path):
         p = tmp_path / "rgb.ppm"
