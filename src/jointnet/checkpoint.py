@@ -19,6 +19,7 @@ Writing the same state twice yields identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -160,8 +161,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                             f"{header[key]!r}") from e
     try:
         best_val_loss = float(header["best_val_loss"])
-    except ValueError as e:
-        raise DataError(f"{path}: header key 'best_val_loss' is not a float") from e
+    except ValueError:
+        best_val_loss = math.nan
+    # every loss training records is finite, so nan or inf is corruption
+    if not math.isfinite(best_val_loss):
+        raise DataError(f"{path}: header key 'best_val_loss' is not a finite "
+                        f"float: {header['best_val_loss']!r}")
     epoch = values.pop("epoch")
     try:
         arch = ArchConfig(**values)

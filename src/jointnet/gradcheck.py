@@ -107,14 +107,8 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
     x_conv = t(2, 6, 6)
     checks.append((
         "conv2d_same",
-        lambda p: tensor_sum(conv2d(x_conv, p["k"], p["b"], 1, "same")),
+        lambda p: tensor_sum(conv2d(x_conv, p["k"], p["b"])),
         {"k": t(3, 2, 3, 3), "b": t(3)},
-    ))
-    x_convv = t(2, 7, 7)
-    checks.append((
-        "conv2d_valid_stride2",
-        lambda p: tensor_sum(conv2d(x_convv, p["k"], p["b"], 2, "valid")),
-        {"k": t(2, 2, 3, 3), "b": t(2)},
     ))
     checks.append((
         "maxpool2x2",
@@ -176,7 +170,7 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
     onehot_head = Tensor(np.array([0.0, 0.0, 1.0]))
 
     def conv_ce(p: dict[str, Tensor]) -> Tensor:
-        h = relu(conv2d(x_head, p["k"], p["kb"], 1, "same"))
+        h = relu(conv2d(x_head, p["k"], p["kb"]))
         probs = softmax(dense(global_avg_pool(maxpool2x2(h)), p["w"], p["b"]))
         return training.cross_entropy(onehot_head, probs)
 
@@ -190,14 +184,8 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
     xb_conv = t(2, 2, 6, 6)
     checks.append((
         "conv2d_same_batch2",
-        lambda p: tensor_sum(conv2d(xb_conv, p["k"], p["b"], 1, "same")),
+        lambda p: tensor_sum(conv2d(xb_conv, p["k"], p["b"])),
         {"k": t(3, 2, 3, 3), "b": t(3)},
-    ))
-    xb_convv = t(2, 2, 7, 7)
-    checks.append((
-        "conv2d_valid_stride2_batch2",
-        lambda p: tensor_sum(conv2d(xb_convv, p["k"], p["b"], 2, "valid")),
-        {"k": t(2, 2, 3, 3), "b": t(2)},
     ))
     checks.append((
         "maxpool2x2_batch2",

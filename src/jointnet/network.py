@@ -47,11 +47,13 @@ class ArchConfig:
             raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        divisor = 2 ** (self.n_stages + 1)
-        if self.input_size < divisor or self.input_size % divisor != 0:
+        # the bit length bounds n_stages before 2^(n_stages+1) is computed,
+        # so a huge n_stages allocates nothing
+        if (self.input_size < 1 or self.n_stages + 1 >= self.input_size.bit_length()
+                or self.input_size % 2 ** (self.n_stages + 1)):
             raise ConfigError(
                 f"input_size must be a positive multiple of 2^(n_stages+1) = "
-                f"{divisor}, got {self.input_size}")
+                f"2^{self.n_stages + 1}, got {self.input_size}")
 
     def stage_channels(self, k: int) -> int:
         """Output width of encoder stage k (1-based)."""
@@ -96,8 +98,9 @@ class JointNetwork:
     """Parameter container plus the config that fixes its shapes.
 
     ``params`` maps canonical names to tensors in canonical order. Reads
-    (forward passes) may run concurrently; parameter replacement during
-    training is single-threaded.
+    (forward passes) may run concurrently only while no tape is active,
+    since the active tape is process-wide; recording and parameter
+    replacement during training are single-threaded.
     """
 
     def __init__(self, config: ArchConfig, params: dict[str, Tensor]):

@@ -30,7 +30,6 @@ return C-ordered arrays.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,14 +76,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.shape))
-
-
 @dataclass
 class TapeNode:
     """One recorded primitive: kind, inputs, single output, backward closure.
@@ -109,8 +100,9 @@ class Tape:
     watched parameter flows into: the parameters themselves and the output
     of each recorded op with a tracked input. Primitives read this to skip
     input gradients no parameter needs, so a parameter must be watched
-    before its first use. Single-writer: one tape records one forward pass
-    on one thread.
+    before its first use. Single-writer: one tape records one forward pass.
+    The active tape is process-wide, not per thread, so record on one
+    thread only.
     """
 
     def __init__(self):
@@ -129,29 +121,20 @@ class Tape:
         return list(self._watched.values())
 
     def __enter__(self) -> "Tape":
-        _tls_stack().append(self)
+        _stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tls_stack().pop()
+        popped = _stack.pop()
         if popped is not self:  # pragma: no cover - misuse guard
             raise RuntimeError("tape context exited out of order")
 
 
-_tls = threading.local()
-
-
-def _tls_stack() -> list[Tape]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_stack: list[Tape] = []
 
 
 def active_tape() -> Tape | None:
-    stack = _tls_stack()
-    return stack[-1] if stack else None
+    return _stack[-1] if _stack else None
 
 
 def record(op: str, inputs: tuple[Tensor, ...], output: Tensor,
@@ -198,7 +181,7 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Tensor]:
     for param in tape._watched.values():
         grad = grads.get(id(param))
         if grad is None:
-            result[param] = zeros_like(param)
+            result[param] = Tensor(np.zeros(param.shape))
         else:
             result[param] = Tensor(np.broadcast_to(grad, param.shape).copy())
     return result
@@ -214,20 +197,18 @@ def _batched(x: Tensor, trailing: int) -> Array:
     return x.data.reshape((-1,) + x.shape[x.ndim - trailing:])
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
-           padding: str = "same") -> Tensor:
-    """2-D cross-correlation over [..., C,H,W] with a [C_out,C_in,kH,kW]
-    kernel; any leading axes are the batch.
-
-    "same" keeps H' = ceil(H/stride) (odd kernels only); "valid" gives
-    H' = floor((H-kH)/stride) + 1. Bias is per output channel.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Stride-1, same-padded 2-D cross-correlation over [..., C,H,W] with a
+    [C_out,C_in,kH,kW] kernel (odd kH and kW); any leading axes are the
+    batch. The output is [..., C_out,H,W]; bias is per output channel.
 
     Each kernel tap is one GEMM over the whole batch. The input is copied,
-    channel-major, into a zero-filled padded grid flattened to
+    channel-major, at offset (kH//2, kW//2) into a zero-filled
+    (H+kH-1) x (W+kW-1) grid per channel and sample, flattened to
     [C_in, N*Hp*Wp]; tap (i, j) then reads the contiguous column range
-    shifted by i*Wp + j, so no column matrix is built. The GEMMs fill the
-    stride-1 output at every grid position and the strided, in-image
-    positions are kept.
+    shifted by i*Wp + j, so no column matrix is built. The GEMMs fill an
+    output at every grid position, and each output plane is the top-left
+    H x W block of its grid plane.
 
     Backward computes the input gradient only when the input is tracked on
     the active tape (see ``Tape``); otherwise the closure returns None for
@@ -246,32 +227,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
             f"channels but input is {x.shape}")
     if bias.shape[0] != c_out:
         raise ValueError(f"conv2d bias {bias.shape} does not match {c_out} output channels")
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride}")
-    if padding not in ("same", "valid"):
-        raise ValueError(f"conv2d padding must be 'same' or 'valid', got {padding!r}")
-    if padding == "same" and (kh % 2 == 0 or kw % 2 == 0):
+    if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d same padding requires odd kernel dims, got {kh}x{kw}")
-    if padding == "valid" and (kh > h or kw > w):
-        raise ValueError(f"conv2d kernel {kh}x{kw} larger than input {h}x{w} for valid padding")
 
-    if padding == "same":
-        h_out = -(-h // stride)
-        w_out = -(-w // stride)
-        pad_h = max((h_out - 1) * stride + kh - h, 0)
-        pad_w = max((w_out - 1) * stride + kw - w, 0)
-    else:
-        h_out = (h - kh) // stride + 1
-        w_out = (w - kw) // stride + 1
-        pad_h = pad_w = 0
-    top, left = pad_h // 2, pad_w // 2
+    top, left = kh // 2, kw // 2
     n = math.prod(x.shape[:-3])
-    hp, wp = h + pad_h, w + pad_w
-    # the last in-image output reads the last grid cell with its last tap
+    hp, wp = h + kh - 1, w + kw - 1
+    # the last output reads the last grid cell with its last tap
     span = n * hp * wp - (kh - 1) * wp - (kw - 1)
     taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
-    kept = (slice(None), slice(None), slice(0, stride * h_out, stride),
-            slice(0, stride * w_out, stride))
     kdata = kernel.data
     need_dx = _needs_grad(x)
 
@@ -282,7 +246,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         return padded.reshape(c_in, n * hp * wp)
 
     flat = padded_flat()
-    # every kept position lies below span, so the grid's tail is never read
+    # every output position lies below span, so the grid's tail is never read
     grid = np.empty((c_out, n, hp, wp))
     acc = grid.reshape(c_out, -1)[:, :span]
     tmp = np.empty_like(acc)
@@ -291,14 +255,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         if t:
             acc += tmp
     del flat, tmp
-    out_data = grid[kept].transpose(1, 0, 2, 3) + bias.data[:, None, None]
-    out = Tensor(out_data.reshape(x.shape[:-3] + (c_out, h_out, w_out)))
+    out_data = grid[:, :, :h, :w].transpose(1, 0, 2, 3) + bias.data[:, None, None]
+    out = Tensor(out_data.reshape(x.shape[:-3] + (c_out, h, w)))
 
     def backward_fn(g: Array):
-        gb = g.reshape(-1, c_out, h_out, w_out)
+        gb = g.reshape(-1, c_out, h, w)
         db = gb.sum(axis=(0, 2, 3))
         ggrid = np.zeros((c_out, n, hp, wp))
-        ggrid[kept] = gb.transpose(1, 0, 2, 3)
+        ggrid[:, :, :h, :w] = gb.transpose(1, 0, 2, 3)
         gflat = ggrid.reshape(c_out, -1)[:, :span]
         flat = padded_flat()
         dk = np.empty_like(kdata)

@@ -28,6 +28,19 @@ def _saved(tmp_path):
     return path, bytearray(path.read_bytes())
 
 
+def _with_header_line(tmp_path, old: bytes, new: bytes):
+    """A saved checkpoint with one header line replaced and the header
+    length field updated to match."""
+    path, blob = _saved(tmp_path)
+    (length,) = struct.unpack("<I", blob[5:9])
+    header = bytes(blob[9:9 + length])
+    assert old in header
+    header = header.replace(old, new)
+    path.write_bytes(bytes(blob[:5]) + struct.pack("<I", len(header)) + header
+                     + bytes(blob[9 + length:]))
+    return path
+
+
 class TestRoundTrip:
     def test_fields_and_tensors_survive(self, tmp_path):
         ckpt = _checkpoint()
@@ -146,4 +159,24 @@ class TestCorruptText:
         path.write_bytes(blob)
         with pytest.raises(DataError,
                            match=r"m\.ckpt: tensor name mismatch at byte \d+"):
+            load_checkpoint(path)
+
+
+class TestHeaderValues:
+    """Header values that parse but no training run can write are a
+    DataError, which the CLI reports with exit code 2."""
+
+    def test_huge_n_stages_rejected_before_the_power(self, tmp_path):
+        path = _with_header_line(tmp_path, b"n_stages = 1\n",
+                                 b"n_stages = 1000000000000\n")
+        with pytest.raises(DataError,
+                           match=r"invalid architecture .*2\^1000000000001, got 16"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "soon"])
+    def test_best_val_loss_must_be_a_finite_float(self, tmp_path, value):
+        path = _with_header_line(tmp_path, b"best_val_loss = 0.30000000000000004\n",
+                                 f"best_val_loss = {value}\n".encode())
+        with pytest.raises(DataError, match=f"'best_val_loss' is not a finite "
+                                            f"float: '{value}'"):
             load_checkpoint(path)

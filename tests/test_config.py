@@ -53,6 +53,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="input_size"):
             parse_config_text("n_stages = 3\ninput_size = 20\n")
 
+    def test_huge_n_stages_rejected_before_the_power(self):
+        """2^(n_stages+1) of this n_stages would need about 2^40 bits; the
+        bound is checked first, so nothing large is allocated."""
+        with pytest.raises(ConfigError, match=r"2\^1000000000001, got 32"):
+            parse_config_text("n_stages = 1000000000000\n")
+
+    def test_non_positive_input_size_rejected(self):
+        with pytest.raises(ConfigError, match="input_size must be a positive multiple"):
+            parse_config_text("input_size = -64\n")
+
     def test_pairs_resolve_floats_via_repr(self):
         pairs = dict(parse_config_text("lr = 0.0001\n").pairs())
         assert pairs["lr"] == "0.0001"

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from jointnet import Tensor, gradcheck
-from jointnet.gradcheck import relative_error, run_battery
+from jointnet import (ArchConfig, Tape, Tensor, build, combined_loss,
+                      cross_entropy, forward_backbone, forward_joint,
+                      gradcheck, mse)
+from jointnet.gradcheck import relative_error, run_battery, standard_battery
 from jointnet.tensor import dense, tensor_sum
 
 
@@ -64,12 +66,41 @@ class TestBattery:
     def test_batched_cases_carry_a_batch_axis(self):
         """Each stock primitive and the joint network are also checked on a
         leading batch axis of 2 (the pass/fail runs with the battery)."""
-        from jointnet.gradcheck import standard_battery
         names = {name for name, _, _ in standard_battery(seed=0)}
-        for case in ("conv2d_same", "conv2d_valid_stride2", "maxpool2x2",
-                     "upsample2x2", "dense", "softmax_cross_entropy",
-                     "global_avg_pool", "joint_16x16_2stage"):
+        for case in ("conv2d_same", "maxpool2x2", "upsample2x2", "dense",
+                     "softmax_cross_entropy", "global_avg_pool",
+                     "joint_16x16_2stage"):
             assert case in names and f"{case}_batch2" in names, case
+
+    def test_primitive_checks_cover_every_op_the_network_records(self):
+        """Each op on a joint or backbone training tape is also on the tape
+        of a battery entry smaller than the full network, so gate 1 checks
+        it in isolation."""
+        def recorded_ops(fn, *args) -> set[str]:
+            tape = Tape()
+            with tape:
+                fn(*args)
+            return {node.op for node in tape.nodes}
+
+        def joint_step(net, images, labels):
+            out = forward_joint(net, images)
+            combined_loss(cross_entropy(labels, out.class_probs),
+                          mse(images, out.reconstruction), 0.5)
+
+        def backbone_step(net, images, labels):
+            cross_entropy(labels, forward_backbone(net, images))
+
+        net = build(ArchConfig(n_stages=2, input_channels=1, input_size=16,
+                               base_channels=2, n_classes=3), seed=0)
+        batch = (net, Tensor(np.random.default_rng(3).uniform(0.0, 1.0, (2, 1, 16, 16))),
+                 Tensor(np.eye(3)[[0, 2]]))
+        network_ops = (recorded_ops(joint_step, *batch)
+                       | recorded_ops(backbone_step, *batch))
+        assert {"conv2d", "maxpool2x2", "upsample2x2", "dense"} <= network_ops
+        battery_ops = set().union(*(recorded_ops(fn, params)
+                                    for name, fn, params in standard_battery(seed=0)
+                                    if not name.startswith("joint")))
+        assert network_ops <= battery_ops, network_ops - battery_ops
 
     def test_second_seed_passes(self):
         for r in run_battery(seed=1):
