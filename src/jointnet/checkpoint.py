@@ -1,4 +1,4 @@
-"""Binary checkpoint format (magic ``JANW``, version 1).
+"""Binary checkpoint format (magic ``JANW``, version 2).
 
 Layout, all integers little-endian:
 
@@ -9,12 +9,11 @@ Layout, all integers little-endian:
   ``repr`` so they round-trip bit-exactly).
 * u32 parameter tensor count, then one record per parameter in canonical
   order: u16 name length + UTF-8 name, u8 rank, u32 per-dim sizes,
-  float64 row-major payload.
-* Optimizer state in the same record format, interleaved per parameter as
-  ``<name>.m`` then ``<name>.v``.
-* u64 optimizer step counter.
+  float64 row-major payload. The last record ends the file.
 
-Writing the same state twice yields identical bytes.
+A checkpoint is the model: the optimizer state is not saved. Every
+payload value is finite. Writing the same state twice yields identical
+bytes.
 """
 
 from __future__ import annotations
@@ -33,18 +32,16 @@ from .network import ArchConfig, JointNetwork, parameter_specs
 from .tensor import Tensor
 
 MAGIC = b"JANW"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
 class Checkpoint:
-    """A training snapshot: architecture, parameters, Adam state, position."""
+    """A training snapshot: architecture, parameters, and the epoch it was
+    taken at with its validation loss."""
 
     arch: ArchConfig
     params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    step: int
     epoch: int
     best_val_loss: float
 
@@ -78,10 +75,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     buf += struct.pack("<I", len(names))
     for name in names:
         _tensor_record(buf, name, ckpt.params[name])
-    for name in names:
-        _tensor_record(buf, name + ".m", ckpt.adam_m[name])
-        _tensor_record(buf, name + ".v", ckpt.adam_v[name])
-    buf += struct.pack("<Q", ckpt.step)
     write_atomic(path, buf)
 
 
@@ -118,8 +111,15 @@ def _read_record(cur: _Cursor, expect_name: str, expect_shape: tuple[int, ...]) 
             f"{cur.source}: tensor '{expect_name}' has shape {shape}, "
             f"expected {expect_shape}")
     count = int(np.prod(shape)) if shape else 1
-    raw = cur.take(8 * count, f"tensor '{expect_name}' payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    at = cur.off
+    values = np.frombuffer(cur.take(8 * count, f"tensor '{expect_name}' payload"),
+                           dtype="<f8")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataError(f"{cur.source}: tensor '{expect_name}' holds non-finite "
+                        f"{values[i]} at byte {at + 8 * i}")
+    return values.reshape(shape).astype(np.float64)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -179,14 +179,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(
             f"{path}: {count} parameter tensors, architecture requires {len(specs)}")
     params = {name: _read_record(cur, name, shape) for name, shape, _ in specs}
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    for name, shape, _ in specs:
-        adam_m[name] = _read_record(cur, name + ".m", shape)
-        adam_v[name] = _read_record(cur, name + ".v", shape)
-    step = cur.unpack("<Q", "step counter")
     if cur.off != len(data):
         raise DataError(
-            f"{path}: {len(data) - cur.off} trailing bytes after step counter "
-            f"at byte {cur.off}")
-    return Checkpoint(arch, params, adam_m, adam_v, step, epoch, best_val_loss)
+            f"{path}: {len(data) - cur.off} trailing bytes after the last "
+            f"tensor record at byte {cur.off}")
+    return Checkpoint(arch, params, epoch, best_val_loss)

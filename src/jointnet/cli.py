@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -22,9 +22,7 @@ from .evaluation import (compare_report, evaluate, export_attention,
                          render_metrics_kv)
 from .fileio import write_atomic
 from .gradcheck import TOLERANCE, run_battery
-from .training import kfold_train
-
-LOG_COLUMNS = "epoch,train_loss,train_ls,train_lu,val_loss,val_accuracy,lr,phi"
+from .training import MODES, EpochLog, kfold_train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", help="training log output path (omit to skip)")
-    p.add_argument("--mode", choices=("joint", "backbone"),
+    p.add_argument("--mode", choices=MODES,
                    help="override the config's mode")
     p.add_argument("--phi", type=float, help="override the config's phi")
     p.add_argument("--folds", type=int, help="override the config's fold count")
@@ -121,14 +119,11 @@ def _cmd_train(args) -> int:
         lines = ["# jointnet train log", f"# data = {args.data}"]
         lines += [f"# {key} = {value}" for key, value in run.pairs()]
         lines += [f"# override.{key} = {value}" for key, value in overrides]
-        lines.append(f"# columns: {LOG_COLUMNS}")
+        lines.append("# columns: " + ",".join(f.name for f in fields(EpochLog)))
         for summary in result.folds:
             lines.append(f"# fold {summary.fold}")
             for e in summary.log:
-                lines.append(",".join([
-                    str(e.epoch), repr(e.train_loss), repr(e.train_ls),
-                    repr(e.train_lu), repr(e.val_loss), repr(e.val_accuracy),
-                    repr(e.lr), repr(e.phi)]))
+                lines.append(",".join(map(repr, astuple(e))))
         lines.append(f"# best fold {best.fold} epoch {best.checkpoint.epoch} "
                      f"val_accuracy {repr(best.val_accuracy)} "
                      f"val_loss {repr(best.val_loss)}")

@@ -97,22 +97,6 @@ def _interpolate(samples: np.ndarray, h: int, w: int) -> np.ndarray:
             + rows[:, :, n:] * xf[None, None, :])
 
 
-def _resize_array(img: np.ndarray, out_size: int) -> np.ndarray:
-    _, h, w = img.shape
-    if (h, w) == (out_size, out_size):
-        return img.copy()
-    return _interpolate(_gather(img, out_size), h, w)
-
-
-def resize_bilinear(image: Tensor, out_size: int) -> Tensor:
-    """Bilinear resample of [C,H,W] to [C,out,out] using half-pixel centers."""
-    if image.ndim != 3:
-        raise ValueError(f"resize_bilinear expects [C,H,W], got {image.shape}")
-    if out_size < 1:
-        raise ValueError(f"output size must be >= 1, got {out_size}")
-    return Tensor(_resize_array(image.data, out_size))
-
-
 # ---------------------------------------------------------------------------
 # directory loading
 

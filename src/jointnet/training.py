@@ -138,10 +138,10 @@ class Adam:
     each step concatenates the gradients and the parameters the same way,
     so one ufunc per term updates every parameter. Each element goes
     through the same expression as in a per-parameter loop, so the results
-    are bit for bit those of one. ``m`` and ``v`` map names to views of
-    the current moment vectors. ``step`` is functional: it makes fresh
+    are bit for bit those of one. The moments live only here; a
+    checkpoint does not save them. ``step`` is functional: it makes fresh
     moment and parameter vectors and never mutates its inputs or an
-    earlier step's arrays, so checkpointed snapshots stay valid by
+    earlier step's arrays, so a checkpoint's parameters stay valid by
     reference.
     """
 
@@ -155,20 +155,6 @@ class Adam:
         self._m = np.zeros(offset)
         self._v = np.zeros(offset)
         self.step_count = 0
-
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[sl].reshape(shape)
-                for name, (sl, shape) in self._slots.items()}
-
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        """First-moment estimates by parameter name."""
-        return self._views(self._m)
-
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        """Second-moment estimates by parameter name."""
-        return self._views(self._v)
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
              lr: float) -> dict[str, Tensor]:
@@ -184,8 +170,9 @@ class Adam:
         c2 = 1.0 - BETA2 ** t
         self._m = m = BETA1 * self._m + (1.0 - BETA1) * g
         self._v = v = BETA2 * self._v + (1.0 - BETA2) * (g * g)
-        updated = self._views(p - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON))
-        return {name: Tensor(updated[name]) for name in params}
+        updated = p - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
+        return {name: Tensor(updated[sl].reshape(shape))
+                for name, (sl, shape) in self._slots.items()}
 
 
 class PlateauScheduler:
@@ -325,9 +312,6 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
             best = Checkpoint(
                 arch=net.config,
                 params={name: p.data for name, p in net.params.items()},
-                adam_m=optimizer.m,
-                adam_v=optimizer.v,
-                step=optimizer.step_count,
                 epoch=epoch,
                 best_val_loss=val_loss,
             )

@@ -6,19 +6,29 @@ import numpy as np
 import pytest
 
 from jointnet import (ArchConfig, Checkpoint, DataError, Tensor, build,
-                      forward_joint, load_checkpoint, save_checkpoint,
-                      to_network)
+                      forward_joint, load_checkpoint, parameter_specs,
+                      save_checkpoint, to_network)
+from jointnet.checkpoint import _tensor_record
 
 ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16, base_channels=2)
 
 
-def _checkpoint(seed=0, step=17, epoch=3, best=0.1 + 0.2):
+def _checkpoint(seed=0, epoch=3, best=0.1 + 0.2):
     net = build(ARCH, seed=seed)
-    rng = np.random.default_rng(seed + 100)
     params = {name: p.data for name, p in net.params.items()}
-    m = {name: rng.normal(size=p.shape) * 1e-3 for name, p in net.params.items()}
-    v = {name: rng.uniform(0, 1e-6, p.shape) for name, p in net.params.items()}
-    return Checkpoint(ARCH, params, m, v, step, epoch, best)
+    return Checkpoint(ARCH, params, epoch, best)
+
+
+def version_1_bytes(path):
+    """The version 2 checkpoint at ``path`` in the earlier version 1
+    layout: version byte 1, and after the parameters an Adam moment record
+    ``<name>.m`` and ``<name>.v`` per parameter and a u64 step counter."""
+    blob = bytearray(path.read_bytes())
+    blob[4] = 1
+    for name, arr in load_checkpoint(path).params.items():
+        _tensor_record(blob, name + ".m", np.zeros_like(arr))
+        _tensor_record(blob, name + ".v", np.zeros_like(arr))
+    return bytes(blob + struct.pack("<Q", 17))
 
 
 def _saved(tmp_path):
@@ -48,13 +58,11 @@ class TestRoundTrip:
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
         assert loaded.arch == ARCH
-        assert loaded.step == 17
         assert loaded.epoch == 3
         assert loaded.best_val_loss == ckpt.best_val_loss  # repr round trip
+        assert list(loaded.params) == list(ckpt.params)
         for name in ckpt.params:
             np.testing.assert_array_equal(loaded.params[name], ckpt.params[name])
-            np.testing.assert_array_equal(loaded.adam_m[name], ckpt.adam_m[name])
-            np.testing.assert_array_equal(loaded.adam_v[name], ckpt.adam_v[name])
 
     def test_save_load_save_byte_identical(self, tmp_path):
         ckpt = _checkpoint(seed=5)
@@ -82,7 +90,26 @@ class TestFormat:
         save_checkpoint(_checkpoint(), path)
         blob = path.read_bytes()
         assert blob[:4] == b"JANW"
-        assert blob[4] == 1
+        assert blob[4] == 2
+
+    def test_file_is_header_then_parameter_records(self, tmp_path):
+        """Magic, version, header length, header, tensor count, then one
+        record per parameter (name length, name, rank, dims, payload);
+        nothing follows the last record."""
+        _, blob = _saved(tmp_path)
+        (header_length,) = struct.unpack("<I", blob[5:9])
+        records = sum(2 + len(name) + 1 + 4 * len(shape) + 8 * int(np.prod(shape))
+                      for name, shape, _ in parameter_specs(ARCH))
+        assert len(blob) == 4 + 1 + 4 + header_length + 4 + records
+        assert struct.unpack("<I", blob[9 + header_length:13 + header_length]) == (
+            len(parameter_specs(ARCH)),)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path, _ = _saved(tmp_path)
+        path.write_bytes(version_1_bytes(path))
+        with pytest.raises(DataError,
+                           match=r"m\.ckpt: unsupported checkpoint version 1 at byte 4"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -179,4 +206,26 @@ class TestHeaderValues:
                                  f"best_val_loss = {value}\n".encode())
         with pytest.raises(DataError, match=f"'best_val_loss' is not a finite "
                                             f"float: '{value}'"):
+            load_checkpoint(path)
+
+
+class TestPayloadValues:
+    """Every parameter a training run writes is finite, so a non-finite
+    payload value is corruption: a DataError naming the file, the tensor
+    and the value's byte offset."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        path, blob = _saved(tmp_path)
+        (header_length,) = struct.unpack("<I", blob[5:9])
+        name, shape, _ = parameter_specs(ARCH)[0]
+        # the first record's payload follows its name, rank and dims
+        payload = (4 + 1 + 4 + header_length + 4
+                   + 2 + len(name) + 1 + 4 * len(shape))
+        at = payload + 8 * 5
+        blob[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(blob)
+        with pytest.raises(DataError,
+                           match=rf"m\.ckpt: tensor '{name}' holds non-finite "
+                                 rf"-?(nan|inf) at byte {at}$"):
             load_checkpoint(path)

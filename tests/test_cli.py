@@ -1,5 +1,7 @@
 """End-to-end command-line workflows through main(argv)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from jointnet import load_checkpoint, read_netpbm
 from jointnet.cli import main
 from jointnet.gradcheck import GradcheckResult
 
+from test_checkpoint import version_1_bytes
 from test_fileio import fail_midway, leftovers, pipe_reader
 
 TINY_CONFIG = """\
@@ -151,6 +154,26 @@ class TestEval:
         assert main(["eval", "--model", str(bad),
                      "--data", str(workspace["data"]),
                      "--report", str(tmp_path / "r.txt")]) == 2
+
+    def test_version_1_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(version_1_bytes(workspace["model"]))
+        assert main(["eval", "--model", str(old),
+                     "--data", str(workspace["data"]),
+                     "--report", str(tmp_path / "r.txt")]) == 2
+        assert "v1.ckpt: unsupported checkpoint version 1" in capsys.readouterr().err
+
+    def test_non_finite_parameter_exits_2(self, workspace, tmp_path, capsys):
+        blob = bytearray(workspace["model"].read_bytes())
+        blob[-8:] = struct.pack("<d", np.nan)  # the last parameter's last value
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--model", str(bad),
+                     "--data", str(workspace["data"]),
+                     "--report", str(tmp_path / "r.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "nan.ckpt: tensor '" in err
+        assert f"holds non-finite nan at byte {len(blob) - 8}" in err
 
     def test_non_utf8_checkpoint_header_exits_2(self, workspace, tmp_path, capsys):
         blob = bytearray(workspace["model"].read_bytes())

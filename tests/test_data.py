@@ -4,42 +4,51 @@ import numpy as np
 import pytest
 
 from jointnet import (ConfigError, DataError, Tensor, load_directory,
-                      load_image, read_netpbm, resize_bilinear,
-                      stratified_folds, synth_generate, write_dataset,
-                      write_pgm)
-from jointnet.data import CLASS_NAMES, Dataset, Sample, _axis_coords, _resize_array
+                      load_image, read_netpbm, stratified_folds,
+                      synth_generate, write_dataset, write_pgm)
+from jointnet.data import (CLASS_NAMES, Dataset, Sample, _axis_coords,
+                           _gather, _interpolate)
 
 import image_oracles as parent
 
 
+def resize(img, size):
+    """Bilinear resize of [C,H,W] ``img`` to [C,size,size] as ``load_image``
+    runs it: gather the four samples around each output pixel, then blend."""
+    _, h, w = img.shape
+    return _interpolate(_gather(img, size), h, w)
+
+
 class TestResize:
     def test_constant_stays_constant(self):
-        img = Tensor(np.full((2, 5, 7), 0.4))
-        out = resize_bilinear(img, 12)
-        np.testing.assert_allclose(out.data, 0.4)
+        out = resize(np.full((2, 5, 7), 0.4), 12)
+        np.testing.assert_allclose(out, 0.4)
 
     def test_upsample_oracle(self):
         """1x2 [0,1] to four columns: half-pixel centers give 0, .25, .75, 1."""
-        out = resize_bilinear(Tensor(np.array([[[0.0, 1.0]]])), 4)
+        out = resize(np.array([[[0.0, 1.0]]]), 4)
         assert out.shape == (1, 4, 4)
-        for row in out.data[0]:
+        for row in out[0]:
             np.testing.assert_allclose(row, [0.0, 0.25, 0.75, 1.0])
 
     def test_checkerboard_downsample_averages(self):
         board = np.indices((4, 4)).sum(axis=0) % 2
-        out = resize_bilinear(Tensor(board[None].astype(float)), 2)
-        np.testing.assert_allclose(out.data, 0.5)
+        out = resize(board[None].astype(float), 2)
+        np.testing.assert_allclose(out, 0.5)
 
-    def test_identity_when_sizes_match(self):
-        rng = np.random.default_rng(0)
-        img = rng.uniform(0, 1, (3, 8, 8))
-        np.testing.assert_array_equal(resize_bilinear(Tensor(img), 8).data, img)
+    def test_identity_when_sizes_match(self, tmp_path):
+        """At the stored size ``load_image`` skips the resize and returns
+        the levels divided by maxval."""
+        p = tmp_path / "same.pgm"
+        write_pgm(p, np.random.default_rng(0).integers(0, 1001, (8, 8)), 1000)
+        raw, maxval = read_netpbm(p)
+        assert load_image(p, 8, 1).data.tobytes() == (raw / maxval).tobytes()
 
     def test_output_within_input_range(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             img = rng.uniform(0, 1, (1, rng.integers(2, 9), rng.integers(2, 9)))
-            out = resize_bilinear(Tensor(img), int(rng.integers(1, 16))).data
+            out = resize(img, int(rng.integers(1, 16)))
             assert out.min() >= img.min() - 1e-12
             assert out.max() <= img.max() + 1e-12
 
@@ -162,8 +171,7 @@ class TestParentParity:
             if layout == "planar":
                 img = np.ascontiguousarray(img)
             expected = parent.resize_array(img, size)
-            assert _resize_array(img, size).tobytes() == expected.tobytes()
-            assert resize_bilinear(Tensor(img), size).data.tobytes() == expected.tobytes()
+            assert resize(img, size).tobytes() == expected.tobytes()
 
     def test_axis_coords_memoised_read_only(self):
         coords = _axis_coords(256, 32)

@@ -209,18 +209,17 @@ class TestFlatAdam:
             assert list(params) == list(expected)
             for name in SHAPES_ADAM:
                 assert_same_bits(params[name].data, expected[name])
-                assert_same_bits(flat.m[name], oracle.m[name])
-                assert_same_bits(flat.v[name], oracle.v[name])
+            # the flat moments are the oracle's, concatenated in slot order
+            for flat_moment, moments in ((flat._m, oracle.m), (flat._v, oracle.v)):
+                assert_same_bits(flat_moment, np.concatenate(
+                    [moments[name].ravel() for name in flat._slots]))
             if step == 2:
-                # what a Checkpoint holds: the arrays themselves, by reference
-                held = (dict(flat.m), dict(flat.v),
-                        {name: p.data for name, p in params.items()})
-                snapshot = [{name: a.copy() for name, a in part.items()}
-                            for part in held]
+                # what a Checkpoint holds: the parameter arrays, by reference
+                held = {name: p.data for name, p in params.items()}
+                snapshot = {name: a.copy() for name, a in held.items()}
         assert flat.step_count == 5
-        for part, copy in zip(held, snapshot):
-            for name in SHAPES_ADAM:
-                assert_same_bits(part[name], copy[name])
+        for name in SHAPES_ADAM:
+            assert_same_bits(held[name], snapshot[name])
 
     def test_non_finite_gradient_names_the_first_bad_parameter(self):
         opt = Adam(SHAPES_ADAM)
