@@ -15,8 +15,8 @@ from .network import (ArchConfig, JointNetwork, JointOutput, build,
                       extract_attention, forward_backbone, forward_joint,
                       parameter_count, parameter_specs)
 from .tensor import (Tape, Tensor, add, backward, conv2d, dense,
-                     global_avg_pool, maxpool2x2, record, relu, scale,
-                     sigmoid, softmax, tensor_sum, upsample2x2)
+                     global_avg_pool, maxpool2x2, record, scale, sigmoid,
+                     softmax, tensor_sum, upsample2x2)
 from .training import (Adam, EpochLog, FoldSummary, KFoldResult,
                        PlateauScheduler, TrainConfig, TrainResult,
                        combined_loss, cross_entropy, kfold_train, mse,

@@ -9,6 +9,7 @@ are byte-identical across runs with the same arguments.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -195,7 +196,30 @@ def _cmd_export_attn(args) -> int:
     return 0
 
 
+# glibc's mallopt parameters, from <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# The largest array a recipe step allocates is about 0.6 MB and a step
+# frees a few MB, so heap allocation up to 4 MiB and trimming only past
+# 64 MiB of free heap keep those pages mapped from one step to the next.
+# With glibc's default (dynamic) thresholds, the heap is trimmed and
+# mapped again between steps, and every step faults in fresh zero pages.
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _hold_heap() -> None:
+    """Set the two malloc thresholds above; without glibc, do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _hold_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -106,7 +106,11 @@ def _adapt_channels(img: np.ndarray, channels: int, source: str) -> np.ndarray:
     if c == channels:
         return img
     if c == 1:
-        return np.repeat(img, channels, axis=0)
+        try:
+            return np.repeat(img, channels, axis=0)
+        except (MemoryError, OverflowError, ValueError) as e:
+            raise ConfigError(
+                f"{source}: cannot replicate gray to {channels} channels: {e}") from None
     if channels == 1:
         return img.mean(axis=0, keepdims=True)
     raise DataError(f"{source}: cannot adapt {c}-channel image to {channels} channels")

@@ -94,8 +94,7 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
     from . import training
     from .network import ArchConfig, build, forward_joint
     from .tensor import (add, conv2d, dense, global_avg_pool, maxpool2x2,
-                         relu, scale, sigmoid, softmax, tensor_sum,
-                         upsample2x2)
+                         scale, sigmoid, softmax, tensor_sum, upsample2x2)
 
     rng = make_rng(seed, GRADCHECK)
 
@@ -133,9 +132,9 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
         {"w": t(3, 3), "b": t(3)},
     ))
     checks.append((
-        "relu",
-        lambda p: tensor_sum(relu(p["x"])),
-        {"x": t(2, 5, 5)},
+        "conv2d_relu",
+        lambda p: tensor_sum(conv2d(p["x"], p["k"], p["b"], relu=True)),
+        {"x": t(2, 5, 5), "k": t(3, 2, 3, 3), "b": t(3)},
     ))
     checks.append((
         "sigmoid",
@@ -170,7 +169,7 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
     onehot_head = Tensor(np.array([0.0, 0.0, 1.0]))
 
     def conv_ce(p: dict[str, Tensor]) -> Tensor:
-        h = relu(conv2d(x_head, p["k"], p["kb"]))
+        h = conv2d(x_head, p["k"], p["kb"], relu=True)
         probs = softmax(dense(global_avg_pool(maxpool2x2(h)), p["w"], p["b"]))
         return training.cross_entropy(onehot_head, probs)
 

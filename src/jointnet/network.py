@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .rng import WEIGHTS, make_rng
 from .tensor import (Tensor, add, conv2d, dense, global_avg_pool, maxpool2x2,
-                     relu, sigmoid, softmax, upsample2x2)
+                     sigmoid, softmax, upsample2x2)
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,22 @@ class JointNetwork:
 
 def build(config: ArchConfig, seed: int = 0) -> JointNetwork:
     """Initialize a network: weights uniform(-sqrt(6/fan_in), +sqrt(6/fan_in))
-    drawn in canonical parameter order, biases zero."""
+    drawn in canonical parameter order, biases zero.
+
+    A width too large for numpy to allocate is a ConfigError naming the
+    first parameter it refuses and that parameter's shape."""
     rng = make_rng(seed, WEIGHTS)
     params: dict[str, Tensor] = {}
     for name, shape, fan_in in parameter_specs(config):
-        if name.endswith(".b"):
-            params[name] = Tensor(np.zeros(shape))
-        else:
-            limit = float(np.sqrt(6.0 / fan_in))
-            params[name] = Tensor(rng.uniform(-limit, limit, shape))
+        try:
+            if name.endswith(".b"):
+                params[name] = Tensor(np.zeros(shape))
+            else:
+                limit = float(np.sqrt(6.0 / fan_in))
+                params[name] = Tensor(rng.uniform(-limit, limit, shape))
+        except (MemoryError, OverflowError, ValueError) as e:
+            raise ConfigError(
+                f"parameter '{name}' of shape {shape} cannot be allocated: {e}") from None
     return JointNetwork(config, params)
 
 
@@ -170,11 +177,11 @@ def _encode(net: JointNetwork, image: Tensor) -> tuple[list[Tensor], Tensor]:
     x = image
     skips: list[Tensor] = []
     for k in range(1, net.config.n_stages + 1):
-        x = relu(conv2d(x, p[f"enc{k}.conv1.w"], p[f"enc{k}.conv1.b"]))
-        x = relu(conv2d(x, p[f"enc{k}.conv2.w"], p[f"enc{k}.conv2.b"]))
+        x = conv2d(x, p[f"enc{k}.conv1.w"], p[f"enc{k}.conv1.b"], relu=True)
+        x = conv2d(x, p[f"enc{k}.conv2.w"], p[f"enc{k}.conv2.b"], relu=True)
         skips.append(x)
         x = maxpool2x2(x)
-    bottleneck = relu(conv2d(x, p["bottleneck.conv.w"], p["bottleneck.conv.b"]))
+    bottleneck = conv2d(x, p["bottleneck.conv.w"], p["bottleneck.conv.b"], relu=True)
     return skips, bottleneck
 
 

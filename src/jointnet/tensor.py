@@ -9,6 +9,12 @@ Shapes: each primitive acts on its trailing axes ([C,H,W] for the spatial
 ops, [K] for dense and softmax) and treats any leading axes as the batch,
 so one call and one tape node cover a whole minibatch.
 
+The relu is fused into the convolution, not a primitive of its own:
+``conv2d(..., relu=True)`` adds the bias and clamps at zero in one output
+pass, and its backward masks ``g`` by ``out > 0``. The mask is taken from
+the output, which is positive exactly where the pre-relu value was, so
+the node keeps no mask array.
+
 Gradients flow only where they can reach a parameter: the tape tracks the
 watched parameters and every op output computed from a tracked tensor, and
 a primitive may skip the gradient of an untracked input (``conv2d`` skips
@@ -24,7 +30,8 @@ maxpool ties break to the first (row-major) window position. Some numpy
 reductions sum in an order that follows the memory layout of their operand
 (``conv2d``'s bias gradient does), so the layout of each array a primitive
 returns is part of the contract, not only its values: the pooling kernels
-return C-ordered arrays.
+return C-ordered arrays, and ``conv2d`` the transpose of a channel-major
+one.
 """
 
 from __future__ import annotations
@@ -197,10 +204,12 @@ def _batched(x: Tensor, trailing: int) -> Array:
     return x.data.reshape((-1,) + x.shape[x.ndim - trailing:])
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """Stride-1, same-padded 2-D cross-correlation over [..., C,H,W] with a
     [C_out,C_in,kH,kW] kernel (odd kH and kW); any leading axes are the
     batch. The output is [..., C_out,H,W]; bias is per output channel.
+    With ``relu=True`` the output is clamped at zero, ``max(conv, 0)``, in
+    the same op: one tape node and one output array instead of two.
 
     Each kernel tap is one GEMM over the whole batch. The input is copied,
     channel-major, at offset (kH//2, kW//2) into a zero-filled
@@ -208,12 +217,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     [C_in, N*Hp*Wp]; tap (i, j) then reads the contiguous column range
     shifted by i*Wp + j, so no column matrix is built. The GEMMs fill an
     output at every grid position, and each output plane is the top-left
-    H x W block of its grid plane.
+    H x W block of its grid plane. One pass writes those blocks plus the
+    bias into a fresh channel-major [C_out, N, H, W] array, the relu (if
+    any) clamps it in place, and the op returns its [N, C_out, H, W]
+    transpose: the values and the layout of ``relu(conv2d(...))`` as two
+    ops.
 
     Backward computes the input gradient only when the input is tracked on
     the active tape (see ``Tape``); otherwise the closure returns None for
-    it. The bias gradient sums over ``g`` in an order that follows its
-    memory layout.
+    it. With the relu, ``g`` is first masked by ``out > 0``: the output is
+    positive exactly where the pre-relu value was, so no mask is kept. The
+    bias gradient sums over ``g`` in an order that follows its memory
+    layout.
     """
     if x.ndim < 3 or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
@@ -255,10 +270,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         if t:
             acc += tmp
     del flat, tmp
-    out_data = grid[:, :, :h, :w].transpose(1, 0, 2, 3) + bias.data[:, None, None]
-    out = Tensor(out_data.reshape(x.shape[:-3] + (c_out, h, w)))
+    out_data = grid[:, :, :h, :w] + bias.data[:, None, None, None]
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
+    out = Tensor(out_data.transpose(1, 0, 2, 3).reshape(x.shape[:-3] + (c_out, h, w)))
 
     def backward_fn(g: Array):
+        if relu:
+            g = g * (out.data > 0)
         gb = g.reshape(-1, c_out, h, w)
         db = gb.sum(axis=(0, 2, 3))
         ggrid = np.zeros((c_out, n, hp, wp))
@@ -384,17 +403,6 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         return (grows @ wdata).reshape(x.shape), grows.T @ rows, grows.sum(axis=0)
 
     record("dense", (x, weights, bias), out, backward_fn)
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0
-
-    def backward_fn(g: Array):
-        return (g * mask,)
-
-    record("relu", (x,), out, backward_fn)
     return out
 
 

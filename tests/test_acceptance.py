@@ -2,7 +2,7 @@
 
 Run `pytest -v tests/test_acceptance.py` for one pass/fail line per check;
 add -s for the measured numbers. Checks 6 and 7 train real networks and
-dominate the runtime (a few minutes total).
+dominate the runtime (a few minutes total); they are marked ``slow``.
 """
 
 import time
@@ -147,6 +147,7 @@ def test_5_scheduler_single_cut():
           "final epoch")
 
 
+@pytest.mark.slow
 def test_6_synthetic_learnability():
     start = time.monotonic()
     train_set = synth_generate(100, 32, "none", seed=0)
@@ -165,6 +166,7 @@ def test_6_synthetic_learnability():
           f"in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_7_wild_robustness_direction():
     wild = synth_generate(100, 32, "wild", seed=100)
     arch = ArchConfig()

@@ -102,6 +102,7 @@ class TestBattery:
                                     if not name.startswith("joint")))
         assert network_ops <= battery_ops, network_ops - battery_ops
 
+    @pytest.mark.slow
     def test_second_seed_passes(self):
         for r in run_battery(seed=1):
             assert r.passed, f"{r.name}: {r.max_relative_error}"

@@ -1,17 +1,21 @@
-"""The view-based pooling kernels, the flat Adam update and the skipped
-input gradient, bit for bit against the formulations they replaced.
+"""The view-based pooling kernels, the fused conv2d + bias + relu, the
+flat Adam update and the skipped input gradient, bit for bit against the
+formulations they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: the
-reshape/argmax max pool, the reshape/sum upsample gradient and the
-per-parameter Adam loop. Equality is on the raw bytes, so a flipped sign
-of zero or a changed summation order fails.
+reshape/argmax max pool, the reshape/sum upsample gradient, conv2d
+followed by a separate relu op, and the per-parameter Adam loop. Equality
+is on the raw bytes, so a flipped sign of zero or a changed summation
+order fails.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from jointnet import (Adam, NumericError, Tape, Tensor, backward, conv2d,
-                      maxpool2x2, relu, tensor_sum, upsample2x2)
+                      maxpool2x2, tensor_sum, upsample2x2)
 from jointnet.training import BETA1, BETA2, EPSILON
 
 
@@ -57,6 +61,66 @@ def upsample_oracle(x):
         return g.reshape(-1, h, 2, w, 2).sum(axis=(2, 4)).reshape(x.shape)
 
     return up.reshape(x.shape[:-2] + (2 * h, 2 * w)), backward_fn
+
+
+def conv2d_oracle(x, kdata, bdata, need_dx=True):
+    """(output, backward) of conv2d as a separate op: the bias added to the
+    transposed grid block in one expression, no relu."""
+    c_in, h, w = x.shape[-3:]
+    c_out, kc, kh, kw = kdata.shape
+    top, left = kh // 2, kw // 2
+    n = math.prod(x.shape[:-3])
+    hp, wp = h + kh - 1, w + kw - 1
+    span = n * hp * wp - (kh - 1) * wp - (kw - 1)
+    taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
+
+    def padded_flat():
+        padded = np.zeros((c_in, n, hp, wp))
+        padded[:, :, top:top + h, left:left + w] = (
+            x.reshape((-1,) + x.shape[-3:]).transpose(1, 0, 2, 3))
+        return padded.reshape(c_in, n * hp * wp)
+
+    flat = padded_flat()
+    grid = np.empty((c_out, n, hp, wp))
+    acc = grid.reshape(c_out, -1)[:, :span]
+    tmp = np.empty_like(acc)
+    for t, (ki, kj, off) in enumerate(taps):
+        np.matmul(kdata[:, :, ki, kj], flat[:, off:off + span], out=tmp if t else acc)
+        if t:
+            acc += tmp
+    del flat, tmp
+    out_data = grid[:, :, :h, :w].transpose(1, 0, 2, 3) + bdata[:, None, None]
+    out_data = out_data.reshape(x.shape[:-3] + (c_out, h, w))
+
+    def backward_fn(g):
+        gb = g.reshape(-1, c_out, h, w)
+        db = gb.sum(axis=(0, 2, 3))
+        ggrid = np.zeros((c_out, n, hp, wp))
+        ggrid[:, :, :h, :w] = gb.transpose(1, 0, 2, 3)
+        gflat = ggrid.reshape(c_out, -1)[:, :span]
+        flat = padded_flat()
+        dk = np.empty_like(kdata)
+        for ki, kj, off in taps:
+            dk[:, :, ki, kj] = gflat @ flat[:, off:off + span].T
+        if not need_dx:
+            return None, dk, db
+        dflat = flat
+        dflat.fill(0.0)
+        tmp = np.empty((c_in, span))
+        for ki, kj, off in taps:
+            np.matmul(kdata[:, :, ki, kj].T, gflat, out=tmp)
+            dflat[:, off:off + span] += tmp
+        dx = (dflat.reshape(c_in, n, hp, wp)[:, :, top:top + h, left:left + w]
+              .transpose(1, 0, 2, 3).reshape(x.shape))
+        return dx, dk, db
+
+    return out_data, backward_fn
+
+
+def relu_oracle(x):
+    """(output, backward) of the separate relu op."""
+    mask = x > 0
+    return np.maximum(x, 0.0), lambda g: g * mask
 
 
 class AdamOracle:
@@ -183,6 +247,88 @@ class TestUpsampleMatchesOracle:
 
 
 # ---------------------------------------------------------------------------
+# conv2d + bias + relu
+
+
+def conv_case(kind, batch, rng):
+    """(x, kernel, bias) with C_in = 3, C_out = 4 at 6x8."""
+    shape = (3, 6, 8) if batch == "single" else (2, 3, 6, 8)
+    kernel = rng.normal(size=(4, 3, 3, 3))
+    bias = rng.normal(size=4)
+    if kind == "random":
+        x = rng.normal(size=shape)
+    elif kind == "relu_zeroed":  # a post-relu input: mostly exact zeros
+        x = np.maximum(rng.normal(size=shape) - 0.5, 0.0)
+    elif kind == "signed_zeros":
+        # inputs of 0.0 and -0.0, negative taps and signed-zero biases:
+        # many outputs are exactly zero, where the mask drops g
+        x = rng.choice(np.array([-0.0, 0.0, 0.0, 1.0]), size=shape)
+        kernel = -np.abs(kernel)
+        bias = np.array([-0.0, 0.0, -0.0, 0.5])
+    else:
+        raise AssertionError(kind)
+    return x, kernel, bias
+
+
+def upstream_grad(kind, shape, rng):
+    """``g`` as the fused op receives it: from a C-ordered consumer, from a
+    conv (channel-major), or summed over two branches as the encoder's
+    skip output gets it (the decoder's skip conv, then maxpool)."""
+    # wide-ranging magnitudes, so a changed summation order shows, and
+    # some -0.0 entries, whose sign a masked product keeps
+    def draw():
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        g[rng.random(shape) < 0.1] = -0.0
+        return g
+    if kind == "c_order":
+        return draw()
+    if kind == "channel_major":
+        return channel_major(draw())
+    if kind == "two_branch":
+        return channel_major(draw()) + draw()
+    raise AssertionError(kind)
+
+
+def assert_same_array(actual, expected):
+    assert_same_bits(actual, expected)
+    assert actual.strides == expected.strides
+
+
+class TestFusedConvMatchesOracle:
+    @pytest.mark.parametrize("kind", ["random", "relu_zeroed", "signed_zeros"])
+    @pytest.mark.parametrize("batch", ["single", "batch"])
+    @pytest.mark.parametrize("grad", ["c_order", "channel_major", "two_branch"])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_forward_and_backward_bitwise(self, kind, batch, grad, relu):
+        rng = np.random.default_rng(53)
+        x, kernel, bias = conv_case(kind, batch, rng)
+        expected, conv_backward = conv2d_oracle(x, kernel, bias)
+        if relu:
+            expected, relu_backward = relu_oracle(expected)
+        xt = Tensor(x)
+        tape = Tape()
+        with tape:
+            tape.watch(xt)
+            out = conv2d(xt, Tensor(kernel), Tensor(bias), relu=relu)
+        assert [node.op for node in tape.nodes] == ["conv2d"]
+        assert_same_array(out.data, expected)
+        g = upstream_grad(grad, out.shape, rng)
+        actual = tape.nodes[0].backward(g)
+        oracle = conv_backward(relu_backward(g) if relu else g)
+        for a, e in zip(actual, oracle):
+            assert_same_array(a, e)
+
+    def test_signed_zero_case_hits_exact_zeros(self):
+        """The signed-zero case does reach exact zeros before the clamp,
+        and both signs of zero are in its input."""
+        x, kernel, bias = conv_case("signed_zeros", "batch", np.random.default_rng(53))
+        out = conv2d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+        assert (out == 0.0).any() and (out > 0).any() and (out < 0).any()
+        zeros = x[x == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 
@@ -246,7 +392,7 @@ def _conv_case(watch_input: bool):
             tape.watch(x)
         tape.watch(kernel)
         tape.watch(bias)
-        loss = tensor_sum(relu(conv2d(x, kernel, bias)))
+        loss = tensor_sum(conv2d(x, kernel, bias, relu=True))
     return tape, backward(tape, loss), (x, kernel, bias)
 
 
@@ -280,7 +426,7 @@ class TestDeadInputGradient:
         with tape:
             for p in (k1, b1, k2, b2):
                 tape.watch(p)
-            loss = tensor_sum(conv2d(relu(conv2d(x, k1, b1)), k2, b2))
+            loss = tensor_sum(conv2d(conv2d(x, k1, b1, relu=True), k2, b2))
         first, second = (n for n in tape.nodes if n.op == "conv2d")
         assert first.backward(np.ones(first.output.shape))[0] is None
         assert second.backward(np.ones(second.output.shape))[0] is not None

@@ -51,6 +51,21 @@ class TestParameters:
         total = sum(p.size for p in net.params.values())
         assert total == parameter_count(arch)
 
+    # Each width makes numpy refuse one parameter before it touches memory:
+    # more bytes than the address space, or more than numpy's size limit.
+    @pytest.mark.parametrize("widths, name, shape", [
+        ({"base_channels": 10 ** 17, "input_channels": 1},
+         "enc1.conv1.w", (10 ** 17, 1, 3, 3)),
+        ({"base_channels": 10 ** 18}, "enc1.conv1.w", (10 ** 18, 3, 3, 3)),
+        ({"input_channels": 10 ** 17}, "enc1.conv1.w", (8, 10 ** 17, 3, 3)),
+        ({"n_classes": 10 ** 16}, "classifier.dense.w", (10 ** 16, 16)),
+        ({"n_classes": 10 ** 18}, "classifier.dense.w", (10 ** 18, 16)),
+    ])
+    def test_unallocatable_width_is_a_config_error(self, widths, name, shape):
+        with pytest.raises(ConfigError) as caught:
+            build(ArchConfig(**widths))
+        assert f"'{name}' of shape {shape}" in str(caught.value)
+
     def test_build_is_deterministic(self):
         a = build(ArchConfig(), seed=3)
         b = build(ArchConfig(), seed=3)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jointnet import (NumericError, Tape, Tensor, add, backward, conv2d,
-                      dense, global_avg_pool, maxpool2x2, relu, scale,
-                      sigmoid, softmax, tensor_sum, upsample2x2)
+                      dense, global_avg_pool, maxpool2x2, scale, sigmoid,
+                      softmax, tensor_sum, upsample2x2)
 
 
 class TestTensorBasics:
@@ -122,8 +122,11 @@ class TestDenseAndActivations:
             dense(Tensor([1.0, 2.0, 3.0]), Tensor([[1.0, 1.0]]), Tensor([0.0]))
 
     def test_relu_clamps_negatives(self):
-        out = relu(Tensor([-2.0, 0.0, 3.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
+        """The relu fused into conv2d: an identity 1x1 kernel and zero bias
+        leave only the clamp."""
+        out = conv2d(Tensor([[[-2.0, 0.0, 3.0]]]), Tensor(np.ones((1, 1, 1, 1))),
+                     Tensor([0.0]), relu=True)
+        np.testing.assert_array_equal(out.data, [[[0.0, 0.0, 3.0]]])
 
     def test_softmax_oracle(self):
         out = softmax(Tensor([1.0, 2.0, 3.0]))
@@ -182,13 +185,13 @@ class TestBackward:
         tape = Tape()
         with tape:
             tape.watch(w)
-            out = relu(w)
+            out = sigmoid(w)
         with pytest.raises(ValueError, match="scalar"):
             backward(tape, out)
 
     def test_no_recording_outside_tape(self):
         before = Tape()
-        relu(Tensor([1.0]))
+        sigmoid(Tensor([1.0]))
         assert before.nodes == []
 
 
