@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import write_atomic
-from .kvio import format_kv, parse_kv
+from .kvio import format_kv, parse_kv, parse_record, record_pairs
 from .network import ArchConfig, JointNetwork, parameter_specs
 from .tensor import Tensor
 
@@ -64,7 +64,7 @@ def _tensor_record(buf: bytearray, name: str, arr: np.ndarray) -> None:
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     names = [name for name, _, _ in parameter_specs(ckpt.arch)]
     header = format_kv(
-        [(f.name, getattr(ckpt.arch, f.name)) for f in fields(ArchConfig)]
+        record_pairs(ckpt.arch)
         + [("epoch", ckpt.epoch),
            ("best_val_loss", repr(float(ckpt.best_val_loss)))]).encode("utf-8")
     buf = bytearray()
@@ -110,7 +110,7 @@ def _read_record(cur: _Cursor, expect_name: str, expect_shape: tuple[int, ...]) 
         raise DataError(
             f"{cur.source}: tensor '{expect_name}' has shape {shape}, "
             f"expected {expect_shape}")
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)
     at = cur.off
     values = np.frombuffer(cur.take(8 * count, f"tensor '{expect_name}' payload"),
                            dtype="<f8")
@@ -146,19 +146,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: header is not UTF-8 at byte {header_at + e.start}") from e
     except ConfigError as e:
         raise DataError(f"{path}: malformed header at byte {header_at}: {e}") from e
-    # every architecture field is an integer, as is the epoch
-    int_keys = [f.name for f in fields(ArchConfig)] + ["epoch"]
-    expected_keys = set(int_keys) | {"best_val_loss"}
+    arch_keys = [f.name for f in fields(ArchConfig)]
+    expected_keys = set(arch_keys) | {"epoch", "best_val_loss"}
     if set(header) != expected_keys:
         raise DataError(
             f"{path}: header keys {sorted(header)} do not match {sorted(expected_keys)}")
-    values: dict[str, int] = {}
-    for key in int_keys:
-        try:
-            values[key] = int(header[key])
-        except ValueError as e:
-            raise DataError(f"{path}: header key '{key}' is not an integer: "
-                            f"{header[key]!r}") from e
+    try:
+        epoch = int(header["epoch"])
+    except ValueError as e:
+        raise DataError(f"{path}: header key 'epoch' is not an integer: "
+                        f"{header['epoch']!r}") from e
     try:
         best_val_loss = float(header["best_val_loss"])
     except ValueError:
@@ -167,9 +164,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not math.isfinite(best_val_loss):
         raise DataError(f"{path}: header key 'best_val_loss' is not a finite "
                         f"float: {header['best_val_loss']!r}")
-    epoch = values.pop("epoch")
     try:
-        arch = ArchConfig(**values)
+        arch = parse_record(ArchConfig, {key: header[key] for key in arch_keys},
+                            f"{path}#header")
     except ConfigError as e:
         raise DataError(f"{path}: invalid architecture in header: {e}") from e
 

@@ -23,6 +23,7 @@ from .evaluation import (compare_report, evaluate, export_attention,
                          render_metrics_kv)
 from .fileio import write_atomic
 from .gradcheck import TOLERANCE, run_battery
+from .kvio import record_pairs
 from .training import MODES, EpochLog, kfold_train
 
 
@@ -100,26 +101,20 @@ def _load_for(arch, data_dir: str):
 
 def _cmd_train(args) -> int:
     run = parse_config(args.config)
-    overrides: list[tuple[str, object]] = []
-    if args.mode is not None:
-        run = replace(run, mode=args.mode)
-        overrides.append(("mode", args.mode))
-    if args.phi is not None:
-        run = replace(run, train=replace(run.train, phi=args.phi))
-        overrides.append(("phi", repr(args.phi)))
-    if args.folds is not None:
-        run = replace(run, train=replace(run.train, folds=args.folds))
-        overrides.append(("folds", args.folds))
+    given = {key: getattr(args, key) for key in ("mode", "phi", "folds")
+             if getattr(args, key) is not None}
+    run = replace(run, train=replace(run.train, **given))
     dataset = _load_for(run.arch, args.data)
 
-    result = kfold_train(dataset, run.arch, run.train, mode=run.mode)
+    result = kfold_train(dataset, run.arch, run.train)
     save_checkpoint(result.best_checkpoint, args.out)
 
     best = result.folds[result.best_fold]
     if args.log is not None:
         lines = ["# jointnet train log", f"# data = {args.data}"]
         lines += [f"# {key} = {value}" for key, value in run.pairs()]
-        lines += [f"# override.{key} = {value}" for key, value in overrides]
+        resolved = dict(record_pairs(run.train))
+        lines += [f"# override.{key} = {resolved[key]}" for key in given]
         lines.append("# columns: " + ",".join(f.name for f in fields(EpochLog)))
         for summary in result.folds:
             lines.append(f"# fold {summary.fold}")

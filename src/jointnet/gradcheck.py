@@ -41,9 +41,8 @@ def relative_error(analytic: float, numeric: float) -> float:
 def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
               params: dict[str, Tensor],
               tolerance: float = TOLERANCE,
-              step: float = STEP,
               name: str = "gradcheck") -> GradcheckResult:
-    """Check d loss_fn / d params against central differences.
+    """Check d loss_fn / d params against central differences of ``STEP``.
 
     ``loss_fn`` must return a scalar Tensor and must read parameter values
     through the passed dict so that in-place perturbations are visible.
@@ -67,12 +66,12 @@ def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
         aflat = analytic[key].reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + step
+            flat[i] = saved + STEP
             up = float(loss_fn(params).data)
-            flat[i] = saved - step
+            flat[i] = saved - STEP
             down = float(loss_fn(params).data)
             flat[i] = saved
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * STEP)
             err = relative_error(float(aflat[i]), numeric)
             checked += 1
             if not np.isfinite(err):

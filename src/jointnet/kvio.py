@@ -4,11 +4,15 @@ config files, checkpoint headers, and metric reports.
 Rules: one pair per line, ``#`` starts a comment, blank lines are ignored,
 duplicate keys are an error. Writers emit ``key = value`` with single
 spaces so identical inputs serialize to identical bytes.
+
+A config record (a dataclass such as ``ArchConfig`` or ``TrainConfig``) is
+written with ``record_pairs`` and read back with ``parse_record``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import fields
+from typing import Iterable, get_type_hints
 
 from .errors import ConfigError
 
@@ -35,3 +39,25 @@ def parse_kv(text: str, source: str = "config") -> dict[str, str]:
 
 def format_kv(pairs: Iterable[tuple[str, object]]) -> str:
     return "".join(f"{key} = {value}\n" for key, value in pairs)
+
+
+def record_pairs(record) -> list[tuple[str, object]]:
+    """A record's fields as (key, value) pairs in declaration order, floats
+    via ``repr`` so they read back bit-exactly."""
+    return [(f.name, repr(value) if isinstance(value, float) else value)
+            for f in fields(record) for value in [getattr(record, f.name)]]
+
+
+def parse_record(cls, raw: dict[str, str], source: str):
+    """``cls`` from text values for some of its fields, each converted by its
+    field's type; a value that does not convert is a ``ConfigError`` naming
+    the key. Other fields keep their defaults; ``cls`` validates the result."""
+    kinds = get_type_hints(cls)
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = kinds[key](text)
+        except ValueError as e:
+            raise ConfigError(f"{source}: key '{key}' needs a {kinds[key].__name__}, "
+                              f"got {text!r}") from e
+    return cls(**values)

@@ -51,9 +51,14 @@ class ArchConfig:
         # so a huge n_stages allocates nothing
         if (self.input_size < 1 or self.n_stages + 1 >= self.input_size.bit_length()
                 or self.input_size % 2 ** (self.n_stages + 1)):
+            # n_stages + 1 can have one digit more than Python will print
+            try:
+                power = f" = 2^{self.n_stages + 1}"
+            except ValueError:
+                power = ""
             raise ConfigError(
-                f"input_size must be a positive multiple of 2^(n_stages+1) = "
-                f"2^{self.n_stages + 1}, got {self.input_size}")
+                f"input_size must be a positive multiple of 2^(n_stages+1)"
+                f"{power}, got {self.input_size}")
 
     def stage_channels(self, k: int) -> int:
         """Output width of encoder stage k (1-based)."""

@@ -123,10 +123,6 @@ class Tape:
         self._watched[id(parameter)] = parameter
         self._tracked.add(id(parameter))
 
-    @property
-    def watched(self) -> list[Tensor]:
-        return list(self._watched.values())
-
     def __enter__(self) -> "Tape":
         _stack.append(self)
         return self

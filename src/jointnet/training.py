@@ -39,7 +39,8 @@ MODES = ("joint", "backbone")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyper-parameters."""
+    """The training recipe: optimization hyper-parameters and the mode,
+    ``joint`` (classifier and decoder) or ``backbone`` (classifier alone)."""
 
     phi: float = 0.5
     lr: float = 1e-4
@@ -49,12 +50,13 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     folds: int = 5
+    mode: str = "joint"
 
     def __post_init__(self):
         if not 0.0 <= self.phi <= 1.0:
             raise ConfigError(f"phi must be within [0, 1], got {self.phi}")
-        if not self.lr >= LR_FLOOR:
-            raise ConfigError(f"lr must be >= {LR_FLOOR}, got {self.lr}")
+        if not LR_FLOOR <= self.lr < math.inf:
+            raise ConfigError(f"lr must be >= {LR_FLOOR} and finite, got {self.lr}")
         if not 0.0 < self.kappa < 1.0:
             raise ConfigError(f"kappa must be within (0, 1), got {self.kappa}")
         if self.patience < 1:
@@ -67,6 +69,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +237,16 @@ def _stack(dataset: Dataset, indices, onehots: np.ndarray) -> tuple[Tensor, Tens
             Tensor(onehots[[s.label for s in samples]]))
 
 
-def _batch_losses(net: JointNetwork, images: Tensor, targets: Tensor, mode: str,
-                  phi: float) -> tuple[Tensor, float, float, Tensor]:
-    """One batch's blended mean loss tensor, float L_s and L_u readings, and
-    the class probabilities."""
-    if mode == "joint":
+def _batch_losses(net: JointNetwork, images: Tensor, targets: Tensor,
+                  config: TrainConfig) -> tuple[Tensor, float, float, Tensor]:
+    """One batch's blended mean loss tensor in ``config.mode``, float L_s and
+    L_u readings, and the class probabilities."""
+    if config.mode == "joint":
         out = forward_joint(net, images)
         ls = cross_entropy(targets, out.class_probs)
         lu = mse(images, out.reconstruction)
-        return combined_loss(ls, lu, phi), float(ls.data), float(lu.data), out.class_probs
+        return (combined_loss(ls, lu, config.phi), float(ls.data), float(lu.data),
+                out.class_probs)
     probs = forward_backbone(net, images)
     ls = cross_entropy(targets, probs)
     return ls, float(ls.data), 0.0, probs
@@ -259,18 +264,16 @@ def _validate_sets(net: JointNetwork, train_set: Dataset, val_set: Dataset) -> N
 
 
 def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
-          config: TrainConfig, mode: str = "joint") -> TrainResult:
-    """Optimize ``net`` in place; returns the best-epoch checkpoint (lowest
-    validation loss, earlier epoch on ties) and the full epoch log."""
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+          config: TrainConfig) -> TrainResult:
+    """Optimize ``net`` in place in ``config.mode``; returns the best-epoch
+    checkpoint (lowest validation loss, earlier epoch on ties) and the full
+    epoch log."""
     _validate_sets(net, train_set, val_set)
 
     onehots = np.eye(net.config.n_classes)
     shuffle_rng = make_rng(config.seed, SHUFFLE)
     optimizer = Adam({name: p.shape for name, p in net.params.items()})
     scheduler = PlateauScheduler(config.lr, config.patience, config.kappa)
-    phi = config.phi
     val_labels = val_set.labels()
 
     best: Checkpoint | None = None
@@ -289,7 +292,7 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
                 for p in net.params.values():
                     tape.watch(p)
                 batch_loss, ls_val, lu_val, _ = _batch_losses(
-                    net, images, targets, mode, phi)
+                    net, images, targets, config)
             sum_l += float(batch_loss.data) * len(batch)
             sum_ls += ls_val * len(batch)
             sum_lu += lu_val * len(batch)
@@ -302,7 +305,7 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
         for start in range(0, n_val, config.batch_size):
             chunk = range(start, min(start + config.batch_size, n_val))
             images, targets = _stack(val_set, chunk, onehots)
-            loss, _, _, probs = _batch_losses(net, images, targets, mode, phi)
+            loss, _, _, probs = _batch_losses(net, images, targets, config)
             val_sum += float(loss.data) * len(chunk)
             val_correct += int(np.sum(probs.data.argmax(axis=1) == val_labels[chunk]))
         val_loss = val_sum / n_val
@@ -317,7 +320,7 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
             )
         log.append(EpochLog(epoch, sum_l / n_train, sum_ls / n_train,
                             sum_lu / n_train, val_loss, val_accuracy,
-                            lr_used, phi))
+                            lr_used, config.phi))
         scheduler.step(val_loss)
 
     return TrainResult(best, log)
@@ -339,8 +342,7 @@ class KFoldResult:
     folds: list[FoldSummary]
 
 
-def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig,
-                mode: str = "joint") -> KFoldResult:
+def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFoldResult:
     """Stratified k-fold training: fold f trains a fresh network seeded
     ``config.seed + f``. The overall winner has the highest best-epoch
     validation accuracy; ties prefer lower validation loss, then the
@@ -350,7 +352,7 @@ def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig,
     for f, (train_idx, val_idx) in enumerate(splits):
         net = build(arch, seed=config.seed + f)
         result = train(net, dataset.subset(train_idx), dataset.subset(val_idx),
-                       replace(config, seed=config.seed + f), mode=mode)
+                       replace(config, seed=config.seed + f))
         ckpt = result.checkpoint
         accuracy = result.log[ckpt.epoch - 1].val_accuracy
         summaries.append(FoldSummary(f, ckpt, result.log, accuracy,

@@ -153,8 +153,7 @@ def test_6_synthetic_learnability():
     train_set = synth_generate(100, 32, "none", seed=0)
     val_set = synth_generate(30, 32, "none", seed=1)
     net = build(ArchConfig(), seed=0)
-    result = train(net, train_set, val_set, TrainConfig(epochs=30, seed=0),
-                   mode="joint")
+    result = train(net, train_set, val_set, TrainConfig(epochs=30, seed=0))
     elapsed = time.monotonic() - start
     best = result.log[result.checkpoint.epoch - 1]
     assert best.val_accuracy >= 0.95
@@ -178,7 +177,7 @@ def test_7_wild_robustness_direction():
             val_set = synth_generate(20, 32, "none", seed=50 + s)
             net = build(arch, seed=s)
             result = train(net, train_set, val_set,
-                           TrainConfig(epochs=WILD_EPOCHS, seed=s), mode=mode)
+                           TrainConfig(epochs=WILD_EPOCHS, seed=s, mode=mode))
             accs[mode].append(
                 evaluate(to_network(result.checkpoint), wild)[1].accuracy)
     means = {mode: sum(v) / len(v) for mode, v in accs.items()}

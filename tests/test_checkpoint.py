@@ -38,16 +38,21 @@ def _saved(tmp_path):
     return path, bytearray(path.read_bytes())
 
 
-def _with_header_line(tmp_path, old: bytes, new: bytes):
-    """A saved checkpoint with one header line replaced and the header
-    length field updated to match."""
-    path, blob = _saved(tmp_path)
+def replace_header_line(blob: bytes, old: bytes, new: bytes) -> bytes:
+    """Checkpoint bytes with one header line replaced and the header length
+    field updated to match."""
     (length,) = struct.unpack("<I", blob[5:9])
     header = bytes(blob[9:9 + length])
     assert old in header
     header = header.replace(old, new)
-    path.write_bytes(bytes(blob[:5]) + struct.pack("<I", len(header)) + header
-                     + bytes(blob[9 + length:]))
+    return (bytes(blob[:5]) + struct.pack("<I", len(header)) + header
+            + bytes(blob[9 + length:]))
+
+
+def _with_header_line(tmp_path, old: bytes, new: bytes):
+    """A saved checkpoint with one header line replaced."""
+    path, blob = _saved(tmp_path)
+    path.write_bytes(replace_header_line(blob, old, new))
     return path
 
 
@@ -200,6 +205,22 @@ class TestHeaderValues:
                            match=r"invalid architecture .*2\^1000000000001, got 16"):
             load_checkpoint(path)
 
+    def test_n_stages_past_the_print_limit_rejected(self, tmp_path):
+        """n_stages + 1 here has 4,301 digits, one more than Python will
+        convert to text."""
+        path = _with_header_line(tmp_path, b"n_stages = 1\n",
+                                 b"n_stages = " + b"9" * 4300 + b"\n")
+        with pytest.raises(DataError,
+                           match=r"invalid architecture .*2\^\(n_stages\+1\), got 16"):
+            load_checkpoint(path)
+
+    def test_arch_value_that_is_not_an_integer_rejected(self, tmp_path):
+        path = _with_header_line(tmp_path, b"base_channels = 2\n",
+                                 b"base_channels = two\n")
+        with pytest.raises(DataError, match=r"invalid architecture in header: "
+                                            r".*'base_channels' needs a int, got 'two'"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "soon"])
     def test_best_val_loss_must_be_a_finite_float(self, tmp_path, value):
         path = _with_header_line(tmp_path, b"best_val_loss = 0.30000000000000004\n",
@@ -213,6 +234,27 @@ class TestPayloadValues:
     """Every parameter a training run writes is finite, so a non-finite
     payload value is corruption: a DataError naming the file, the tensor
     and the value's byte offset."""
+
+    def test_value_count_past_int64_is_a_truncation(self, tmp_path):
+        """(2^32-1)^2 * 9 values overflow a 64-bit count; counted exactly,
+        the payload is reported missing rather than reshaped from a
+        wrapped-around count."""
+        big = 2 ** 32 - 1
+        _, blob = _saved(tmp_path)
+        blob = replace_header_line(blob, b"input_channels = 1\n",
+                                   f"input_channels = {big}\n".encode())
+        blob = replace_header_line(blob, b"base_channels = 2\n",
+                                   f"base_channels = {big}\n".encode())
+        (header_length,) = struct.unpack("<I", blob[5:9])
+        name, _, _ = parameter_specs(ARCH)[0]
+        # the first record's dims follow its name and rank
+        dims = 4 + 1 + 4 + header_length + 4 + 2 + len(name) + 1
+        blob = blob[:dims] + struct.pack("<4I", big, big, 3, 3) + blob[dims + 16:]
+        path = tmp_path / "wide.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=rf"wide\.ckpt: truncated at byte {dims + 16}: "
+                                            rf"needed \d+ bytes for tensor '{name}' payload"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, value):

@@ -16,7 +16,7 @@ from jointnet import load_checkpoint, read_netpbm
 from jointnet.cli import main
 from jointnet.gradcheck import GradcheckResult
 
-from test_checkpoint import version_1_bytes
+from test_checkpoint import replace_header_line, version_1_bytes
 from test_fileio import fail_midway, leftovers, pipe_reader
 
 TINY_CONFIG = """\
@@ -104,6 +104,16 @@ class TestTrain:
         assert code == 1
         assert "[0, 1]" in capsys.readouterr().err
 
+    def test_non_finite_lr_exits_1(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG.replace("lr = 0.001", "lr = 1e999"))
+        code = main(["train", "--data", str(workspace["data"]),
+                     "--config", str(bad), "--out", str(tmp_path / "m"),
+                     "--log", str(tmp_path / "l")])
+        assert code == 1
+        assert "lr must be >= 1e-07 and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_unknown_config_key_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("learning_rate = 0.1\n")
@@ -189,6 +199,16 @@ class TestEval:
                      "--data", str(workspace["data"]),
                      "--report", str(tmp_path / "r.txt")]) == 2
         assert "header is not UTF-8 at byte 9" in capsys.readouterr().err
+
+    def test_n_stages_past_the_print_limit_exits_2(self, workspace, tmp_path, capsys):
+        blob = replace_header_line(workspace["model"].read_bytes(), b"n_stages = 1\n",
+                                   b"n_stages = " + b"9" * 4300 + b"\n")
+        bad = tmp_path / "deep.ckpt"
+        bad.write_bytes(blob)
+        assert main(["eval", "--model", str(bad),
+                     "--data", str(workspace["data"]),
+                     "--report", str(tmp_path / "r.txt")]) == 2
+        assert "deep.ckpt: invalid architecture in header" in capsys.readouterr().err
 
     def test_oversized_ascii_header_exits_2(self, workspace, tmp_path, capsys):
         amd = tmp_path / "data" / "AMD"

@@ -35,11 +35,11 @@ class TestParseConfig:
         run = parse_config_text("")
         assert run.arch.n_stages == 2
         assert run.train.phi == 0.5
-        assert run.mode == "joint"
+        assert run.train.mode == "joint"
 
     def test_values_applied(self):
         run = parse_config_text("epochs = 7\nphi = 0.25\nmode = backbone\n")
-        assert (run.train.epochs, run.train.phi, run.mode) == (7, 0.25, "backbone")
+        assert (run.train.epochs, run.train.phi, run.train.mode) == (7, 0.25, "backbone")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'momentum'"):
@@ -58,6 +58,18 @@ class TestParseConfig:
         bound is checked first, so nothing large is allocated."""
         with pytest.raises(ConfigError, match=r"2\^1000000000001, got 32"):
             parse_config_text("n_stages = 1000000000000\n")
+
+    def test_n_stages_past_the_print_limit_rejected(self):
+        """n_stages + 1 here has 4,301 digits, one more than Python will
+        convert to text; the message names the power instead of printing
+        it."""
+        with pytest.raises(ConfigError, match=r"2\^\(n_stages\+1\), got 32"):
+            parse_config_text("n_stages = " + "9" * 4300 + "\n")
+
+    @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
+    def test_non_finite_lr_rejected(self, value):
+        with pytest.raises(ConfigError, match="lr must be >= 1e-07 and finite"):
+            parse_config_text(f"lr = {value}\n")
 
     def test_non_positive_input_size_rejected(self):
         with pytest.raises(ConfigError, match="input_size must be a positive multiple"):
@@ -81,7 +93,7 @@ class TestParseConfig:
     def test_replace_validates(self):
         run = parse_config_text("")
         with pytest.raises(ConfigError, match="mode"):
-            replace(run, mode="both")
+            replace(run, train=replace(run.train, mode="both"))
         with pytest.raises(ConfigError, match="phi"):
             replace(run, train=replace(run.train, phi=2.0))
 

@@ -1,18 +1,32 @@
-"""Property tests at the netpbm input boundary.
+"""Property tests at the input boundary: netpbm images, config text and
+checkpoints.
 
 On arbitrary bytes and on mutated valid P2/P3/P5/P6 files, ``read_netpbm``
 and ``load_image`` either return or raise ``DataError``, never another
 exception type. Both are also checked against the earlier per-byte scanner,
 per-token ASCII loop and float path (``image_oracles``): the same values, or
 the same error message with the same byte offset.
+
+On arbitrary and mutated config text, ``parse_config_text`` either returns a
+``RunConfig`` or raises ``ConfigError``; on arbitrary and mutated checkpoint
+files, ``load_checkpoint`` either returns or raises ``DataError``. Any other
+exception fails the test.
 """
+
+import math
+import re
+import struct
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jointnet import DataError, load_image, read_netpbm
+from jointnet import (ArchConfig, Checkpoint, ConfigError, DataError, RunConfig,
+                      build, load_checkpoint, load_image, parse_config_text,
+                      read_netpbm, save_checkpoint)
+from jointnet.kvio import format_kv
 
 import image_oracles as parent
 
@@ -132,3 +146,143 @@ class TestAsciiAgainstLoop:
     def test_comment_in_p3(self, tmp_path):
         _same_as_parent(tmp_path / "c.ppm",
                         b"P3 1 2 255\n1 2 3 # first pixel\n4#x\n5 6\n")
+
+
+# ---------------------------------------------------------------------------
+# config text and checkpoint headers
+
+KEYS = [key for key, _ in RunConfig().pairs()]
+# values a hand-edited or corrupted file might hold, for every field type
+VALUES = ("", "0", "1", "-1", "2", "3", "16", "0.5", "1.5", "-0.0", "1e-07",
+          "1e-300", "1e999", "-1e999", "inf", "-inf", "nan", "1_6", "0x10",
+          "4294967296", "9" * 4300, "9" * 4301, "joint", "backbone", "hybrid",
+          "=", "#", "two words")
+value_text = st.sampled_from(VALUES) | st.text(max_size=6)
+# n_stages + 1 has 4,301 digits here, one more than Python will print
+DEEP = "9" * 4300
+
+
+def _check_config(text: str) -> None:
+    """The property: a RunConfig whose numbers are finite and whose pairs
+    read back to it, or a ConfigError."""
+    try:
+        run = parse_config_text(text)
+    except ConfigError:
+        return
+    assert isinstance(run, RunConfig)
+    numbers = astuple(run.arch) + astuple(run.train)
+    assert all(math.isfinite(v) for v in numbers if isinstance(v, float))
+    assert parse_config_text(format_kv(run.pairs())) == run
+
+
+@given(st.text(max_size=80))
+def test_config_arbitrary_text(text):
+    _check_config(text)
+
+
+@st.composite
+def mutated_configs(draw):
+    lines = [f"{key} = {value}" for key, value in RunConfig().pairs()]
+    lines = draw(st.lists(st.sampled_from(lines), max_size=len(lines), unique=True))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "value", "key", "line", "chars", "truncate"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "value" and lines:
+            key = lines[at % len(lines)].partition(" =")[0]
+            lines[at % len(lines)] = f"{key} = {draw(value_text)}"
+        elif kind == "key":
+            lines.insert(at, f"{draw(st.sampled_from(KEYS))} = {draw(value_text)}")
+        elif kind == "line":
+            lines.insert(at, draw(st.text(max_size=12)))
+        elif kind == "chars":
+            text = "\n".join(lines)
+            pos = draw(st.integers(0, len(text)))
+            lines = (text[:pos] + draw(st.text(min_size=1, max_size=3))
+                     + text[pos:]).split("\n")
+        else:
+            lines = lines[:at]
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_configs())
+@example(f"n_stages = {DEEP}\n")
+@example("lr = inf\n")
+@example("lr = 1e999\n")
+def test_config_mutated(text):
+    _check_config(text)
+
+
+CKPT_ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16, base_channels=2)
+HEADER_KEYS = [f.name for f in fields(ArchConfig)] + ["epoch", "best_val_loss"]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    """A valid checkpoint's bytes and a path to write mutated ones to."""
+    root = tmp_path_factory.mktemp("ckpt")
+    net = build(CKPT_ARCH, seed=0)
+    save_checkpoint(Checkpoint(CKPT_ARCH, {name: p.data for name, p in net.params.items()},
+                               3, 0.1 + 0.2), root / "valid.ckpt")
+    return (root / "valid.ckpt").read_bytes(), root / "fuzzed.ckpt"
+
+
+def _set_header(blob: bytes, edits) -> bytes:
+    """``blob`` with each (key, value) edit applied to its header text and
+    the header length field updated to match."""
+    (length,) = struct.unpack("<I", blob[5:9])
+    header = blob[9:9 + length].decode("utf-8")
+    for key, value in edits:
+        header = re.sub(rf"^{key} = .*$", lambda _: f"{key} = {value}", header,
+                        count=1, flags=re.MULTILINE)
+    encoded = header.encode("utf-8")
+    return blob[:5] + struct.pack("<I", len(encoded)) + encoded + blob[9 + length:]
+
+
+def _apply_bytes(blob: bytes, edits) -> bytes:
+    """``blob`` after byte-level (kind, position, argument) edits; positions
+    wrap around the current length."""
+    data = bytearray(blob)
+    for kind, pos, arg in edits:
+        pos %= len(data) + 1
+        if kind == "replace" and pos < len(data):
+            data[pos] = arg[0]
+        elif kind == "insert":
+            data[pos:pos] = arg
+        elif kind == "delete":
+            del data[pos:pos + len(arg)]
+        elif kind == "truncate":
+            del data[pos:]
+    return bytes(data)
+
+
+def _check_checkpoint(path, data: bytes) -> None:
+    """The property: a checkpoint whose numbers are all finite, or a
+    DataError."""
+    path.write_bytes(data)
+    try:
+        ckpt = load_checkpoint(path)
+    except DataError:
+        return
+    assert isinstance(ckpt.arch, ArchConfig)
+    assert math.isfinite(ckpt.best_val_loss)
+    assert all(np.isfinite(arr).all() for arr in ckpt.params.values())
+
+
+header_edits = st.lists(st.tuples(st.sampled_from(HEADER_KEYS), value_text), max_size=3)
+byte_edits = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", "truncate"]),
+                                st.integers(0, 1 << 16), st.binary(min_size=1, max_size=4)),
+                      max_size=3)
+
+
+@given(header_edits, byte_edits)
+@example([("n_stages", DEEP)], [])
+@example([("best_val_loss", "1e999")], [])
+@example([("base_channels", "4294967296")], [])
+def test_checkpoint_mutated(checkpoint_bytes, headers, edits):
+    blob, path = checkpoint_bytes
+    _check_checkpoint(path, _apply_bytes(_set_header(blob, headers), edits))
+
+
+@given(st.sampled_from([b"", b"JANW", b"JANW\x02"]), st.binary(max_size=64))
+def test_checkpoint_arbitrary_bytes(checkpoint_bytes, prefix, rest):
+    _check_checkpoint(checkpoint_bytes[1], prefix + rest)

@@ -1,5 +1,7 @@
 """Losses, optimizer, scheduler, and the training loops."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="lr must be >= 1e-07"):
             TrainConfig(lr=LR_FLOOR / 2)
 
+    @pytest.mark.parametrize("lr", [math.inf, math.nan])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr must be >= 1e-07 and finite"):
+            TrainConfig(lr=lr)
+
     def test_defaults(self):
         cfg = TrainConfig()
         assert (cfg.phi, cfg.lr, cfg.kappa, cfg.patience) == (0.5, 1e-4, 0.1, 4)
@@ -266,7 +273,7 @@ class TestBatchedStep:
 
         monkeypatch.setattr(training, name, counting)
         train(build(TINY_ARCH, seed=0), _tiny_dataset(3), _tiny_dataset(2, seed=9),
-              TrainConfig(epochs=2, batch_size=4, seed=0), mode=mode)
+              TrainConfig(epochs=2, batch_size=4, seed=0, mode=mode))
         # 9 training samples make batches of 4, 4, 1; 6 validation
         # samples make chunks of 4 and 2; one forward pass each
         assert calls["taped"] == [4, 4, 1] * 2
@@ -279,7 +286,7 @@ class TestTrainLoop:
         val = _tiny_dataset(2, seed=9)
         net = build(TINY_ARCH, seed=0)
         cfg = TrainConfig(epochs=8, batch_size=4, seed=0, lr=1e-3)
-        result = train(net, ds, val, cfg, mode="joint")
+        result = train(net, ds, val, cfg)
         assert result.log[-1].train_loss < result.log[0].train_loss
         assert len(result.log) == 8
         assert result.checkpoint.epoch == min(
@@ -291,7 +298,7 @@ class TestTrainLoop:
         for _ in range(2):
             net = build(TINY_ARCH, seed=1)
             runs.append(train(net, _tiny_dataset(4), _tiny_dataset(2, seed=9),
-                              cfg, mode="joint"))
+                              cfg))
         for e1, e2 in zip(runs[0].log, runs[1].log):
             assert (e1.train_loss, e1.val_loss) == (e2.train_loss, e2.val_loss)
         for name in runs[0].checkpoint.params:
@@ -301,7 +308,7 @@ class TestTrainLoop:
     def test_backbone_mode_logs_zero_lu(self):
         result = train(build(TINY_ARCH, seed=0), _tiny_dataset(4),
                        _tiny_dataset(2, seed=9),
-                       TrainConfig(epochs=1, seed=0), mode="backbone")
+                       TrainConfig(epochs=1, seed=0, mode="backbone"))
         assert result.log[0].train_lu == 0.0
 
     def test_empty_training_set_rejected(self):
@@ -318,8 +325,7 @@ class TestTrainLoop:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
-            train(build(TINY_ARCH, seed=0), _tiny_dataset(2), _tiny_dataset(1),
-                  TrainConfig(epochs=1), mode="hybrid")
+            TrainConfig(epochs=1, mode="hybrid")
 
 
 class TestKFold:
@@ -340,9 +346,9 @@ class TestKFold:
         seen = []
         original = training.train
 
-        def recording(net, train_set, val_set, config, mode="joint"):
+        def recording(net, train_set, val_set, config):
             seen.append(config)
-            return original(net, train_set, val_set, config, mode=mode)
+            return original(net, train_set, val_set, config)
 
         monkeypatch.setattr(training, "train", recording)
         config = TrainConfig(epochs=1, folds=2, seed=5, lr=1e-3, batch_size=3)
