@@ -6,9 +6,8 @@ from .config import RunConfig, parse_config, parse_config_text
 from .data import (Dataset, Sample, load_directory, load_image,
                    stratified_folds, synth_generate, write_dataset)
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import (ConfusionMatrix, MetricsReport, compare_report,
-                         confusion, evaluate, export_attention, metrics,
-                         predict, render_metrics_kv)
+from .evaluation import (MetricsReport, compare_report, confusion, evaluate,
+                         export_attention, metrics, predict, render_metrics_kv)
 from .gradcheck import GradcheckResult, gradcheck, run_battery, standard_battery
 from .netpbm import read_netpbm, write_pgm
 from .network import (ArchConfig, JointNetwork, JointOutput, build,
@@ -17,9 +16,8 @@ from .network import (ArchConfig, JointNetwork, JointOutput, build,
 from .tensor import (Tape, Tensor, add, backward, conv2d, dense,
                      global_avg_pool, maxpool2x2, record, scale, sigmoid,
                      softmax, tensor_sum, upsample2x2)
-from .training import (Adam, EpochLog, FoldSummary, KFoldResult,
-                       PlateauScheduler, TrainConfig, TrainResult,
-                       combined_loss, cross_entropy, kfold_train, mse,
-                       train)
+from .training import (Adam, EpochLog, KFoldResult, PlateauScheduler,
+                       TrainConfig, TrainResult, combined_loss, cross_entropy,
+                       kfold_train, mse, train)
 
 __version__ = "0.1.0"

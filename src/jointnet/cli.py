@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: synth, train, eval, compare, gradcheck, export-attn. Exit
-codes: 0 success, 1 usage or configuration error, 2 unreadable or invalid
-data, 3 numeric failure. All generated files (logs, reports, checkpoints)
-are byte-identical across runs with the same arguments.
+codes: 0 success, 1 usage or configuration error (``ConfigError``), 2
+unreadable or invalid data (``DataError``, ``OSError``), 3 numeric failure
+(``NumericError``). Any other exception, a plain ``ValueError`` included,
+is an internal fault and propagates. All generated files (logs, reports,
+checkpoints) are byte-identical across runs with the same arguments.
 """
 
 from __future__ import annotations
@@ -107,26 +109,27 @@ def _cmd_train(args) -> int:
     dataset = _load_for(run.arch, args.data)
 
     result = kfold_train(dataset, run.arch, run.train)
-    save_checkpoint(result.best_checkpoint, args.out)
-
     best = result.folds[result.best_fold]
+    save_checkpoint(best.checkpoint, args.out)
+
     if args.log is not None:
         lines = ["# jointnet train log", f"# data = {args.data}"]
         lines += [f"# {key} = {value}" for key, value in run.pairs()]
         resolved = dict(record_pairs(run.train))
         lines += [f"# override.{key} = {resolved[key]}" for key in given]
         lines.append("# columns: " + ",".join(f.name for f in fields(EpochLog)))
-        for summary in result.folds:
-            lines.append(f"# fold {summary.fold}")
-            for e in summary.log:
+        for f, fold in enumerate(result.folds):
+            lines.append(f"# fold {f}")
+            for e in fold.log:
                 lines.append(",".join(map(repr, astuple(e))))
-        lines.append(f"# best fold {best.fold} epoch {best.checkpoint.epoch} "
+        lines.append(f"# best fold {result.best_fold} epoch {best.checkpoint.epoch} "
                      f"val_accuracy {repr(best.val_accuracy)} "
-                     f"val_loss {repr(best.val_loss)}")
+                     f"val_loss {repr(best.checkpoint.best_val_loss)}")
         write_atomic(args.log, ("\n".join(lines) + "\n").encode("utf-8"))
 
-    print(f"best fold {best.fold}: val_accuracy {best.val_accuracy:.4f}, "
-          f"val_loss {best.val_loss:.6f} (epoch {best.checkpoint.epoch}); "
+    print(f"best fold {result.best_fold}: val_accuracy {best.val_accuracy:.4f}, "
+          f"val_loss {best.checkpoint.best_val_loss:.6f} "
+          f"(epoch {best.checkpoint.epoch}); "
           f"checkpoint -> {args.out}")
     return 0
 
@@ -135,12 +138,12 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.model)
     net = to_network(ckpt)
     dataset = _load_for(ckpt.arch, args.data)
-    cm, report = evaluate(net, dataset)
-    text = render_metrics_kv(cm, report, dataset.class_names,
+    counts, report = evaluate(net, dataset)
+    text = render_metrics_kv(counts, report, dataset.class_names,
                              extra=[("model", args.model), ("data", args.data)])
     write_atomic(args.report, text.encode("utf-8"))
     print(f"accuracy {report.accuracy:.4f} sensitivity {report.sensitivity:.4f} "
-          f"specificity {report.specificity:.4f} on {cm.total} samples; "
+          f"specificity {report.specificity:.4f} on {int(counts.sum())} samples; "
           f"report -> {args.report}")
     return 0
 
@@ -231,9 +234,6 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit codes: ConfigError (and plain ValueError)
-means a usage problem, DataError a problem with input files or datasets,
-NumericError a non-finite value where the numeric contract forbids one.
+The CLI maps these onto its exit codes: ConfigError means a usage
+problem, DataError a problem with input files or datasets, NumericError a
+non-finite value where the numeric contract forbids one. A plain ValueError
+is an argument the library rejects, not a usage problem, so the CLI lets it
+propagate.
 """
 
 

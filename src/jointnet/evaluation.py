@@ -22,22 +22,8 @@ from .network import JointNetwork, extract_attention, forward_backbone, forward_
 from .tensor import Tensor
 
 
-@dataclass
-class ConfusionMatrix:
-    """Integer counts [K,K]; counts[i, j] = true class i predicted as j."""
-
-    counts: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(true_labels, predicted_labels, n_classes: int) -> ConfusionMatrix:
+def confusion(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
+    """Integer counts [K,K]: entry [i, j] counts true class i predicted as j."""
     true_arr = np.asarray(true_labels, dtype=np.int64)
     pred_arr = np.asarray(predicted_labels, dtype=np.int64)
     if true_arr.shape != pred_arr.shape or true_arr.ndim != 1:
@@ -51,7 +37,7 @@ def confusion(true_labels, predicted_labels, n_classes: int) -> ConfusionMatrix:
             raise ValueError(f"{name} labels outside 0..{n_classes - 1}")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (true_arr, pred_arr), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
 @dataclass
@@ -63,12 +49,11 @@ class MetricsReport:
     degenerate_classes: list[int]
 
 
-def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    counts = cm.counts
+def metrics(counts: np.ndarray) -> MetricsReport:
     total = counts.sum()
     if total == 0:
         raise ValueError("metrics undefined for an empty confusion matrix")
-    k = cm.n_classes
+    k = counts.shape[0]
     per_class: list[tuple[float, float]] = []
     degenerate: list[int] = []
     for c in range(k):
@@ -111,12 +96,13 @@ def predict(net: JointNetwork, dataset: Dataset) -> list[int]:
     return labels
 
 
-def evaluate(net: JointNetwork, dataset: Dataset) -> tuple[ConfusionMatrix, MetricsReport]:
+def evaluate(net: JointNetwork, dataset: Dataset) -> tuple[np.ndarray, MetricsReport]:
+    """The confusion counts of ``predict`` on ``dataset`` and their metrics."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    cm = confusion([s.label for s in dataset.samples], predict(net, dataset),
-                   net.config.n_classes)
-    return cm, metrics(cm)
+    counts = confusion([s.label for s in dataset.samples], predict(net, dataset),
+                       net.config.n_classes)
+    return counts, metrics(counts)
 
 
 def compare_report(name_a: str, report_a: MetricsReport,
@@ -143,12 +129,12 @@ def compare_report(name_a: str, report_a: MetricsReport,
     return "\n".join(lines) + "\n"
 
 
-def render_metrics_kv(cm: ConfusionMatrix, report: MetricsReport,
+def render_metrics_kv(counts: np.ndarray, report: MetricsReport,
                       class_names: list[str],
                       extra: list[tuple[str, object]] = ()) -> str:
     """Machine-readable report in the package's key=value line format."""
     pairs: list[tuple[str, object]] = list(extra)
-    pairs += [("samples", cm.total),
+    pairs += [("samples", int(counts.sum())),
               ("accuracy", repr(report.accuracy)),
               ("sensitivity", repr(report.sensitivity)),
               ("specificity", repr(report.specificity))]
@@ -156,7 +142,7 @@ def render_metrics_kv(cm: ConfusionMatrix, report: MetricsReport,
         sens, spec = report.per_class[c]
         pairs.append((f"class.{name}.sensitivity", repr(sens)))
         pairs.append((f"class.{name}.specificity", repr(spec)))
-        row = " ".join(str(v) for v in cm.counts[c])
+        row = " ".join(str(v) for v in counts[c])
         pairs.append((f"confusion.{name}", row))
     if report.degenerate_classes:
         names = ",".join(class_names[c] for c in report.degenerate_classes)

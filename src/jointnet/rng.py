@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 WEIGHTS = 0
 SHUFFLE = 1
 SYNTH = 2
@@ -20,5 +22,5 @@ GRADCHECK = 4
 
 def make_rng(seed: int, purpose: int) -> np.random.Generator:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, purpose])))

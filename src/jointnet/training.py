@@ -228,6 +228,11 @@ class TrainResult:
     checkpoint: Checkpoint
     log: list[EpochLog]
 
+    @property
+    def val_accuracy(self) -> float:
+        """Validation accuracy at the checkpoint's (best) epoch."""
+        return self.log[self.checkpoint.epoch - 1].val_accuracy
+
 
 def _stack(dataset: Dataset, indices, onehots: np.ndarray) -> tuple[Tensor, Tensor]:
     """The samples at ``indices`` as an [N,C,H,W] image batch and [N,K]
@@ -327,19 +332,9 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
 
 
 @dataclass
-class FoldSummary:
-    fold: int
-    checkpoint: Checkpoint
-    log: list[EpochLog]
-    val_accuracy: float
-    val_loss: float
-
-
-@dataclass
 class KFoldResult:
     best_fold: int
-    best_checkpoint: Checkpoint
-    folds: list[FoldSummary]
+    folds: list[TrainResult]
 
 
 def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFoldResult:
@@ -348,17 +343,10 @@ def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFol
     validation accuracy; ties prefer lower validation loss, then the
     earlier fold."""
     splits = stratified_folds(dataset, config.folds, config.seed)
-    summaries: list[FoldSummary] = []
-    for f, (train_idx, val_idx) in enumerate(splits):
-        net = build(arch, seed=config.seed + f)
-        result = train(net, dataset.subset(train_idx), dataset.subset(val_idx),
-                       replace(config, seed=config.seed + f))
-        ckpt = result.checkpoint
-        accuracy = result.log[ckpt.epoch - 1].val_accuracy
-        summaries.append(FoldSummary(f, ckpt, result.log, accuracy,
-                                     ckpt.best_val_loss))
-    best = summaries[0]
-    for cand in summaries[1:]:
-        if (cand.val_accuracy, -cand.val_loss) > (best.val_accuracy, -best.val_loss):
-            best = cand
-    return KFoldResult(best.fold, best.checkpoint, summaries)
+    folds = [train(build(arch, seed=config.seed + f), dataset.subset(train_idx),
+                   dataset.subset(val_idx), replace(config, seed=config.seed + f))
+             for f, (train_idx, val_idx) in enumerate(splits)]
+    # max keeps the first of equal keys, so full ties go to the earlier fold
+    best = max(range(len(folds)), key=lambda f: (
+        folds[f].val_accuracy, -folds[f].checkpoint.best_val_loss))
+    return KFoldResult(best, folds)

@@ -117,19 +117,18 @@ def brute_force_counts(counts: np.ndarray):
 
 
 def test_4_metrics_against_recount():
-    from jointnet import ConfusionMatrix
     rng = np.random.default_rng(4)
     for _ in range(1000):
         k = int(rng.integers(2, 6))
         counts = rng.integers(0, 50, (k, k))
         while counts.sum() == 0:
             counts = rng.integers(0, 50, (k, k))
-        report = metrics(ConfusionMatrix(counts.astype(np.int64)))
+        report = metrics(counts.astype(np.int64))
         acc, sens, spec = brute_force_counts(counts)
         assert abs(report.accuracy - acc) <= 1e-12
         assert abs(report.sensitivity - sens) <= 1e-12
         assert abs(report.specificity - spec) <= 1e-12
-    fixed = metrics(ConfusionMatrix(np.array([[50, 10], [5, 35]])))
+    fixed = metrics(np.array([[50, 10], [5, 35]]))
     assert fixed.accuracy == pytest.approx(0.85, abs=1e-12)
     assert fixed.sensitivity == pytest.approx(0.854167, abs=1e-6)
     assert fixed.specificity == pytest.approx(0.854167, abs=1e-6)

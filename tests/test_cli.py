@@ -390,6 +390,23 @@ class TestUsage:
     def test_missing_required_flag_exits_1(self, capsys):
         assert main(["eval", "--model", "m.ckpt"]) == 1
 
+    @pytest.mark.parametrize("command", ["synth", "gradcheck"])
+    def test_negative_seed_exits_1(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "ds")] if command == "synth" else []
+        assert main([command, *out, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n")
+
+    def test_plain_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        """Only ConfigError means exit 1; a plain ValueError is a fault of
+        the program and propagates."""
+        def faulty(args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(jointnet.cli, "_cmd_synth", faulty)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["synth", "--out", str(tmp_path / "ds")])
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()

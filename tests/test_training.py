@@ -334,11 +334,10 @@ class TestKFold:
         result = kfold_train(ds, TINY_ARCH,
                              TrainConfig(epochs=2, folds=3, seed=0, batch_size=4))
         assert len(result.folds) == 3
-        assert result.best_fold == result.folds[result.best_fold].fold
         best = result.folds[result.best_fold]
         assert all(best.val_accuracy >= f.val_accuracy or
                    (best.val_accuracy == f.val_accuracy and
-                    best.val_loss <= f.val_loss)
+                    best.checkpoint.best_val_loss <= f.checkpoint.best_val_loss)
                    for f in result.folds)
 
     def test_fold_seeds_offset_by_fold(self, monkeypatch):
@@ -356,6 +355,32 @@ class TestKFold:
         assert [c.seed for c in seen] == [5, 6]
         assert all(c == TrainConfig(epochs=1, folds=2, seed=c.seed, lr=1e-3,
                                     batch_size=3) for c in seen)
+
+    @staticmethod
+    def _best_of(monkeypatch, scores) -> int:
+        """kfold_train's pick when fold f's best epoch (the second of two)
+        has ``scores[f]`` = (val_accuracy, val_loss). Epoch 1 reads a
+        higher accuracy, so only the best epoch's accuracy gives the
+        intended ranking."""
+        from jointnet import Checkpoint, EpochLog, TrainResult, training
+        canned = iter(
+            TrainResult(Checkpoint(TINY_ARCH, {}, 2, loss),
+                        [EpochLog(1, 1.0, 1.0, 0.0, loss + 1.0, 1.0, 1e-3, 0.5),
+                         EpochLog(2, 1.0, 1.0, 0.0, loss, accuracy, 1e-3, 0.5)])
+            for accuracy, loss in scores)
+        monkeypatch.setattr(training, "train", lambda *args: next(canned))
+        result = kfold_train(_tiny_dataset(len(scores)), TINY_ARCH,
+                             TrainConfig(epochs=2, folds=len(scores), seed=0))
+        assert len(result.folds) == len(scores)
+        return result.best_fold
+
+    def test_accuracy_tie_goes_to_lower_loss(self, monkeypatch):
+        assert self._best_of(monkeypatch,
+                             [(0.5, 0.1), (0.75, 0.9), (0.75, 0.4)]) == 2
+
+    def test_full_tie_goes_to_earlier_fold(self, monkeypatch):
+        assert self._best_of(monkeypatch,
+                             [(0.75, 0.4), (0.75, 0.3), (0.75, 0.3)]) == 1
 
     def test_class_smaller_than_folds_rejected(self):
         from jointnet import DataError
