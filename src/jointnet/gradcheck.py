@@ -28,9 +28,9 @@ class GradcheckResult:
     name: str
     max_relative_error: float
     passed: bool
-    worst_param: str = ""
-    worst_index: int = -1
-    checked: int = 0
+    worst_param: str
+    worst_index: int
+    checked: int
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -40,9 +40,9 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
               params: dict[str, Tensor],
-              tolerance: float = TOLERANCE,
               name: str = "gradcheck") -> GradcheckResult:
-    """Check d loss_fn / d params against central differences of ``STEP``.
+    """Check d loss_fn / d params against central differences of ``STEP``;
+    the check passes when no relative error exceeds ``TOLERANCE``.
 
     ``loss_fn`` must return a scalar Tensor and must read parameter values
     through the passed dict so that in-place perturbations are visible.
@@ -78,7 +78,7 @@ def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
                 return GradcheckResult(name, float("inf"), False, key, i, checked)
             if err > worst:
                 worst, worst_param, worst_index = err, key, i
-    return GradcheckResult(name, worst, worst <= tolerance, worst_param,
+    return GradcheckResult(name, worst, worst <= TOLERANCE, worst_param,
                            worst_index, checked)
 
 
@@ -86,7 +86,7 @@ def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
 # stock checks
 
 
-def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tensor]], Tensor], dict[str, Tensor]]]:
+def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]], Tensor], dict[str, Tensor]]]:
     """(name, loss_fn, params) triples covering every primitive and both loss
     heads, on one sample and on a batch of two, finishing with a full
     two-stage joint network on one 16x16 input and on a batch of two."""
@@ -245,6 +245,6 @@ def standard_battery(seed: int = 0) -> list[tuple[str, Callable[[dict[str, Tenso
     return checks
 
 
-def run_battery(seed: int = 0, tolerance: float = TOLERANCE) -> list[GradcheckResult]:
-    return [gradcheck(fn, params, tolerance=tolerance, name=name)
+def run_battery(seed: int) -> list[GradcheckResult]:
+    return [gradcheck(fn, params, name=name)
             for name, fn, params in standard_battery(seed)]

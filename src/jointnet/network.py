@@ -218,12 +218,7 @@ def forward_joint(net: JointNetwork, image: Tensor) -> JointOutput:
     for i in range(1, n + 1):
         skip = skips[n - i]
         fused_skip = conv2d(skip, p[f"dec{i}.skip.w"], p[f"dec{i}.skip.b"])
-        up = upsample2x2(x)
-        if fused_skip.shape != up.shape:
-            raise ValueError(
-                f"fusion step {i}: skip conv produced {fused_skip.shape} but "
-                f"upsampled map is {up.shape}")
-        x = add(fused_skip, up)
+        x = add(fused_skip, upsample2x2(x))
         maps.append(x)
     recon = sigmoid(conv2d(x, p["recon.conv.w"], p["recon.conv.b"]))
     return JointOutput(probs, recon, maps)

@@ -2,17 +2,23 @@
 
 import ctypes
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jointnet.cli
+import jointnet.data
 import jointnet.fileio
-from jointnet import load_checkpoint, read_netpbm
+from jointnet import (Checkpoint, build, compare_report, evaluate,
+                      load_checkpoint, load_directory, read_netpbm,
+                      save_checkpoint, to_network)
 from jointnet.cli import main
 from jointnet.gradcheck import GradcheckResult
 
@@ -97,10 +103,11 @@ class TestTrain:
         assert "# override.mode = backbone" in log2.read_text()
 
     def test_phi_out_of_range_exits_1(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "phi = 1.5\n")
         code = main(["train", "--data", str(workspace["data"]),
-                     "--config", str(workspace["config"]),
-                     "--out", str(tmp_path / "m.ckpt"),
-                     "--log", str(tmp_path / "l.txt"), "--phi", "1.5"])
+                     "--config", str(bad), "--out", str(tmp_path / "m.ckpt"),
+                     "--log", str(tmp_path / "l.txt")])
         assert code == 1
         assert "[0, 1]" in capsys.readouterr().err
 
@@ -234,6 +241,40 @@ class TestCompare:
         accuracy_line = [l for l in text.splitlines() if l.startswith("Accuracy")][0]
         assert "+0.00" in accuracy_line
 
+    @pytest.mark.parametrize("size_b, reads_per_image", [(16, 1), (8, 2)])
+    def test_decodes_the_data_once_per_input_shape(self, workspace, tmp_path, monkeypatch,
+                                                   size_b, reads_per_image):
+        """Model B reuses model A's decoded images when their input shapes
+        match, and decodes again when they differ; the report is the one
+        two separate evaluations give either way."""
+        arch_b = replace(load_checkpoint(workspace["model"]).arch, input_size=size_b)
+        net_b = build(arch_b, seed=1)
+        model_b = tmp_path / "b.ckpt"
+        save_checkpoint(Checkpoint(arch_b, {name: p.data for name, p in net_b.params.items()},
+                                   1, 0.5), model_b)
+        reads = []
+        real_read = jointnet.data.read_netpbm
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(jointnet.data, "read_netpbm", counting_read)
+        report = tmp_path / "cmp.txt"
+        assert main(["compare", "--model-a", str(workspace["model"]),
+                     "--model-b", str(model_b), "--data", str(workspace["data"]),
+                     "--report", str(report)]) == 0
+        n_images = len(list(workspace["data"].glob("*/*.pgm")))
+        assert len(reads) == reads_per_image * n_images
+
+        separate = []
+        for path in (workspace["model"], model_b):
+            ckpt = load_checkpoint(path)
+            dataset = load_directory(workspace["data"], ckpt.arch.input_size,
+                                     ckpt.arch.input_channels)
+            separate.append(evaluate(to_network(ckpt), dataset)[1])
+        assert report.read_text() == compare_report("model", separate[0], "b", separate[1])
+
 
 class TestAtomicWrites:
     """A write that fails midway exits 2 and leaves the previous artifact
@@ -303,8 +344,8 @@ class TestGradcheck:
     def test_battery_passes_and_prints_verdict(self, capsys, monkeypatch,
                                                reference_battery):
         calls = self._stub(monkeypatch, reference_battery[0])
-        assert main(["gradcheck", "--tol", "1e-4"]) == 0
-        assert calls == [{"seed": 0, "tolerance": 1e-4}]
+        assert main(["gradcheck"]) == 0
+        assert calls == [{"seed": 0}]
         out = capsys.readouterr().out
         assert "gradcheck PASS" in out
         assert "joint_16x16_2stage" in out
@@ -384,6 +425,24 @@ class TestUsage:
     def test_no_subcommand_exits_1(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("extra", [["--phi", "0.5"], ["--folds", "2"]])
+    def test_train_takes_phi_and_folds_from_the_config_only(self, workspace, tmp_path,
+                                                            capsys, extra):
+        assert main(["train", "--data", str(workspace["data"]),
+                     "--config", str(workspace["config"]),
+                     "--out", str(tmp_path / "m.ckpt"), *extra]) == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "1e-4"])
+    def test_gradcheck_tolerance_is_not_settable(self, capsys, monkeypatch, tol):
+        def run_battery(**kwargs):
+            raise AssertionError("the battery must not run")
+
+        monkeypatch.setattr(jointnet.cli, "run_battery", run_battery)
+        assert main(["gradcheck", "--tol", tol]) == 1
+        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -414,6 +473,27 @@ class TestUsage:
         for name in ("synth", "train", "eval", "compare", "gradcheck",
                      "export-attn"):
             assert name in listed
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# each indented `jointnet ...` line of README, its backslash continuations joined
+README_COMMANDS = re.findall(r"^    (jointnet .*)$",
+                             re.sub(r"\\\n\s*", " ", README.read_text(encoding="utf-8")),
+                             flags=re.MULTILINE)
+
+
+class TestReadmeCommands:
+    def test_every_subcommand_is_shown(self):
+        assert {command.split()[1] for command in README_COMMANDS} == {
+            "synth", "train", "eval", "compare", "export-attn", "gradcheck"}
+
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_command_parses(self, command, capsys):
+        try:
+            jointnet.cli._build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}\n"
+                        f"{capsys.readouterr().err}")
 
 
 class TestLoadedCheckpoint:

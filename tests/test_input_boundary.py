@@ -11,11 +11,16 @@ On arbitrary and mutated config text, ``parse_config_text`` either returns a
 ``RunConfig`` or raises ``ConfigError``; on arbitrary and mutated checkpoint
 files, ``load_checkpoint`` either returns or raises ``DataError``. Any other
 exception fails the test.
+
+Each reader also runs under ``tracemalloc``: whether it returns or raises,
+its peak allocation must stay within a straight line in the input's size,
+so no header can make a reader allocate more than the file justifies.
 """
 
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -34,6 +39,31 @@ MAGICS = ("P2", "P3", "P5", "P6")
 # ASCII separators, including comments that end a token and run to a newline
 SEPARATORS = (" ", "\n", "\t", "  ", "\r\n", "\x0b", "\x0c", "#c\n", " # note\n")
 LOAD_ARGS = ((1, 1), (3, 3), (4, 1), (2, 2))  # (size, channels)
+# Peak allocation bounds, (slope in bytes per input byte, base in bytes).
+# The slope is what a large valid input needs: an ASCII raster holds the
+# file plus an int64 per sample, about 5 bytes per byte; config text holds
+# a string object per line, about 20 bytes per byte of 3-byte lines; a
+# checkpoint holds the file plus its float64 parameters, about 2. The base
+# covers the fixed cost of a call: over every example here the largest
+# peak - slope * size was 13,038 bytes (netpbm), 14,731 (config) and 14,722
+# (checkpoint).
+NETPBM_BOUND = (6, 20 * 1024)
+CONFIG_BOUND = (24, 20 * 1024)
+CHECKPOINT_BOUND = (4, 20 * 1024)
+
+
+def _traced(bound: tuple[int, int], n_bytes: int, call, *args):
+    """``call(*args)``, whose peak allocation, whether it returns or raises,
+    must stay within ``slope * n_bytes + base`` for ``bound = (slope, base)``."""
+    tracemalloc.start()
+    try:
+        return call(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        slope, base = bound
+        assert peak <= slope * n_bytes + base, (
+            f"{call.__name__} allocated {peak} bytes for a {n_bytes}-byte input")
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +114,12 @@ def _same_as_parent(path, data: bytes) -> None:
         expected, expected_maxval = parent.read_netpbm_bytes(data, str(path))
     except DataError as e:
         with pytest.raises(DataError) as got:
-            read_netpbm(path)
+            _traced(NETPBM_BOUND, len(data), read_netpbm, path)
         assert str(got.value) == str(e)
         with pytest.raises(DataError):
-            load_image(path, 2, 3)
+            _traced(NETPBM_BOUND, len(data), load_image, path, 2, 3)
         return
-    raw, maxval = read_netpbm(path)
+    raw, maxval = _traced(NETPBM_BOUND, len(data), read_netpbm, path)
     assert raw.dtype.kind in "ui"
     assert maxval == expected_maxval
     assert raw.shape == expected.shape
@@ -99,10 +129,11 @@ def _same_as_parent(path, data: bytes) -> None:
             want = parent.load_levels(expected, maxval, size, channels, str(path))
         except DataError as e:
             with pytest.raises(DataError) as got:
-                load_image(path, size, channels)
+                _traced(NETPBM_BOUND, len(data), load_image, path, size, channels)
             assert str(got.value) == str(e)
             continue
-        assert load_image(path, size, channels).data.tobytes() == want.tobytes()
+        image = _traced(NETPBM_BOUND, len(data), load_image, path, size, channels)
+        assert image.data.tobytes() == want.tobytes()
 
 
 @given(st.binary(max_size=64))
@@ -111,6 +142,8 @@ def test_arbitrary_bytes(file_path, data):
 
 
 @given(st.sampled_from([m.encode() for m in MAGICS]), st.binary(max_size=48))
+@example(b"P2", b" 4000 4000 255\n1 2 3\n")  # 16M samples declared, 3 present
+@example(b"P6", b" 4000 4000 255\n123")
 def test_arbitrary_bytes_after_magic(file_path, magic, rest):
     _same_as_parent(file_path, magic + rest)
 
@@ -166,7 +199,7 @@ def _check_config(text: str) -> None:
     """The property: a RunConfig whose numbers are finite and whose pairs
     read back to it, or a ConfigError."""
     try:
-        run = parse_config_text(text)
+        run = _traced(CONFIG_BOUND, len(text.encode("utf-8")), parse_config_text, text)
     except ConfigError:
         return
     assert isinstance(run, RunConfig)
@@ -260,7 +293,7 @@ def _check_checkpoint(path, data: bytes) -> None:
     DataError."""
     path.write_bytes(data)
     try:
-        ckpt = load_checkpoint(path)
+        ckpt = _traced(CHECKPOINT_BOUND, len(data), load_checkpoint, path)
     except DataError:
         return
     assert isinstance(ckpt.arch, ArchConfig)

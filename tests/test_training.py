@@ -328,6 +328,41 @@ class TestTrainLoop:
             TrainConfig(epochs=1, mode="hybrid")
 
 
+class TestPhiOne:
+    """At phi = 1 the reconstruction term is scaled by exactly zero, so joint
+    mode trains the backbone's encoder and classifier bit for bit, and at
+    phi < 1 joint minus backbone is the effect of (1 - phi) L_u alone."""
+
+    @staticmethod
+    def _train(mode: str, phi: float):
+        net = build(TINY_ARCH, seed=0)
+        result = train(net, _tiny_dataset(4), _tiny_dataset(2, seed=9),
+                       TrainConfig(phi=phi, epochs=3, batch_size=4, seed=0, mode=mode))
+        groups = net.parameter_groups()
+        shared = {name: net.params[name].data
+                  for name in groups["encoder"] + groups["classifier"]}
+        return result, shared
+
+    def test_joint_at_phi_one_trains_the_backbone_classifier(self):
+        joint, joint_params = self._train("joint", 1.0)
+        backbone, backbone_params = self._train("backbone", 1.0)
+        for name in joint_params:
+            assert np.array_equal(joint_params[name], backbone_params[name]), name
+        assert len(joint.log) == len(backbone.log) == 3
+        for j, b in zip(joint.log, backbone.log):
+            assert (j.val_loss, j.val_accuracy) == (b.val_loss, b.val_accuracy)
+            assert j.train_ls == b.train_loss
+        assert joint.checkpoint.epoch == backbone.checkpoint.epoch
+
+    def test_joint_below_phi_one_trains_another_classifier(self):
+        """The check above has power: with L_u in the blend, the shared
+        tensors move away from the backbone's."""
+        _, joint_params = self._train("joint", 0.5)
+        _, backbone_params = self._train("backbone", 0.5)
+        assert not all(np.array_equal(joint_params[name], backbone_params[name])
+                       for name in joint_params)
+
+
 class TestKFold:
     def test_folds_cover_and_select_best(self):
         ds = _tiny_dataset(6)
