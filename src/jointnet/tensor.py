@@ -211,13 +211,28 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     channel-major, at offset (kH//2, kW//2) into a zero-filled
     (H+kH-1) x (W+kW-1) grid per channel and sample, flattened to
     [C_in, N*Hp*Wp]; tap (i, j) then reads the contiguous column range
-    shifted by i*Wp + j, so no column matrix is built. The GEMMs fill an
-    output at every grid position, and each output plane is the top-left
-    H x W block of its grid plane. One pass writes those blocks plus the
-    bias into a fresh channel-major [C_out, N, H, W] array, the relu (if
-    any) clamps it in place, and the op returns its [N, C_out, H, W]
-    transpose: the values and the layout of ``relu(conv2d(...))`` as two
-    ops.
+    shifted by i*Wp + j, so no column matrix is built. The tap products
+    sum in one contiguous [C_out, span] array, where span stops at the
+    last output's grid cell; output (n, y, x) of a channel is its column
+    n*Hp*Wp + y*Wp + x. One pass reads the outputs through a strided view
+    and writes them plus the bias into a fresh channel-major
+    [C_out, N, H, W] array, the relu (if any) clamps it in place, and the
+    op returns its [N, C_out, H, W] transpose: the values and the layout
+    of ``relu(conv2d(...))`` as two ops.
+
+    The input gradient is gathered rather than scattered. The output
+    gradient sits in a grid of the same layout behind (kH-1)*Wp + kW-1
+    zero columns, the last tap's offset; each tap's transposed GEMM reads
+    it from its own offset back, so column p of every product belongs to
+    grid cell p. The first tap writes the input-gradient grid and the
+    others add to it, each as one contiguous array.
+
+    No tap GEMM of the forward pass or of the kernel gradient may change
+    its N or its operands: OpenBLAS rounds a GEMM's edge columns apart
+    from the rest, so over N*Hp*Wp columns instead of span the outputs,
+    and the checkpoints, change. The transposed GEMMs of the input
+    gradient run over N*Hp*Wp columns and round every column as they did
+    over span, at every shape of the recipe network.
 
     Backward computes the input gradient only when the input is tracked on
     the active tape (see ``Tape``); otherwise the closure returns None for
@@ -244,8 +259,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     top, left = kh // 2, kw // 2
     n = math.prod(x.shape[:-3])
     hp, wp = h + kh - 1, w + kw - 1
-    # the last output reads the last grid cell with its last tap
-    span = n * hp * wp - (kh - 1) * wp - (kw - 1)
+    cells = n * hp * wp
+    # the last tap's offset: the last output reads the last grid cell with it
+    reach = (kh - 1) * wp + (kw - 1)
+    span = cells - reach
     taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
     kdata = kernel.data
     need_dx = _needs_grad(x)
@@ -254,19 +271,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
         # rebuilt in backward rather than kept on the tape alongside x
         padded = np.zeros((c_in, n, hp, wp))
         padded[:, :, top:top + h, left:left + w] = _batched(x, 3).transpose(1, 0, 2, 3)
-        return padded.reshape(c_in, n * hp * wp)
+        return padded.reshape(c_in, cells)
 
     flat = padded_flat()
-    # every output position lies below span, so the grid's tail is never read
-    grid = np.empty((c_out, n, hp, wp))
-    acc = grid.reshape(c_out, -1)[:, :span]
-    tmp = np.empty_like(acc)
+    # taps sum into a C-ordered [C_out, span] array: numpy adds two
+    # contiguous arrays several times faster than two strided row views.
+    # It is carved from a block of the padded output grid's size, a size
+    # the heap already holds free from earlier steps (a span-sized block
+    # raised the benchmark's peak RSS by about 0.1 MB).
+    acc = np.empty(c_out * cells)[:c_out * span].reshape(c_out, span)
+    tmp = np.empty_like(acc) if len(taps) > 1 else None
     for t, (ki, kj, off) in enumerate(taps):
         np.matmul(kdata[:, :, ki, kj], flat[:, off:off + span], out=tmp if t else acc)
         if t:
             acc += tmp
     del flat, tmp
-    out_data = grid[:, :, :h, :w] + bias.data[:, None, None, None]
+    # output (c, i, y, x) is acc[c, i*hp*wp + y*wp + x], a column below span
+    step = acc.itemsize
+    blocks = np.lib.stride_tricks.as_strided(
+        acc, (c_out, n, h, w), (span * step, hp * wp * step, wp * step, step),
+        writeable=False)
+    out_data = blocks + bias.data[:, None, None, None]
     if relu:
         np.maximum(out_data, 0.0, out=out_data)
     out = Tensor(out_data.transpose(1, 0, 2, 3).reshape(x.shape[:-3] + (c_out, h, w)))
@@ -276,9 +301,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
             g = g * (out.data > 0)
         gb = g.reshape(-1, c_out, h, w)
         db = gb.sum(axis=(0, 2, 3))
-        ggrid = np.zeros((c_out, n, hp, wp))
-        ggrid[:, :, :h, :w] = gb.transpose(1, 0, 2, 3)
-        gflat = ggrid.reshape(c_out, -1)[:, :span]
+        # the gradient grid behind reach zero columns, which the dx taps
+        # read before its start
+        gpad = np.zeros((c_out, reach + cells))
+        gpad[:, reach:].reshape(c_out, n, hp, wp)[:, :, :h, :w] = gb.transpose(1, 0, 2, 3)
+        gflat = gpad[:, reach:reach + span]
         flat = padded_flat()
         dk = np.empty_like(kdata)
         for ki, kj, off in taps:
@@ -286,11 +313,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
         if not need_dx:
             return None, dk, db
         dflat = flat  # the padded input is spent; its buffer takes dx
-        dflat.fill(0.0)
-        tmp = np.empty((c_in, span))
-        for ki, kj, off in taps:
-            np.matmul(kdata[:, :, ki, kj].T, gflat, out=tmp)
-            dflat[:, off:off + span] += tmp
+        # each grid cell gathers the products of the outputs its taps reach,
+        # so every sum adds whole contiguous arrays
+        tmp = np.empty_like(dflat) if len(taps) > 1 else None
+        for t, (ki, kj, off) in enumerate(taps):
+            np.matmul(kdata[:, :, ki, kj].T, gpad[:, reach - off:reach - off + cells],
+                      out=tmp if t else dflat)
+            if t:
+                dflat += tmp
         # a view into dflat: no copy of the input gradient
         dx = (dflat.reshape(c_in, n, hp, wp)[:, :, top:top + h, left:left + w]
               .transpose(1, 0, 2, 3).reshape(x.shape))

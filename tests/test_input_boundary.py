@@ -14,7 +14,9 @@ exception fails the test.
 
 Each reader also runs under ``tracemalloc``: whether it returns or raises,
 its peak allocation must stay within a straight line in the input's size,
-so no header can make a reader allocate more than the file justifies.
+so no header can make a reader allocate more than the file justifies. A
+few valid inputs of tens of kilobytes test the line's slope, which the
+small fuzz inputs leave to the base.
 """
 
 import math
@@ -108,6 +110,22 @@ def mutated_files(draw):
     return bytes(data)
 
 
+@st.composite
+def over_declared_files(draw):
+    """A header declaring at least 4096 samples over a raster of at most
+    40: a reader that sizes an array by the header before its truncation
+    check allocates far more than the bound allows for so short a file."""
+    magic = draw(st.sampled_from(MAGICS))
+    maxval = draw(st.sampled_from([1, 255, 256, 65535]))
+    w, h = draw(st.integers(64, 1024)), draw(st.integers(64, 1024))
+    header = f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii")
+    samples = draw(st.lists(st.integers(0, maxval), max_size=40))
+    if magic in ("P5", "P6"):
+        dtype = ">u2" if maxval > 255 else np.uint8
+        return header + np.array(samples, dtype=dtype).tobytes()
+    return header + " ".join(map(str, samples)).encode("ascii")
+
+
 def _same_as_parent(path, data: bytes) -> None:
     path.write_bytes(data)
     try:
@@ -159,6 +177,11 @@ def test_mutated_files(file_path, data):
     _same_as_parent(file_path, data)
 
 
+@given(over_declared_files())
+def test_over_declared_files(file_path, data):
+    _same_as_parent(file_path, data)
+
+
 class TestAsciiAgainstLoop:
     """Hand-picked ASCII rasters: the reader and the earlier per-token
     loop give the same values or the same error and offset."""
@@ -179,6 +202,22 @@ class TestAsciiAgainstLoop:
     def test_comment_in_p3(self, tmp_path):
         _same_as_parent(tmp_path / "c.ppm",
                         b"P3 1 2 255\n1 2 3 # first pixel\n4#x\n5 6\n")
+
+
+@pytest.mark.parametrize("magic, size", [("P5", 256), ("P2", 128)])
+def test_large_raster_within_bound(tmp_path, magic, size):
+    """A valid raster of tens of kilobytes, where a bound's slope and not
+    its base decides: a reader that kept a few more copies of the raster
+    passes every small fuzz input above and fails here."""
+    levels = np.random.default_rng(size).integers(0, 256, size=(1, size, size))
+    data = parent.encode_netpbm(magic, levels, 255)
+    path = tmp_path / "large.pgm"
+    path.write_bytes(data)
+    raw, maxval = _traced(NETPBM_BOUND, len(data), read_netpbm, path)
+    assert maxval == 255 and np.array_equal(raw, levels)
+    # the eval path: a wild image resized to the recipe's 32 px RGB
+    image = _traced(NETPBM_BOUND, len(data), load_image, path, 32, 3)
+    assert image.shape == (3, 32, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +353,17 @@ byte_edits = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", 
 def test_checkpoint_mutated(checkpoint_bytes, headers, edits):
     blob, path = checkpoint_bytes
     _check_checkpoint(path, _apply_bytes(_set_header(blob, headers), edits))
+
+
+def test_recipe_checkpoint_within_bound(tmp_path):
+    """A full recipe checkpoint, about 80 KB: its parameters are most of
+    the file, so a loader that copied them a few more times fails here."""
+    arch = ArchConfig()
+    params = {name: p.data for name, p in build(arch, seed=0).params.items()}
+    path = tmp_path / "recipe.ckpt"
+    save_checkpoint(Checkpoint(arch, params, 3, 0.25), path)
+    ckpt = _traced(CHECKPOINT_BOUND, path.stat().st_size, load_checkpoint, path)
+    assert all(np.array_equal(ckpt.params[name], value) for name, value in params.items())
 
 
 @given(st.sampled_from([b"", b"JANW", b"JANW\x02"]), st.binary(max_size=64))

@@ -6,7 +6,8 @@ The oracles below are the earlier implementations, kept verbatim: the
 reshape/argmax max pool, the reshape/sum upsample gradient, conv2d
 followed by a separate relu op, and the per-parameter Adam loop. Equality
 is on the raw bytes, so a flipped sign of zero or a changed summation
-order fails.
+order fails. The conv is also checked at every conv shape of the recipe
+network, where a GEMM run over other columns rounds differently.
 """
 
 import math
@@ -270,6 +271,20 @@ def conv_case(kind, batch, rng):
     return x, kernel, bias
 
 
+# (C_in, C_out, k, size, relu) of each conv in the recipe network: 32 px
+# input, base 8 channels, 2 stages
+RECIPE_CONVS = {
+    "enc1.conv1": (3, 8, 3, 32, True),
+    "enc1.conv2": (8, 8, 3, 32, True),
+    "enc2.conv1": (8, 16, 3, 16, True),
+    "enc2.conv2": (16, 16, 3, 16, True),
+    "bottleneck.conv": (16, 16, 3, 8, True),
+    "dec1.skip": (16, 16, 3, 16, False),
+    "dec2.skip": (8, 16, 3, 32, False),
+    "recon.conv": (16, 3, 1, 32, False),
+}
+
+
 def upstream_grad(kind, shape, rng):
     """``g`` as the fused op receives it: from a C-ordered consumer, from a
     conv (channel-major), or summed over two branches as the encoder's
@@ -290,8 +305,33 @@ def upstream_grad(kind, shape, rng):
 
 
 def assert_same_array(actual, expected):
+    """Same bits and same layout; an axis of length 1 has no layout."""
     assert_same_bits(actual, expected)
-    assert actual.strides == expected.strides
+    def layout(a):
+        return [stride for stride, size in zip(a.strides, a.shape) if size > 1]
+    assert layout(actual) == layout(expected)
+
+
+def assert_conv_matches_oracle(x, kernel, bias, relu, draw_grad):
+    """The fused conv2d's output and its gradients for ``draw_grad(shape)``
+    against the oracle's, bit for bit and layout for layout; returns the
+    gradients."""
+    expected, conv_backward = conv2d_oracle(x, kernel, bias)
+    if relu:
+        expected, relu_backward = relu_oracle(expected)
+    xt = Tensor(x)
+    tape = Tape()
+    with tape:
+        tape.watch(xt)
+        out = conv2d(xt, Tensor(kernel), Tensor(bias), relu=relu)
+    assert [node.op for node in tape.nodes] == ["conv2d"]
+    assert_same_array(out.data, expected)
+    g = draw_grad(out.shape)
+    actual = tape.nodes[0].backward(g)
+    oracle = conv_backward(relu_backward(g) if relu else g)
+    for a, e in zip(actual, oracle):
+        assert_same_array(a, e)
+    return actual
 
 
 class TestFusedConvMatchesOracle:
@@ -302,21 +342,42 @@ class TestFusedConvMatchesOracle:
     def test_forward_and_backward_bitwise(self, kind, batch, grad, relu):
         rng = np.random.default_rng(53)
         x, kernel, bias = conv_case(kind, batch, rng)
-        expected, conv_backward = conv2d_oracle(x, kernel, bias)
-        if relu:
-            expected, relu_backward = relu_oracle(expected)
-        xt = Tensor(x)
-        tape = Tape()
-        with tape:
-            tape.watch(xt)
-            out = conv2d(xt, Tensor(kernel), Tensor(bias), relu=relu)
-        assert [node.op for node in tape.nodes] == ["conv2d"]
-        assert_same_array(out.data, expected)
-        g = upstream_grad(grad, out.shape, rng)
-        actual = tape.nodes[0].backward(g)
-        oracle = conv_backward(relu_backward(g) if relu else g)
-        for a, e in zip(actual, oracle):
-            assert_same_array(a, e)
+        assert_conv_matches_oracle(x, kernel, bias, relu,
+                                   lambda shape: upstream_grad(grad, shape, rng))
+
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    @pytest.mark.parametrize("layer", RECIPE_CONVS)
+    def test_recipe_shapes_bitwise(self, layer, batch):
+        """Every conv of the recipe network, at its own channels and size:
+        a BLAS GEMM rounds its edge columns apart from the rest, so a tap
+        GEMM whose N changed shows only at the real shapes."""
+        c_in, c_out, k, size, relu = RECIPE_CONVS[layer]
+        rng = np.random.default_rng([batch, *map(ord, layer)])
+        x = rng.normal(size=(batch, c_in, size, size))
+        kernel = rng.normal(size=(c_out, c_in, k, k)) / math.sqrt(c_in * k * k)
+        bias = rng.normal(size=c_out)
+        assert_conv_matches_oracle(x, kernel, bias, relu,
+                                   lambda shape: upstream_grad("c_order", shape, rng))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_gradient_through_negative_kernel(self, k):
+        """A gradient of only 0.0 and -0.0 through an all-negative kernel:
+        every tap product is a signed zero, so the sign of each input
+        gradient is the sign the tap sums leave. The first tap writes the
+        input gradient rather than adding to zeros, and with one tap that
+        write is the whole sum."""
+        rng = np.random.default_rng(59)
+        x = rng.normal(size=(2, 8, 6, 8))
+        kernel = -np.abs(rng.normal(size=(4, 8, k, k))) - 0.5
+        bias = rng.normal(size=4)
+
+        def signed_zeros(shape):
+            g = rng.choice(np.array([0.0, -0.0]), size=shape)
+            assert np.signbit(g).any() and not np.signbit(g).all()
+            return g
+
+        dx, _, _ = assert_conv_matches_oracle(x, kernel, bias, False, signed_zeros)
+        assert not dx.any()
 
     def test_signed_zero_case_hits_exact_zeros(self):
         """The signed-zero case does reach exact zeros before the clamp,
