@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, to_network
 from .config import parse_config
-from .data import load_directory, load_image, synth_generate, write_dataset
+from .data import SHIFTS, load_directory, load_image, synth_generate, write_dataset
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import (compare_report, evaluate, export_attention,
                          render_metrics_kv)
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--per-class", type=int, default=100)
     p.add_argument("--size", type=int, default=32)
-    p.add_argument("--shift", choices=("none", "wild"), default="none")
+    p.add_argument("--shift", choices=SHIFTS, default=SHIFTS[0])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 

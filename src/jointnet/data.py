@@ -26,6 +26,7 @@ from .tensor import Tensor
 _EXTENSIONS = {".pgm", ".ppm", ".pnm"}
 
 CLASS_NAMES = ("AMD", "DME", "NORMAL")
+SHIFTS = ("none", "wild")
 
 _BOUNDS = np.array([0.25, 0.50, 0.75])
 _INTENSITIES = np.array([0.15, 0.70, 0.35, 0.55])
@@ -63,14 +64,15 @@ class Dataset:
 
 
 @functools.lru_cache(maxsize=64)
-def _axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, frac) per output index; memoised, so the arrays are read-only."""
+def _axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, frac): the ``n_in`` positions a bilinear resize to ``n_out``
+    reads, lo of every output then hi, and the weight of hi per output;
+    memoised, so the arrays are read-only."""
     # half-pixel-center mapping; endpoints clamp instead of extrapolating
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.int64)
-    hi = np.minimum(lo + 1, n_in - 1)
-    coords = (lo, hi, src - lo)
+    coords = (np.concatenate([lo, np.minimum(lo + 1, n_in - 1)]), src - lo)
     for arr in coords:
         arr.flags.writeable = False
     return coords
@@ -78,19 +80,16 @@ def _axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _gather(img: np.ndarray, out_size: int) -> np.ndarray:
     """The samples of [C,H,W] ``img`` that a bilinear resize to ``out_size``
-    reads: rows ylo then yhi by columns xlo then xhi, [C, 2*out, 2*out]."""
+    reads: rows lo then hi by columns lo then hi, [C, 2*out, 2*out]."""
     _, h, w = img.shape
-    ylo, yhi, _ = _axis_coords(h, out_size)
-    xlo, xhi, _ = _axis_coords(w, out_size)
-    return img[:, np.concatenate([ylo, yhi])[:, None], np.concatenate([xlo, xhi])]
+    return img[:, _axis_coords(h, out_size)[0][:, None], _axis_coords(w, out_size)[0]]
 
 
 def _interpolate(samples: np.ndarray, h: int, w: int) -> np.ndarray:
     """Blend the samples ``_gather`` took from an [H,W] plane: down the
     rows, then across the columns."""
     n = samples.shape[1] // 2
-    _, _, yf = _axis_coords(h, n)
-    _, _, xf = _axis_coords(w, n)
+    yf, xf = _axis_coords(h, n)[1], _axis_coords(w, n)[1]
     rows = (samples[:, :n] * (1.0 - yf)[None, :, None]
             + samples[:, n:] * yf[None, :, None])
     return (rows[:, :, :n] * (1.0 - xf)[None, None, :]
@@ -240,8 +239,8 @@ def synth_generate(n_per_class: int, size: int, shift: str = "none",
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     if size < 16:
         raise ConfigError(f"size must be >= 16, got {size}")
-    if shift not in ("none", "wild"):
-        raise ConfigError(f"shift must be 'none' or 'wild', got {shift!r}")
+    if shift not in SHIFTS:
+        raise ConfigError(f"shift must be {' or '.join(map(repr, SHIFTS))}, got {shift!r}")
     if channels < 1:
         raise ConfigError(f"channels must be >= 1, got {channels}")
     rng = make_rng(seed, SYNTH)

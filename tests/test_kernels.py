@@ -1,13 +1,15 @@
 """The view-based pooling kernels, the fused conv2d + bias + relu, the
-flat Adam update and the skipped input gradient, bit for bit against the
-formulations they replaced.
+branch-free sigmoid, the flat Adam update and the skipped input gradient,
+bit for bit against the formulations they replaced; and every backward
+closure of a recipe joint tape, called twice.
 
 The oracles below are the earlier implementations, kept verbatim: the
 reshape/argmax max pool, the reshape/sum upsample gradient, conv2d
-followed by a separate relu op, and the per-parameter Adam loop. Equality
-is on the raw bytes, so a flipped sign of zero or a changed summation
-order fails. The conv is also checked at every conv shape of the recipe
-network, where a GEMM run over other columns rounds differently.
+followed by a separate relu op, the sign-masked two-branch sigmoid, and
+the per-parameter Adam loop. Equality is on the raw bytes, so a flipped
+sign of zero or a changed summation order fails. The conv is also checked
+at every conv shape of the recipe network, where a GEMM run over other
+columns rounds differently.
 """
 
 import math
@@ -15,8 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from jointnet import (Adam, NumericError, Tape, Tensor, backward, conv2d,
-                      maxpool2x2, tensor_sum, upsample2x2)
+from jointnet import (Adam, ArchConfig, NumericError, Tape, Tensor, backward,
+                      build, combined_loss, conv2d, cross_entropy, forward_joint,
+                      maxpool2x2, mse, sigmoid, tensor_sum, upsample2x2)
 from jointnet.training import BETA1, BETA2, EPSILON
 
 
@@ -116,6 +119,16 @@ def conv2d_oracle(x, kdata, bdata, need_dx=True):
         return dx, dk, db
 
     return out_data, backward_fn
+
+
+def sigmoid_oracle(x):
+    """The sigmoid split by sign into two gathered and scattered halves."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def relu_oracle(x):
@@ -390,6 +403,53 @@ class TestFusedConvMatchesOracle:
 
 
 # ---------------------------------------------------------------------------
+# sigmoid
+
+
+# both signs of zero, of a tiny value, of 745 (exp(-745) is the smallest
+# subnormal) and of 1000 (exp(-1000) underflows to zero)
+SIGMOID_EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1000.0, -1000.0])
+
+
+def sigmoid_normals(shape, rng):
+    return rng.normal(size=shape) * rng.choice([0.1, 1.0, 10.0, 100.0, 800.0], size=shape)
+
+
+def with_edges(x):
+    """``x`` (or the view it is) with its first elements in C order set to
+    the edge values."""
+    x.flat[:SIGMOID_EDGES.size] = SIGMOID_EDGES
+    return x
+
+
+class TestSigmoidMatchesOracle:
+    @pytest.mark.parametrize("layout", ["zero_d", "c_order", "channel_major",
+                                        "strided_slice"])
+    def test_forward_bitwise_same_strides(self, layout):
+        rng = np.random.default_rng(61)
+        if layout == "zero_d":
+            inputs = [np.array(v) for v in SIGMOID_EDGES] + [np.array(rng.normal())]
+        elif layout == "c_order":
+            inputs = [with_edges(sigmoid_normals(shape, rng))
+                      for shape in ((4, 3, 32, 32), (9,))]
+        elif layout == "channel_major":  # the recipe's recon conv output
+            inputs = [channel_major(with_edges(sigmoid_normals(shape, rng)))
+                      for shape in ((4, 3, 32, 32), (3, 6, 8))]
+        else:
+            base = sigmoid_normals((4, 6, 10, 12), rng)
+            inputs = [with_edges(base[:, 1::2, ::3, 2:])]
+            assert not inputs[0].flags.c_contiguous
+        for x in inputs:
+            if x.ndim:
+                assert x.ravel()[:SIGMOID_EDGES.size].tobytes() == SIGMOID_EDGES.tobytes()
+            out = sigmoid(Tensor(x)).data
+            expected = sigmoid_oracle(x)
+            assert out.shape == expected.shape
+            assert out.strides == expected.strides
+            assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 
@@ -492,3 +552,51 @@ class TestDeadInputGradient:
         assert first.backward(np.ones(first.output.shape))[0] is None
         assert second.backward(np.ones(second.output.shape))[0] is not None
         assert np.any(backward(tape, loss)[k1].data != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# re-entrant backward closures
+
+
+class TestBackwardClosuresReentrant:
+    def test_every_recipe_joint_node_twice(self):
+        """Each backward closure of a recipe joint tape (batch 4, 32 px,
+        2 stages, base width 8, phi 0.5), called twice with one output
+        gradient, returns the same bits both times, and no call changes a
+        node's input, its output or the gradient it was given. Timing a node
+        calls its closure many times, so none may reuse a buffer it handed
+        out or overwrite what it read."""
+        rng = np.random.default_rng(67)
+        net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0)
+        images = Tensor(rng.uniform(0.0, 1.0, (4, 3, 32, 32)))
+        targets = Tensor(np.eye(3)[[0, 1, 2, 0]])
+        tape = Tape()
+        with tape:
+            for p in net.params.values():
+                tape.watch(p)
+            out = forward_joint(net, images)
+            combined_loss(cross_entropy(targets, out.class_probs),
+                          mse(images, out.reconstruction), 0.5)
+        assert {"conv2d", "maxpool2x2", "upsample2x2", "sigmoid", "mse"} <= {
+            node.op for node in tape.nodes}
+
+        def copies(arrays):
+            return [None if a is None else np.array(a, copy=True) for a in arrays]
+
+        for node in tape.nodes:
+            held = copies([t.data for t in node.inputs] + [node.output.data])
+            g = np.asarray(rng.normal(size=node.output.shape))
+            g_before = g.copy()
+            first = node.backward(g)
+            first_bits = copies(first)
+            second = node.backward(g)
+            assert len(first) == len(second) == len(node.inputs), node.op
+            for kept, a, b in zip(first_bits, first, second):
+                if kept is None:
+                    assert a is None and b is None, node.op
+                    continue
+                assert_same_bits(a, kept)
+                assert_same_bits(b, kept)
+            assert_same_bits(g, g_before)
+            for kept, now in zip(held, [t.data for t in node.inputs] + [node.output.data]):
+                assert_same_bits(now, kept)
