@@ -62,7 +62,7 @@ def _tensor_record(buf: bytearray, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    names = [name for name, _, _ in parameter_specs(ckpt.arch)]
+    names = [name for name, _ in parameter_specs(ckpt.arch)]
     header = format_kv(
         record_pairs(ckpt.arch)
         + [("epoch", ckpt.epoch),
@@ -175,7 +175,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if count != len(specs):
         raise DataError(
             f"{path}: {count} parameter tensors, architecture requires {len(specs)}")
-    params = {name: _read_record(cur, name, shape) for name, shape, _ in specs}
+    params = {name: _read_record(cur, name, shape) for name, shape in specs}
     if cur.off != len(data):
         raise DataError(
             f"{path}: {len(data) - cur.off} trailing bytes after the last "

@@ -55,7 +55,6 @@ def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
     if loss.shape != ():
         raise ValueError(f"{name}: loss_fn must return a scalar, got shape {loss.shape}")
     grads = backward(tape, loss)
-    analytic = {key: grads[p].data for key, p in params.items()}
 
     worst = 0.0
     worst_param = ""
@@ -63,7 +62,7 @@ def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
     checked = 0
     for key, p in params.items():
         flat = p.data.reshape(-1)
-        aflat = analytic[key].reshape(-1)
+        aflat = grads[p].reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + STEP
@@ -91,7 +90,7 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
     heads, on one sample and on a batch of two, finishing with a full
     two-stage joint network on one 16x16 input and on a batch of two."""
     from . import training
-    from .network import ArchConfig, build, forward_joint
+    from .network import ArchConfig, build
     from .tensor import (add, conv2d, dense, global_avg_pool, maxpool2x2,
                          scale, sigmoid, softmax, tensor_sum, upsample2x2)
 
@@ -229,13 +228,13 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
     images = Tensor(np.stack([image.data, image.data]))
     labels = Tensor(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
+    # the blended loss that ``train`` differentiates, at phi = 0.5
+    config = training.TrainConfig(phi=0.5)
+
     def joint_loss_on(image: Tensor, label: Tensor):
         def joint_loss(p: dict[str, Tensor]) -> Tensor:
             net.params = dict(p)
-            out = forward_joint(net, image)
-            ls = training.cross_entropy(label, out.class_probs)
-            lu = training.mse(image, out.reconstruction)
-            return training.combined_loss(ls, lu, 0.5)
+            return training._batch_losses(net, image, label, config)[0]
         return joint_loss
 
     checks.append(("joint_16x16_2stage", joint_loss_on(image, label),

@@ -18,6 +18,7 @@ output then carries the same leading batch axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,14 +70,14 @@ class ArchConfig:
         return self.stage_channels(self.n_stages)
 
 
-def parameter_specs(config: ArchConfig) -> list[tuple[str, tuple[int, ...], int]]:
-    """Canonical (name, shape, fan_in) list; defines ordering everywhere
+def parameter_specs(config: ArchConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Canonical (name, shape) list; defines ordering everywhere
     (initialization, optimizer state, checkpoints)."""
-    specs: list[tuple[str, tuple[int, ...], int]] = []
+    specs: list[tuple[str, tuple[int, ...]]] = []
 
     def conv_spec(name: str, c_out: int, c_in: int, k: int) -> None:
-        specs.append((f"{name}.w", (c_out, c_in, k, k), c_in * k * k))
-        specs.append((f"{name}.b", (c_out,), c_in * k * k))
+        specs.append((f"{name}.w", (c_out, c_in, k, k)))
+        specs.append((f"{name}.b", (c_out,)))
 
     c_prev = config.input_channels
     for k in range(1, config.n_stages + 1):
@@ -86,8 +87,8 @@ def parameter_specs(config: ArchConfig) -> list[tuple[str, tuple[int, ...], int]
         c_prev = c_stage
     cb = config.bottleneck_channels
     conv_spec("bottleneck.conv", cb, c_prev, 3)
-    specs.append(("classifier.dense.w", (config.n_classes, cb), cb))
-    specs.append(("classifier.dense.b", (config.n_classes,), cb))
+    specs.append(("classifier.dense.w", (config.n_classes, cb)))
+    specs.append(("classifier.dense.b", (config.n_classes,)))
     for i in range(1, config.n_stages + 1):
         skip_channels = config.stage_channels(config.n_stages + 1 - i)
         conv_spec(f"dec{i}.skip", cb, skip_channels, 3)
@@ -96,7 +97,7 @@ def parameter_specs(config: ArchConfig) -> list[tuple[str, tuple[int, ...], int]
 
 
 def parameter_count(config: ArchConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in parameter_specs(config))
+    return sum(int(np.prod(shape)) for _, shape in parameter_specs(config))
 
 
 class JointNetwork:
@@ -110,9 +111,9 @@ class JointNetwork:
 
     def __init__(self, config: ArchConfig, params: dict[str, Tensor]):
         expected = parameter_specs(config)
-        if list(params) != [name for name, _, _ in expected]:
+        if list(params) != [name for name, _ in expected]:
             raise ConfigError("parameter names do not match the architecture")
-        for name, shape, _ in expected:
+        for name, shape in expected:
             if params[name].shape != shape:
                 raise ConfigError(
                     f"parameter '{name}' has shape {params[name].shape}, "
@@ -135,18 +136,19 @@ class JointNetwork:
 
 def build(config: ArchConfig, seed: int = 0) -> JointNetwork:
     """Initialize a network: weights uniform(-sqrt(6/fan_in), +sqrt(6/fan_in))
-    drawn in canonical parameter order, biases zero.
+    drawn in canonical parameter order, biases zero. fan_in is the product
+    of a weight's shape past its first axis: C_in*k*k or D.
 
     A width too large for numpy to allocate is a ConfigError naming the
     first parameter it refuses and that parameter's shape."""
     rng = make_rng(seed, WEIGHTS)
     params: dict[str, Tensor] = {}
-    for name, shape, fan_in in parameter_specs(config):
+    for name, shape in parameter_specs(config):
         try:
             if name.endswith(".b"):
                 params[name] = Tensor(np.zeros(shape))
             else:
-                limit = float(np.sqrt(6.0 / fan_in))
+                limit = float(np.sqrt(6.0 / math.prod(shape[1:])))
                 params[name] = Tensor(rng.uniform(-limit, limit, shape))
         except (MemoryError, OverflowError, ValueError) as e:
             raise ConfigError(

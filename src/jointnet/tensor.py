@@ -23,7 +23,8 @@ the parameter's first use on the tape.
 
 Finiteness is checked once, where a value becomes a Tensor: the
 constructor rejects NaN and infinity, so every op output is checked and the
-primitives do not re-check their inputs.
+primitives do not re-check their inputs. Gradients are plain arrays:
+``Adam.step`` checks them, and names the parameter of a non-finite one.
 
 Determinism is a hard contract: reductions use fixed numpy orderings, and
 maxpool ties break to the first (row-major) window position. Some numpy
@@ -158,11 +159,13 @@ def _needs_grad(t: Tensor) -> bool:
     return tape is not None and id(t) in tape._tracked
 
 
-def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Tensor]:
+def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
     """Reverse-traverse the tape from a scalar seed.
 
-    Returns dLoss/dParam for every watched parameter; parameters unreachable
-    from the seed get exact zeros of the parameter's shape.
+    Returns dLoss/dParam for every watched parameter as the accumulated
+    array itself; parameters unreachable from the seed get exact zeros of
+    the parameter's shape. The arrays are read-only results that may share
+    memory, and they are not checked for finiteness.
     """
     if seed.shape != ():
         raise ValueError(f"backward seed must be a scalar, got shape {seed.shape}")
@@ -180,14 +183,8 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Tensor]:
                 grads[key] = grads[key] + grad
             else:
                 grads[key] = grad
-    result: dict[Tensor, Tensor] = {}
-    for param in tape._watched.values():
-        grad = grads.get(id(param))
-        if grad is None:
-            result[param] = Tensor(np.zeros(param.shape))
-        else:
-            result[param] = Tensor(np.broadcast_to(grad, param.shape).copy())
-    return result
+    return {p: grads[id(p)] if id(p) in grads else np.zeros(p.shape)
+            for p in tape._watched.values()}
 
 
 # ---------------------------------------------------------------------------

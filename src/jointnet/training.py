@@ -302,8 +302,8 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
             sum_ls += ls_val * len(batch)
             sum_lu += lu_val * len(batch)
             grads = backward(tape, batch_loss)
-            grad_arrays = {name: grads[p].data for name, p in net.params.items()}
-            net.params = optimizer.step(net.params, grad_arrays, lr_used)
+            net.params = optimizer.step(
+                net.params, {name: grads[p] for name, p in net.params.items()}, lr_used)
 
         val_correct = 0
         val_sum = 0.0

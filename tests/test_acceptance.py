@@ -2,7 +2,8 @@
 
 Run `pytest -v tests/test_acceptance.py` for one pass/fail line per check;
 add -s for the measured numbers. Checks 6 and 7 train real networks and
-dominate the runtime (a few minutes total); they are marked ``slow``.
+dominate the runtime (check 6 about 24 s, check 7 about 46 s, of about
+2 minutes for the whole suite); they are marked ``slow``.
 """
 
 import time
@@ -57,7 +58,7 @@ def test_2_blend_endpoint_routing():
                                      mse(image, out.reconstruction), phi)
             grads = backward(tape, loss)
             values[phi] = loss.item()
-            by_name = {name: grads[p].data for name, p in net.params.items()}
+            by_name = {name: grads[p] for name, p in net.params.items()}
             if phi == 1.0:
                 for name in groups["decoder"]:
                     assert np.all(by_name[name] == 0.0), (seed, name)

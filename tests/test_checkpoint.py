@@ -104,7 +104,7 @@ class TestFormat:
         _, blob = _saved(tmp_path)
         (header_length,) = struct.unpack("<I", blob[5:9])
         records = sum(2 + len(name) + 1 + 4 * len(shape) + 8 * int(np.prod(shape))
-                      for name, shape, _ in parameter_specs(ARCH))
+                      for name, shape in parameter_specs(ARCH))
         assert len(blob) == 4 + 1 + 4 + header_length + 4 + records
         assert struct.unpack("<I", blob[9 + header_length:13 + header_length]) == (
             len(parameter_specs(ARCH)),)
@@ -246,7 +246,7 @@ class TestPayloadValues:
         blob = replace_header_line(blob, b"base_channels = 2\n",
                                    f"base_channels = {big}\n".encode())
         (header_length,) = struct.unpack("<I", blob[5:9])
-        name, _, _ = parameter_specs(ARCH)[0]
+        name, _ = parameter_specs(ARCH)[0]
         # the first record's dims follow its name and rank
         dims = 4 + 1 + 4 + header_length + 4 + 2 + len(name) + 1
         blob = blob[:dims] + struct.pack("<4I", big, big, 3, 3) + blob[dims + 16:]
@@ -260,7 +260,7 @@ class TestPayloadValues:
     def test_non_finite_parameter_rejected(self, tmp_path, value):
         path, blob = _saved(tmp_path)
         (header_length,) = struct.unpack("<I", blob[5:9])
-        name, shape, _ = parameter_specs(ARCH)[0]
+        name, shape = parameter_specs(ARCH)[0]
         # the first record's payload follows its name, rank and dims
         payload = (4 + 1 + 4 + header_length + 4
                    + 2 + len(name) + 1 + 4 * len(shape))

@@ -7,7 +7,7 @@ from jointnet import (ArchConfig, Tape, Tensor, build, combined_loss,
                       cross_entropy, forward_backbone, forward_joint,
                       gradcheck, mse)
 from jointnet.gradcheck import relative_error, run_battery, standard_battery
-from jointnet.tensor import dense, tensor_sum
+from jointnet.tensor import add, dense, tensor_sum
 
 
 class TestRelativeError:
@@ -46,6 +46,24 @@ class TestGradcheck:
         result = gradcheck(lambda p: tensor_sum(bad_double(p["w"])), params)
         assert not result.passed
         assert result.worst_param == "w"
+
+    def test_non_finite_gradient_fails_at_its_entry(self):
+        """The tape returns a non-finite gradient as it is, and gradcheck
+        fails at that parameter and entry."""
+        from jointnet.tensor import record
+
+        def inf_at_one(t: Tensor) -> Tensor:
+            out = Tensor(t.data * 2.0)
+            record("inf_at_one", (t,), out,
+                   lambda g: (np.where(np.arange(t.size) == 2, np.inf, g * 2.0),))
+            return out
+
+        params = {"v": Tensor(np.ones(2)), "w": Tensor(np.array([1.0, -2.0, 0.5]))}
+        result = gradcheck(lambda p: add(tensor_sum(p["v"]),
+                                         tensor_sum(inf_at_one(p["w"]))), params)
+        assert not result.passed
+        assert result.max_relative_error == float("inf")
+        assert (result.worst_param, result.worst_index) == ("w", 2)
 
     def test_non_scalar_loss_rejected(self):
         params = {"w": Tensor(np.ones(2))}

@@ -39,7 +39,7 @@ class TestArchConfig:
 
 class TestParameters:
     def test_canonical_order(self):
-        names = [n for n, _, _ in parameter_specs(ArchConfig())]
+        names = [n for n, _ in parameter_specs(ArchConfig())]
         assert names[0] == "enc1.conv1.w"
         assert names.index("bottleneck.conv.w") > names.index("enc2.conv2.b")
         assert names.index("classifier.dense.w") < names.index("dec1.skip.w")
@@ -85,12 +85,20 @@ class TestParameters:
                 assert np.all(p.data == 0.0)
 
     def test_weights_within_fan_in_limit(self):
+        # fan_in of each weight of ArchConfig(): C_in*3*3 for the 3x3 convs,
+        # D = 16 for the dense layer, C_in for the 1x1 reconstruction conv
+        fan_ins = {"enc1.conv1.w": 27, "enc1.conv2.w": 72, "enc2.conv1.w": 72,
+                   "enc2.conv2.w": 144, "bottleneck.conv.w": 144,
+                   "classifier.dense.w": 16, "dec1.skip.w": 144,
+                   "dec2.skip.w": 72, "recon.conv.w": 16}
         net = build(ArchConfig(), seed=0)
-        for name, shape, fan_in in parameter_specs(net.config):
-            if name.endswith(".w"):
-                limit = np.sqrt(6.0 / fan_in)
-                data = net.params[name].data
-                assert data.min() > -limit and data.max() < limit
+        assert sorted(fan_ins) == sorted(n for n in net.params if n.endswith(".w"))
+        for name, fan_in in fan_ins.items():
+            limit = np.sqrt(6.0 / fan_in)
+            data = net.params[name].data
+            assert data.min() > -limit and data.max() < limit
+            # and spans it: a smaller limit (a larger fan_in) would not
+            assert np.abs(data).max() > 0.8 * limit
 
     def test_parameter_groups_partition(self):
         net = build(ArchConfig(), seed=0)

@@ -83,7 +83,7 @@ class TestMaxpool:
         with tape:
             tape.watch(x)
             loss = tensor_sum(maxpool2x2(x))
-        grad = backward(tape, loss)[x].data
+        grad = backward(tape, loss)[x]
         np.testing.assert_array_equal(grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_pool_of_upsample_is_identity(self):
@@ -107,7 +107,7 @@ class TestUpsample:
         with tape:
             tape.watch(x)
             loss = tensor_sum(upsample2x2(x))
-        np.testing.assert_array_equal(backward(tape, loss)[x].data,
+        np.testing.assert_array_equal(backward(tape, loss)[x],
                                       np.full((1, 2, 2), 4.0))
 
 
@@ -161,8 +161,8 @@ class TestBackward:
             tape.watch(unused)
             loss = tensor_sum(w)
         grads = backward(tape, loss)
-        assert np.all(grads[unused].data == 0.0)
-        np.testing.assert_array_equal(grads[w].data, np.ones((2, 2)))
+        assert np.all(grads[unused] == 0.0)
+        np.testing.assert_array_equal(grads[w], np.ones((2, 2)))
 
     def test_zero_scale_routes_exact_zero(self):
         w = Tensor(np.array([1.0, 2.0]))
@@ -170,7 +170,7 @@ class TestBackward:
         with tape:
             tape.watch(w)
             loss = scale(tensor_sum(sigmoid(w)), 0.0)
-        assert np.all(backward(tape, loss)[w].data == 0.0)
+        assert np.all(backward(tape, loss)[w] == 0.0)
 
     def test_reused_tensor_accumulates(self):
         w = Tensor(np.array([2.0]))
@@ -178,7 +178,7 @@ class TestBackward:
         with tape:
             tape.watch(w)
             loss = add(tensor_sum(w), tensor_sum(w))
-        np.testing.assert_array_equal(backward(tape, loss)[w].data, [2.0])
+        np.testing.assert_array_equal(backward(tape, loss)[w], [2.0])
 
     def test_non_scalar_seed_rejected(self):
         w = Tensor(np.ones(2))
@@ -207,7 +207,7 @@ class TestBatchAxis:
             tape.watch(x)
             out = fn(x)
             loss = tensor_sum(sigmoid(out))
-        return out.data, backward(tape, loss)[x].data
+        return out.data, backward(tape, loss)[x]
 
     @pytest.mark.parametrize("name", ["conv_same", "maxpool", "upsample",
                                       "dense", "softmax", "global_avg_pool"])
@@ -239,7 +239,7 @@ class TestBatchAxis:
             tape.watch(x)
             loss = tensor_sum(maxpool2x2(x))
         np.testing.assert_array_equal(
-            backward(tape, loss)[x].data,
+            backward(tape, loss)[x],
             [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 1.0], [0.0, 0.0]]]])
 
     def test_extra_leading_axes_fold_into_the_batch(self):

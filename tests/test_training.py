@@ -1,5 +1,6 @@
 """Losses, optimizer, scheduler, and the training loops."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,7 +112,7 @@ class TestLossRouting:
                                      mse(image, out.reconstruction), phi)
             grads = backward(tape, loss)
             values[phi] = loss.item()
-            by_name = {name: grads[p].data for name, p in net.params.items()}
+            by_name = {name: grads[p] for name, p in net.params.items()}
             if phi == 1.0:
                 for name in groups["decoder"]:
                     assert np.all(by_name[name] == 0.0), name
@@ -224,7 +225,7 @@ class TestBatchOrder:
                     total = loss if total is None else add(total, loss)
                 batch_loss = scale(total, 0.5)
             grads = backward(tape, batch_loss)
-            results.append({n: grads[p].data for n, p in net.params.items()})
+            results.append({n: grads[p] for n, p in net.params.items()})
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
 
@@ -248,7 +249,7 @@ class TestBatchedStep:
                 loss = combined_loss(cross_entropy(Tensor(y), out.class_probs),
                                      mse(Tensor(x), out.reconstruction), 0.5)
             grads = backward(tape, loss)
-            return loss.item(), {n: grads[p].data for n, p in net.params.items()}
+            return loss.item(), {n: grads[p] for n, p in net.params.items()}
 
         batch_loss, batch_grads = loss_and_grads(images, labels)
         singles = [loss_and_grads(images[i], labels[i]) for i in range(3)]
@@ -326,6 +327,30 @@ class TestTrainLoop:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             TrainConfig(epochs=1, mode="hybrid")
+
+    def test_non_finite_gradient_names_the_parameter(self, monkeypatch):
+        """A non-finite gradient reaches the optimizer, which names its
+        parameter; the tape does not stop it earlier."""
+        from jointnet import training
+        from jointnet.tensor import record
+
+        original = training.forward_joint
+
+        def with_bad_op(net, images):
+            out = original(net, images)
+            bias = net.params["recon.conv.b"]
+            recon = Tensor(out.reconstruction.data)
+            # passes the reconstruction through; its gradient for the
+            # bias is infinite
+            record("bad_grad", (out.reconstruction, bias), recon,
+                   lambda g: (g, np.full(bias.shape, np.inf)))
+            return dataclasses.replace(out, reconstruction=recon)
+
+        monkeypatch.setattr(training, "forward_joint", with_bad_op)
+        with pytest.raises(NumericError,
+                           match="non-finite gradient for parameter 'recon.conv.b'"):
+            train(build(TINY_ARCH, seed=0), _tiny_dataset(2),
+                  _tiny_dataset(1, seed=9), TrainConfig(epochs=1))
 
 
 class TestPhiOne:
