@@ -80,7 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    dataset = synth_generate(args.per_class, args.size, args.shift, args.seed)
+    # write_dataset writes channel 0 only, and the channel count does not
+    # touch the generator's stream, so one plane per image gives the same files
+    dataset = synth_generate(args.per_class, args.size, args.shift, args.seed,
+                             channels=1)
     paths = write_dataset(dataset, args.out)
     print(f"wrote {len(paths)} images ({args.per_class} per class, "
           f"size {args.size}, shift {args.shift}) to {args.out}")

@@ -3,7 +3,10 @@
 Every layer and loss in the package is built from the primitives here. Ops
 compute eagerly on numpy arrays; when a Tape is active (``with tape:``) each
 op appends a node holding its inputs, output, and a backward closure, in
-execution order. ``backward`` then walks the node list in reverse.
+execution order. ``backward`` then walks the node list in reverse. One tape
+records one forward pass and is differentiated once: ``backward`` releases
+each node as it goes, so a forward activation is freed as soon as the
+gradients that need it exist, not when the whole pass ends.
 
 Shapes: each primitive acts on its trailing axes ([C,H,W] for the spatial
 ops, [K] for dense and softmax) and treats any leading axes as the batch,
@@ -108,15 +111,18 @@ class Tape:
     watched parameter flows into: the parameters themselves and the output
     of each recorded op with a tracked input. Primitives read this to skip
     input gradients no parameter needs, so a parameter must be watched
-    before its first use. Single-writer: one tape records one forward pass.
-    The active tape is process-wide, not per thread, so record on one
-    thread only.
+    before its first use. Single-writer: one tape records one forward pass
+    and is differentiated once; ``backward`` releases each node as it goes
+    and leaves ``nodes`` empty, and a second ``backward`` on the tape raises
+    ``ValueError``. The active tape is process-wide, not per thread, so
+    record on one thread only.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
         self._watched: dict[int, Tensor] = {}
         self._tracked: set[int] = set()
+        self._spent = False
 
     def watch(self, parameter: Tensor) -> None:
         """Flag a leaf tensor as trainable for the next backward call; call
@@ -160,7 +166,14 @@ def _needs_grad(t: Tensor) -> bool:
 
 
 def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
-    """Reverse-traverse the tape from a scalar seed.
+    """Reverse-traverse the tape from a scalar seed, consuming it.
+
+    Each node is popped off ``tape.nodes`` before its closure runs, so the
+    closure, its saved arrays and the node's hold on its input and output
+    tensors are released as soon as that node's gradients exist. The tape is
+    empty afterwards, and a second call on it raises ``ValueError``. The
+    id-keyed gradient table stays sound while tensors are freed: the pass
+    creates no Tensor, so no id is reused by a tensor it looks up.
 
     Returns dLoss/dParam for every watched parameter as the accumulated
     array itself; parameters unreachable from the seed get exact zeros of
@@ -169,8 +182,14 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
     """
     if seed.shape != ():
         raise ValueError(f"backward seed must be a scalar, got shape {seed.shape}")
+    if tape._spent:
+        raise ValueError("this tape was already differentiated: "
+                         "record a new tape for each backward pass")
+    tape._spent = True
+    nodes = tape.nodes
     grads: dict[int, Array] = {id(seed): np.ones(())}
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()
         out_grad = grads.pop(id(node.output), None)
         if out_grad is None:
             continue

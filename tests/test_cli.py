@@ -67,6 +67,21 @@ class TestSynth:
         assert pixels.shape == (1, 16, 16)
         assert maxval == 255
 
+    @pytest.mark.parametrize("shift", ["none", "wild"])
+    def test_same_files_as_the_three_channel_dataset(self, tmp_path, shift):
+        """synth builds one plane per image; its PGMs are the bytes that
+        writing the first channel of the three-channel dataset gives."""
+        out = tmp_path / "cli"
+        assert main(["synth", "--out", str(out), "--per-class", "3", "--size", "24",
+                     "--shift", shift, "--seed", "4"]) == 0
+        full = tmp_path / "full"
+        want = sorted(jointnet.data.write_dataset(
+            jointnet.data.synth_generate(3, 24, shift, 4, channels=3), full))
+        got = sorted(p for p in out.rglob("*") if p.is_file())
+        assert [p.relative_to(out) for p in got] == [p.relative_to(full) for p in want]
+        for mine, theirs in zip(got, want):
+            assert mine.read_bytes() == theirs.read_bytes(), mine
+
 
 class TestTrain:
     def test_checkpoint_and_log_exist(self, workspace):

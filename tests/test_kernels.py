@@ -514,24 +514,24 @@ def _conv_case(watch_input: bool):
         tape.watch(kernel)
         tape.watch(bias)
         loss = tensor_sum(conv2d(x, kernel, bias, relu=True))
-    return tape, backward(tape, loss), (x, kernel, bias)
+    # taken before backward, which empties the tape
+    conv = tape.nodes[0]
+    return conv, backward(tape, loss), (x, kernel, bias)
 
 
 class TestDeadInputGradient:
     def test_untracked_input_gets_no_dx_and_the_same_parameter_gradients(self):
-        tape, grads, (_, kernel, bias) = _conv_case(watch_input=False)
-        full_tape, full_grads, (_, full_kernel, full_bias) = _conv_case(watch_input=True)
+        conv, grads, (_, kernel, bias) = _conv_case(watch_input=False)
+        _, full_grads, (_, full_kernel, full_bias) = _conv_case(watch_input=True)
         assert_same_bits(grads[kernel], full_grads[full_kernel])
         assert_same_bits(grads[bias], full_grads[full_bias])
-        conv = tape.nodes[0]
         assert conv.op == "conv2d"
         dx, dk, db = conv.backward(np.ones(conv.output.shape))
         assert dx is None
         assert dk.shape == kernel.shape and db.shape == bias.shape
 
     def test_watched_input_gets_dx(self):
-        tape, grads, (x, _, _) = _conv_case(watch_input=True)
-        conv = tape.nodes[0]
+        conv, grads, (x, _, _) = _conv_case(watch_input=True)
         dx, _, _ = conv.backward(np.ones(conv.output.shape))
         assert dx.shape == x.shape
         assert np.any(grads[x] != 0.0)

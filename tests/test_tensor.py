@@ -1,5 +1,7 @@
 """Tensor primitives: forward oracles, backward plumbing, invariants."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,36 @@ class TestBackward:
             out = sigmoid(w)
         with pytest.raises(ValueError, match="scalar"):
             backward(tape, out)
+
+    def test_intermediate_activation_freed_by_backward(self):
+        """backward releases each node as it goes: once it returns, nothing
+        holds an activation the caller let go of, though the caller still
+        holds the loss and the parameters."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 1, 4, 4)))
+        kernel, bias = Tensor(rng.normal(size=(2, 1, 3, 3))), Tensor(np.zeros(2))
+        tape = Tape()
+        with tape:
+            tape.watch(kernel)
+            tape.watch(bias)
+            hidden = conv2d(x, kernel, bias, relu=True)
+            loss = tensor_sum(sigmoid(maxpool2x2(hidden)))
+        freed = weakref.ref(hidden.data)
+        del hidden
+        assert freed() is not None  # the tape still holds it
+        backward(tape, loss)
+        assert freed() is None
+        assert tape.nodes == []
+
+    def test_second_backward_on_a_tape_raises(self):
+        w = Tensor(np.array([0.5, -1.0]))
+        tape = Tape()
+        with tape:
+            tape.watch(w)
+            loss = tensor_sum(sigmoid(w))
+        backward(tape, loss)
+        with pytest.raises(ValueError, match="already differentiated"):
+            backward(tape, loss)
 
     def test_no_recording_outside_tape(self):
         before = Tape()
