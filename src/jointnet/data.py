@@ -58,6 +58,13 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.samples], dtype=np.int64)
 
+    def batch(self, indices) -> tuple[Tensor, np.ndarray]:
+        """The samples at ``indices``, in the given order: their images
+        stacked as one [N,C,H,W] Tensor, and their labels as int64."""
+        samples = [self.samples[i] for i in indices]
+        return (Tensor(np.stack([s.image.data for s in samples])),
+                np.array([s.label for s in samples], dtype=np.int64))
+
 
 # ---------------------------------------------------------------------------
 # resizing

@@ -89,9 +89,9 @@ def predict(net: JointNetwork, dataset: Dataset) -> list[int]:
     """Classifier-path argmax for every sample, in dataset order, one
     forward pass per chunk of ``PREDICT_CHUNK`` images."""
     labels: list[int] = []
-    for start in range(0, len(dataset), PREDICT_CHUNK):
-        chunk = dataset.samples[start:start + PREDICT_CHUNK]
-        images = Tensor(np.stack([s.image.data for s in chunk]))
+    n = len(dataset)
+    for start in range(0, n, PREDICT_CHUNK):
+        images, _ = dataset.batch(range(start, min(start + PREDICT_CHUNK, n)))
         labels += forward_backbone(net, images).data.argmax(axis=1).tolist()
     return labels
 

@@ -219,28 +219,26 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
                       base_channels=4, n_classes=3)
     net = build(arch, seed=seed)
     image = Tensor(joint_rng.uniform(0.0, 1.0, (1, 16, 16)))
-    label = Tensor(np.array([1.0, 0.0, 0.0]))
     # The batch repeats the image under two labels, so each row gets its own
     # gradient but no relu or maxpool sits nearer a switch than in the
     # single-image check: a switch within STEP corrupts central differences.
     # Distinct images are covered by the primitive batch checks above and
     # by the batched-versus-single gradient test in the training tests.
     images = Tensor(np.stack([image.data, image.data]))
-    labels = Tensor(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
     # the blended loss that ``train`` differentiates, at phi = 0.5
     config = training.TrainConfig(phi=0.5)
 
-    def joint_loss_on(image: Tensor, label: Tensor):
+    def joint_loss_on(image: Tensor, label: int | np.ndarray):
         def joint_loss(p: dict[str, Tensor]) -> Tensor:
             net.params = dict(p)
             return training._batch_losses(net, image, label, config)[0]
         return joint_loss
 
-    checks.append(("joint_16x16_2stage", joint_loss_on(image, label),
+    checks.append(("joint_16x16_2stage", joint_loss_on(image, 0),
                    dict(net.params)))
-    checks.append(("joint_16x16_2stage_batch2", joint_loss_on(images, labels),
-                   dict(net.params)))
+    checks.append(("joint_16x16_2stage_batch2",
+                   joint_loss_on(images, np.array([0, 2])), dict(net.params)))
     return checks
 
 

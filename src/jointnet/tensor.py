@@ -18,11 +18,14 @@ pass, and its backward masks ``g`` by ``out > 0``. The mask is taken from
 the output, which is positive exactly where the pre-relu value was, so
 the node keeps no mask array.
 
-Gradients flow only where they can reach a parameter: the tape tracks the
-watched parameters and every op output computed from a tracked tensor, and
-a primitive may skip the gradient of an untracked input (``conv2d`` skips
-the input-image gradient of the first layer). So ``watch`` must come before
-the parameter's first use on the tape.
+Gradients flow only where they can reach a parameter, and two places skip
+one. The tape tracks the watched parameters and every op output computed
+from a tracked tensor, and a primitive may skip the gradient of an
+untracked input: ``conv2d`` skips the input-image gradient of the first
+layer, so ``watch`` must come before the parameter's first use on the
+tape. And neither loss (``training.cross_entropy``, ``training.mse``)
+differentiates its target: the one-hot rows and the input image are data,
+and their gradient is always None.
 
 Finiteness is checked once, where a value becomes a Tensor: the
 constructor rejects NaN and infinity, so every op output is checked and the
@@ -291,11 +294,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 
     flat = padded_flat()
     # taps sum into a C-ordered [C_out, span] array: numpy adds two
-    # contiguous arrays several times faster than two strided row views.
-    # It is carved from a block of the padded output grid's size, a size
-    # the heap already holds free from earlier steps (a span-sized block
-    # raised the benchmark's peak RSS by about 0.1 MB).
-    acc = np.empty(c_out * cells)[:c_out * span].reshape(c_out, span)
+    # contiguous arrays several times faster than two strided row views
+    acc = np.empty((c_out, span))
     tmp = np.empty_like(acc) if len(taps) > 1 else None
     for t, (ki, kj, off) in enumerate(taps):
         np.matmul(kdata[:, :, ki, kj], flat[:, off:off + span], out=tmp if t else acc)

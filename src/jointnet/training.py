@@ -115,8 +115,7 @@ def mse(input_pixels: Tensor, reconstructed: Tensor) -> Tensor:
     out = Tensor(np.mean(diff * diff))
 
     def backward_fn(g):
-        base = (2.0 / n) * diff * g
-        return -base, base
+        return None, (2.0 / n) * diff * g
 
     record("mse", (input_pixels, reconstructed), out, backward_fn)
     return out
@@ -234,18 +233,13 @@ class TrainResult:
         return self.log[self.checkpoint.epoch - 1].val_accuracy
 
 
-def _stack(dataset: Dataset, indices, onehots: np.ndarray) -> tuple[Tensor, Tensor]:
-    """The samples at ``indices`` as an [N,C,H,W] image batch and [N,K]
-    one-hot labels, in the given order."""
-    samples = [dataset.samples[i] for i in indices]
-    return (Tensor(np.stack([s.image.data for s in samples])),
-            Tensor(onehots[[s.label for s in samples]]))
-
-
-def _batch_losses(net: JointNetwork, images: Tensor, targets: Tensor,
+def _batch_losses(net: JointNetwork, images: Tensor, labels: int | np.ndarray,
                   config: TrainConfig) -> tuple[Tensor, float, float, Tensor]:
     """One batch's blended mean loss tensor in ``config.mode``, float L_s and
-    L_u readings, and the class probabilities."""
+    L_u readings, and the class probabilities. ``labels`` holds the class
+    index of each image (one index for one unbatched image); their one-hot
+    rows are made here."""
+    targets = Tensor(np.eye(net.config.n_classes)[labels])
     if config.mode == "joint":
         out = forward_joint(net, images)
         ls = cross_entropy(targets, out.class_probs)
@@ -275,11 +269,9 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
     epoch log."""
     _validate_sets(net, train_set, val_set)
 
-    onehots = np.eye(net.config.n_classes)
     shuffle_rng = make_rng(config.seed, SHUFFLE)
     optimizer = Adam({name: p.shape for name, p in net.params.items()})
     scheduler = PlateauScheduler(config.lr, config.patience, config.kappa)
-    val_labels = val_set.labels()
 
     best: Checkpoint | None = None
     log: list[EpochLog] = []
@@ -291,13 +283,13 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
         sum_l = sum_ls = sum_lu = 0.0
         for start in range(0, n_train, config.batch_size):
             batch = sorted(order[start:start + config.batch_size].tolist())
-            images, targets = _stack(train_set, batch, onehots)
+            images, labels = train_set.batch(batch)
             tape = Tape()
             with tape:
                 for p in net.params.values():
                     tape.watch(p)
                 batch_loss, ls_val, lu_val, _ = _batch_losses(
-                    net, images, targets, config)
+                    net, images, labels, config)
             sum_l += float(batch_loss.data) * len(batch)
             sum_ls += ls_val * len(batch)
             sum_lu += lu_val * len(batch)
@@ -309,10 +301,10 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
         val_sum = 0.0
         for start in range(0, n_val, config.batch_size):
             chunk = range(start, min(start + config.batch_size, n_val))
-            images, targets = _stack(val_set, chunk, onehots)
-            loss, _, _, probs = _batch_losses(net, images, targets, config)
+            images, labels = val_set.batch(chunk)
+            loss, _, _, probs = _batch_losses(net, images, labels, config)
             val_sum += float(loss.data) * len(chunk)
-            val_correct += int(np.sum(probs.data.argmax(axis=1) == val_labels[chunk]))
+            val_correct += int(np.sum(probs.data.argmax(axis=1) == labels))
         val_loss = val_sum / n_val
         val_accuracy = val_correct / n_val
 

@@ -249,6 +249,20 @@ class TestWriteDataset:
             assert np.abs(orig.image.data - back.image.data).max() <= 0.5 / 255 + 1e-9
 
 
+class TestBatch:
+    @pytest.mark.parametrize("indices", [[0, 1, 2], [4, 2, 0], range(5)[::-1], [3]])
+    def test_stacks_images_and_labels_in_the_order_given(self, indices):
+        ds = synth_generate(2, 16, seed=3)
+        samples = [ds.samples[i] for i in indices]
+        images, labels = ds.batch(indices)
+        expected = np.stack([s.image.data for s in samples])
+        assert images.shape == expected.shape
+        assert images.data.tobytes() == expected.tobytes()
+        assert images.data.flags.c_contiguous
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [s.label for s in samples]
+
+
 class TestStratifiedFolds:
     def _dataset(self, per_class=5, classes=3):
         samples = [Sample(Tensor(np.zeros((1, 4, 4))), c, f"{c}/{i}")
