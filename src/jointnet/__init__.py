@@ -13,7 +13,7 @@ from .netpbm import read_netpbm, write_pgm
 from .network import (ArchConfig, JointNetwork, JointOutput, build,
                       extract_attention, forward_backbone, forward_joint,
                       parameter_count, parameter_specs)
-from .tensor import (Tape, Tensor, add, backward, conv2d, dense,
+from .tensor import (Tape, Tensor, add, backward, conv2d, dense, fuse_skip,
                      global_avg_pool, maxpool2x2, record, scale, sigmoid,
                      softmax, tensor_sum, upsample2x2)
 from .training import (Adam, EpochLog, KFoldResult, PlateauScheduler,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -28,7 +29,10 @@ from .gradcheck import TOLERANCE, run_battery
 from .training import MODES, EpochLog, kfold_train
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. It names each subcommand but
+    binds no handler: ``main`` looks the handler up when it runs."""
     parser = argparse.ArgumentParser(
         prog="jointnet",
         description="Joint classification/reconstruction CNN on netpbm images.")
@@ -41,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--shift", choices=SHIFTS, default=SHIFTS[0])
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="k-fold training on a dataset directory")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -50,13 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="training log output path (omit to skip)")
     p.add_argument("--mode", choices=MODES,
                    help="override the config's mode")
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", required=True, help="metrics report output path")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("compare", help="evaluate two checkpoints side by side")
     p.add_argument("--model-a", required=True)
@@ -65,17 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--name-a", help="display name for model A (default: file stem)")
     p.add_argument("--name-b", help="display name for model B (default: file stem)")
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("export-attn", help="write per-stage attention maps as PGM")
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True, help="input netpbm image")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_export_attn)
     return parser
 
 
@@ -209,8 +207,10 @@ MMAP_THRESHOLD = 4 << 20
 TRIM_THRESHOLD = 64 << 20
 
 
+@functools.cache
 def _hold_heap() -> None:
-    """Set the two malloc thresholds above; without glibc, do nothing."""
+    """Set the two malloc thresholds above, once per process; without
+    glibc, do nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -221,13 +221,16 @@ def _hold_heap() -> None:
 
 def main(argv=None) -> int:
     _hold_heap()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    # read at call time, so the handlers the module holds now run
+    handlers = {"synth": _cmd_synth, "train": _cmd_train, "eval": _cmd_eval,
+                "compare": _cmd_compare, "gradcheck": _cmd_gradcheck,
+                "export-attn": _cmd_export_attn}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

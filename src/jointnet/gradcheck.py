@@ -91,8 +91,9 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
     two-stage joint network on one 16x16 input and on a batch of two."""
     from . import training
     from .network import ArchConfig, build
-    from .tensor import (add, conv2d, dense, global_avg_pool, maxpool2x2,
-                         scale, sigmoid, softmax, tensor_sum, upsample2x2)
+    from .tensor import (add, conv2d, dense, fuse_skip, global_avg_pool,
+                         maxpool2x2, scale, sigmoid, softmax, tensor_sum,
+                         upsample2x2)
 
     rng = make_rng(seed, GRADCHECK)
 
@@ -211,6 +212,15 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
         lambda p: tensor_sum(sigmoid(global_avg_pool(p["x"]))),
         {"x": t(2, 3, 4, 4)},
     ))
+    # the fused decoder stage, drawn last so the checks above keep their
+    # draws; the sigmoid makes its gradient depend on every input
+    for name, lead in (("fuse_skip", ()), ("fuse_skip_batch2", (2,))):
+        checks.append((
+            name,
+            lambda p: tensor_sum(sigmoid(fuse_skip(p["s"], p["x"], p["k"], p["b"]))),
+            {"s": t(*lead, 2, 4, 4), "x": t(*lead, 3, 2, 2), "k": t(3, 2, 3, 3),
+             "b": t(3)},
+        ))
 
     # the joint instances get a fresh stream so their gradients do not
     # depend on how many draws the smaller checks consumed above

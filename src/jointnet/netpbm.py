@@ -2,7 +2,8 @@
 
 Reads P2/P5 (grayscale) and P3/P6 (RGB) with maxval 1..65535; binary
 rasters use one byte per sample below 256, two big-endian bytes otherwise.
-Parse errors carry the file path and byte offset. Writing emits P5.
+Every header number and ASCII sample is ASCII digits only. Parse errors
+carry the file path and byte offset. Writing emits P5.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class _Scanner:
     def int_token(self, what: str, lo: int, hi: int) -> int:
         tok = self.token(what)
         try:
+            # ASCII digits only: int() also reads a sign and underscores
+            if not tok.isdigit():
+                raise ValueError
             value = int(tok)
         except ValueError:
             self.fail(f"{what} is not an integer: {tok!r}")

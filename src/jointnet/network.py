@@ -5,7 +5,10 @@ with relu, then 2x2 max pooling), followed by a bottleneck conv. The
 classifier head pools the bottleneck once more, global-average-pools, and
 ends in dense + softmax. The decoder starts from the bottleneck and, per
 stage, fuses a 3x3-convolved encoder skip with the 2x upsampled previous
-decoder map; a final 1x1 conv + sigmoid produces the reconstruction.
+decoder map; a final 1x1 conv + sigmoid produces the reconstruction. Each
+stage is one ``fuse_skip`` op, ``add(conv2d(skip), upsample2x2(x))`` bit
+for bit, whose tape node keeps neither the conv output nor the upsampled
+map: a recipe joint forward pass and loss record 20 nodes.
 
 Spatial bookkeeping for input size S: stage k emits its skip at
 S / 2^(k-1); the bottleneck sits at S / 2^n; decoder map i lives at
@@ -25,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import WEIGHTS, make_rng
-from .tensor import (Tensor, add, conv2d, dense, global_avg_pool, maxpool2x2,
-                     sigmoid, softmax, upsample2x2)
+from .tensor import (Tensor, conv2d, dense, fuse_skip, global_avg_pool,
+                     maxpool2x2, sigmoid, softmax)
 
 
 @dataclass(frozen=True)
@@ -218,9 +221,7 @@ def forward_joint(net: JointNetwork, image: Tensor) -> JointOutput:
     x = bottleneck
     maps: list[Tensor] = []
     for i in range(1, n + 1):
-        skip = skips[n - i]
-        fused_skip = conv2d(skip, p[f"dec{i}.skip.w"], p[f"dec{i}.skip.b"])
-        x = add(fused_skip, upsample2x2(x))
+        x = fuse_skip(skips[n - i], x, p[f"dec{i}.skip.w"], p[f"dec{i}.skip.b"])
         maps.append(x)
     recon = sigmoid(conv2d(x, p["recon.conv.w"], p["recon.conv.b"]))
     return JointOutput(probs, recon, maps)

@@ -16,7 +16,12 @@ The relu is fused into the convolution, not a primitive of its own:
 ``conv2d(..., relu=True)`` adds the bias and clamps at zero in one output
 pass, and its backward masks ``g`` by ``out > 0``. The mask is taken from
 the output, which is positive exactly where the pre-relu value was, so
-the node keeps no mask array.
+the node keeps no mask array. A decoder stage is one op too:
+``fuse_skip(skip, x, kernel, bias)`` is ``add(conv2d(skip, kernel, bias),
+upsample2x2(x))`` in one output pass and one node, so neither the conv
+output nor the upsampled map is made or held. ``conv2d`` and
+``fuse_skip`` share their tap GEMMs and backward rule (``_conv_taps``),
+and ``upsample2x2`` and ``fuse_skip`` their replica sum.
 
 Gradients flow only where they can reach a parameter, and two places skip
 one. The tape tracks the watched parameters and every op output computed
@@ -37,8 +42,9 @@ maxpool ties break to the first (row-major) window position. Some numpy
 reductions sum in an order that follows the memory layout of their operand
 (``conv2d``'s bias gradient does), so the layout of each array a primitive
 returns is part of the contract, not only its values: the pooling kernels
-return C-ordered arrays, and ``conv2d`` the transpose of a channel-major
-one.
+return C-ordered arrays, ``conv2d`` the transpose of a channel-major
+one, and ``fuse_skip`` a C-ordered one, the layout of the ``add`` it
+replaces.
 """
 
 from __future__ import annotations
@@ -219,12 +225,18 @@ def _batched(x: Tensor, trailing: int) -> Array:
     return x.data.reshape((-1,) + x.shape[x.ndim - trailing:])
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
-    """Stride-1, same-padded 2-D cross-correlation over [..., C,H,W] with a
-    [C_out,C_in,kH,kW] kernel (odd kH and kW); any leading axes are the
-    batch. The output is [..., C_out,H,W]; bias is per output channel.
-    With ``relu=True`` the output is clamped at zero, ``max(conv, 0)``, in
-    the same op: one tape node and one output array instead of two.
+def _conv_taps(op: str, x: Tensor, kernel: Tensor,
+               bias: Tensor) -> tuple[Array, Callable[[Array], tuple]]:
+    """The tap GEMMs of a stride-1, same-padded 2-D cross-correlation of
+    ``x`` [..., C,H,W] with ``kernel`` [C_out,C_in,kH,kW] (odd kH and kW),
+    and its backward rule; ``conv2d`` and ``fuse_skip`` differ only in the
+    output pass they run over the result.
+
+    Returns ``(blocks, conv_backward)``. ``blocks`` is a read-only
+    [C_out, N, H, W] view of the tap sums, without the bias, where N folds
+    the leading axes of ``x``. ``conv_backward(g)`` maps the gradient of
+    ``blocks + bias`` (shape [..., C_out,H,W], any layout) to
+    ``(dx, dkernel, dbias)``.
 
     Each kernel tap is one GEMM over the whole batch. The input is copied,
     channel-major, at offset (kH//2, kW//2) into a zero-filled
@@ -233,11 +245,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     shifted by i*Wp + j, so no column matrix is built. The tap products
     sum in one contiguous [C_out, span] array, where span stops at the
     last output's grid cell; output (n, y, x) of a channel is its column
-    n*Hp*Wp + y*Wp + x. One pass reads the outputs through a strided view
-    and writes them plus the bias into a fresh channel-major
-    [C_out, N, H, W] array, the relu (if any) clamps it in place, and the
-    op returns its [N, C_out, H, W] transpose: the values and the layout
-    of ``relu(conv2d(...))`` as two ops.
+    n*Hp*Wp + y*Wp + x, which ``blocks`` reads through a strided view.
 
     The input gradient is gathered rather than scattered. The output
     gradient sits in a grid of the same layout behind (kH-1)*Wp + kW-1
@@ -253,27 +261,24 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     gradient run over N*Hp*Wp columns and round every column as they did
     over span, at every shape of the recipe network.
 
-    Backward computes the input gradient only when the input is tracked on
-    the active tape (see ``Tape``); otherwise the closure returns None for
-    it. With the relu, ``g`` is first masked by ``out > 0``: the output is
-    positive exactly where the pre-relu value was, so no mask is kept. The
-    bias gradient sums over ``g`` in an order that follows its memory
-    layout.
+    The input gradient is computed only when the input is tracked on the
+    active tape (see ``Tape``); otherwise it is None. The bias gradient
+    sums over ``g`` in an order that follows its memory layout.
     """
     if x.ndim < 3 or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
-            f"conv2d expects input [..., C,H,W], kernel [C_out,C_in,kH,kW], "
+            f"{op} expects input [..., C,H,W], kernel [C_out,C_in,kH,kW], "
             f"bias [C_out]; got {x.shape}, {kernel.shape}, {bias.shape}")
     c_in, h, w = x.shape[-3:]
     c_out, kc, kh, kw = kernel.shape
     if kc != c_in:
         raise ValueError(
-            f"conv2d channel mismatch: kernel {kernel.shape} expects {kc} input "
+            f"{op} channel mismatch: kernel {kernel.shape} expects {kc} input "
             f"channels but input is {x.shape}")
     if bias.shape[0] != c_out:
-        raise ValueError(f"conv2d bias {bias.shape} does not match {c_out} output channels")
+        raise ValueError(f"{op} bias {bias.shape} does not match {c_out} output channels")
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"conv2d same padding requires odd kernel dims, got {kh}x{kw}")
+        raise ValueError(f"{op} same padding requires odd kernel dims, got {kh}x{kw}")
 
     top, left = kh // 2, kw // 2
     n = math.prod(x.shape[:-3])
@@ -307,14 +312,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     blocks = np.lib.stride_tricks.as_strided(
         acc, (c_out, n, h, w), (span * step, hp * wp * step, wp * step, step),
         writeable=False)
-    out_data = blocks + bias.data[:, None, None, None]
-    if relu:
-        np.maximum(out_data, 0.0, out=out_data)
-    out = Tensor(out_data.transpose(1, 0, 2, 3).reshape(x.shape[:-3] + (c_out, h, w)))
 
-    def backward_fn(g: Array):
-        if relu:
-            g = g * (out.data > 0)
+    def conv_backward(g: Array):
         gb = g.reshape(-1, c_out, h, w)
         db = gb.sum(axis=(0, 2, 3))
         # the gradient grid behind reach zero columns, which the dx taps
@@ -341,6 +340,38 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
         dx = (dflat.reshape(c_in, n, hp, wp)[:, :, top:top + h, left:left + w]
               .transpose(1, 0, 2, 3).reshape(x.shape))
         return dx, dk, db
+
+    return blocks, conv_backward
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+    """Stride-1, same-padded 2-D cross-correlation over [..., C,H,W] with a
+    [C_out,C_in,kH,kW] kernel (odd kH and kW); any leading axes are the
+    batch. The output is [..., C_out,H,W]; bias is per output channel.
+    With ``relu=True`` the output is clamped at zero, ``max(conv, 0)``, in
+    the same op: one tape node and one output array instead of two.
+
+    ``_conv_taps`` runs the tap GEMMs and holds the backward rule. The
+    output pass reads the tap sums and writes them plus the bias into a fresh
+    channel-major [C_out, N, H, W] array, the relu (if any) clamps it in
+    place, and the op returns its [N, C_out, H, W] transpose: the values
+    and the layout of ``relu(conv2d(...))`` as two ops.
+
+    With the relu, backward first masks ``g`` by ``out > 0``: the output
+    is positive exactly where the pre-relu value was, so no mask is kept.
+    """
+    blocks, conv_backward = _conv_taps("conv2d", x, kernel, bias)
+    c_out, _, h, w = blocks.shape
+    out_data = blocks + bias.data[:, None, None, None]
+    del blocks
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
+    out = Tensor(out_data.transpose(1, 0, 2, 3).reshape(x.shape[:-3] + (c_out, h, w)))
+
+    def backward_fn(g: Array):
+        if relu:
+            g = g * (out.data > 0)
+        return conv_backward(g)
 
     record("conv2d", (x, kernel, bias), out, backward_fn)
     return out
@@ -391,16 +422,30 @@ def maxpool2x2(x: Tensor) -> Tensor:
     return out
 
 
+def _replica_sum(g: Array, shape: tuple[int, ...]) -> Array:
+    """The gradient of a nearest-neighbor 2x upsampling to ``g``'s shape
+    from ``shape`` [..., H, W]: the four stride-2 views of ``g`` added into
+    a C-ordered array in numpy's order for ``g.reshape(..., H, 2, W,
+    2).sum(axis=(-3, -1))``, ``(g00 + g01) + (g10 + g11)``, or left to
+    right when W is 1."""
+    g00, g01, g10, g11 = (g[..., i::2, j::2] for i, j in _WINDOW)
+    dx = np.empty(shape)
+    np.add(g00, g01, out=dx)
+    if shape[-1] == 1:
+        dx += g10
+        dx += g11
+    else:
+        dx += g10 + g11
+    return dx
+
+
 def upsample2x2(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling of [..., C,H,W]; backward sums the
-    four replicas.
+    four replicas (``_replica_sum``).
 
-    Forward assigns ``x`` into the four stride-2 views of one array.
-    Backward adds the four stride-2 views of ``g`` into a C-ordered array
-    in numpy's order for ``g.reshape(..., H, 2, W, 2).sum(axis=(-3, -1))``:
-    ``(g00 + g01) + (g10 + g11)``, or left to right when W is 1. The
-    C order matters downstream: ``conv2d``'s bias gradient sums in an order
-    that follows the layout of its ``g``.
+    Forward assigns ``x`` into the four stride-2 views of one array. The
+    gradient is C-ordered, and that matters downstream: ``conv2d``'s bias
+    gradient sums in an order that follows the layout of its ``g``.
     """
     if x.ndim < 3:
         raise ValueError(f"upsample2x2 expects [..., C,H,W], got {x.shape}")
@@ -411,17 +456,45 @@ def upsample2x2(x: Tensor) -> Tensor:
     out = Tensor(up)
 
     def backward_fn(g: Array):
-        g00, g01, g10, g11 = (g[..., i::2, j::2] for i, j in _WINDOW)
-        dx = np.empty(x.shape)
-        np.add(g00, g01, out=dx)
-        if w == 1:
-            dx += g10
-            dx += g11
-        else:
-            dx += g10 + g11
-        return (dx,)
+        return (_replica_sum(g, x.shape),)
 
     record("upsample2x2", (x,), out, backward_fn)
+    return out
+
+
+def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """One decoder stage: ``add(conv2d(skip, kernel, bias), upsample2x2(x))``
+    bit for bit, as one op and one tape node. ``skip`` is [..., C,H,W] and
+    ``x`` is [..., C_out, H/2, W/2] with the same leading (batch) axes; the
+    output is a C-ordered [..., C_out,H,W] array, the layout ``add``
+    returns.
+
+    The output pass writes the tap sums plus the bias into the fresh
+    output array and then adds ``x`` into its four stride-2 views, so
+    neither the conv output nor the upsampled map exists as an array, and
+    the tape holds neither. Backward runs the conv's backward rule on ``g``
+    first and then the upsample's replica sum for ``x``, so the gradient of
+    ``x`` is not held while the conv's gradient grids are.
+    """
+    blocks, conv_backward = _conv_taps("fuse_skip", skip, kernel, bias)
+    c_out, _, h, w = blocks.shape
+    if h % 2 or w % 2 or x.shape != skip.shape[:-3] + (c_out, h // 2, w // 2):
+        raise ValueError(
+            f"fuse_skip expects x [..., {c_out}, H/2, W/2] for skip {skip.shape}, "
+            f"got {x.shape}")
+    fused = np.empty(skip.shape[:-3] + (c_out, h, w))
+    np.add(blocks.transpose(1, 0, 2, 3), bias.data[:, None, None],
+           out=fused.reshape(-1, c_out, h, w))
+    del blocks
+    for i, j in _WINDOW:
+        fused[..., i::2, j::2] += x.data
+    out = Tensor(fused)
+
+    def backward_fn(g: Array):
+        dskip, dk, db = conv_backward(g)
+        return dskip, _replica_sum(g, x.shape), dk, db
+
+    record("fuse_skip", (skip, x, kernel, bias), out, backward_fn)
     return out
 
 

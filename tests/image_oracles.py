@@ -1,7 +1,8 @@
 """The image path as it was before rasters stayed integer: a per-byte
 header scanner, a per-token ASCII loop, float64 rasters, and a bilinear
 resize of the whole normalized image. Kept verbatim as the oracle the
-current path must match bit for bit; also a netpbm encoder for tests."""
+current path must match bit for bit, except that a number token is ASCII
+digits only, as the reader requires; also a netpbm encoder for tests."""
 
 from __future__ import annotations
 
@@ -48,6 +49,9 @@ class _Scanner:
     def int_token(self, what: str, lo: int, hi: int) -> int:
         tok = self.token(what)
         try:
+            # ASCII digits only: int() also reads a sign and underscores
+            if not tok.isdigit():
+                raise ValueError
             value = int(tok)
         except ValueError:
             self.fail(f"{what} is not an integer: {tok!r}")

@@ -416,6 +416,26 @@ class TestHeap:
         assert int(done.stdout) < 1000
 
 
+    def test_thresholds_are_set_once_per_process(self, monkeypatch):
+        """``main`` sets the malloc thresholds on its first call only."""
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        jointnet.cli._hold_heap.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
+        try:
+            for _ in range(3):
+                assert main(["--version"]) == 0
+        finally:
+            jointnet.cli._hold_heap.cache_clear()
+        cli = jointnet.cli
+        assert calls == [(cli._M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD),
+                         (cli._M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD)]
+
+
 class TestWidths:
     # widths numpy refuses before touching memory: more bytes than the
     # address space, or more than numpy's size limit
@@ -480,6 +500,19 @@ class TestUsage:
         monkeypatch.setattr(jointnet.cli, "_cmd_synth", faulty)
         with pytest.raises(ValueError, match="internal fault"):
             main(["synth", "--out", str(tmp_path / "ds")])
+
+    def test_parser_is_built_once_and_handlers_are_read_per_call(
+            self, tmp_path, monkeypatch):
+        """One parser serves every call, and the handler a subcommand runs
+        is the one the module holds when ``main`` is called."""
+        parser = jointnet.cli._build_parser()
+        for tag in ("a", "b"):
+            ran = []
+            monkeypatch.setattr(jointnet.cli, "_cmd_synth",
+                                lambda args: ran.append(args.out) or 0)
+            assert main(["synth", "--out", str(tmp_path / tag)]) == 0
+            assert ran == [str(tmp_path / tag)]
+        assert jointnet.cli._build_parser() is parser
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

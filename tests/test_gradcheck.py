@@ -85,8 +85,8 @@ class TestBattery:
         """Each stock primitive and the joint network are also checked on a
         leading batch axis of 2 (the pass/fail runs with the battery)."""
         names = {name for name, _, _ in standard_battery(seed=0)}
-        for case in ("conv2d_same", "maxpool2x2", "upsample2x2", "dense",
-                     "softmax_cross_entropy", "global_avg_pool",
+        for case in ("conv2d_same", "maxpool2x2", "upsample2x2", "fuse_skip",
+                     "dense", "softmax_cross_entropy", "global_avg_pool",
                      "joint_16x16_2stage"):
             assert case in names and f"{case}_batch2" in names, case
 
@@ -114,7 +114,8 @@ class TestBattery:
                  Tensor(np.eye(3)[[0, 2]]))
         network_ops = (recorded_ops(joint_step, *batch)
                        | recorded_ops(backbone_step, *batch))
-        assert {"conv2d", "maxpool2x2", "upsample2x2", "dense"} <= network_ops
+        # the decoder records one fuse_skip per stage, not upsample2x2
+        assert {"conv2d", "maxpool2x2", "fuse_skip", "dense"} <= network_ops
         battery_ops = set().union(*(recorded_ops(fn, params)
                                     for name, fn, params in standard_battery(seed=0)
                                     if not name.startswith("joint")))

@@ -184,7 +184,8 @@ def test_over_declared_files(file_path, data):
 
 class TestAsciiAgainstLoop:
     """Hand-picked ASCII rasters: the reader and the earlier per-token
-    loop give the same values or the same error and offset."""
+    loop give the same values or the same error and offset. ``+1`` and
+    ``1_0`` are errors in both: a token is ASCII digits only."""
 
     @pytest.mark.parametrize("raster", [
         b"1 2 3 4", b"1 2 3 4\n", b"  1\t2\r\n3\x0b4\x0c", b"1#c\n2 3 4",

@@ -1,12 +1,14 @@
 """The view-based pooling kernels, the fused conv2d + bias + relu, the
-branch-free sigmoid, the flat Adam update and the skipped input gradient,
-bit for bit against the formulations they replaced; and every backward
-closure of a recipe joint tape, called twice.
+fused decoder stage, the branch-free sigmoid, the flat Adam update and the
+skipped input gradient, bit for bit against the formulations they
+replaced; every backward closure of a recipe joint tape, called twice; and
+every node of a recipe tape, called again by its op name.
 
 The oracles below are the earlier implementations, kept verbatim: the
 reshape/argmax max pool, the reshape/sum upsample gradient, conv2d
 followed by a separate relu op, the sign-masked two-branch sigmoid, and
-the per-parameter Adam loop. Equality is on the raw bytes, so a flipped
+the per-parameter Adam loop. ``fuse_skip`` is checked against the three
+ops it replaced, ``add(conv2d(...), upsample2x2(...))``. Equality is on the raw bytes, so a flipped
 sign of zero or a changed summation order fails. The conv is also checked
 at every conv shape of the recipe network, where a GEMM run over other
 columns rounds differently.
@@ -17,9 +19,11 @@ import math
 import numpy as np
 import pytest
 
-from jointnet import (Adam, ArchConfig, NumericError, Tape, Tensor, backward,
-                      build, combined_loss, conv2d, cross_entropy, forward_joint,
-                      maxpool2x2, mse, sigmoid, tensor_sum, upsample2x2)
+import jointnet
+from jointnet import (Adam, ArchConfig, NumericError, Tape, Tensor, add,
+                      backward, build, combined_loss, conv2d, cross_entropy,
+                      forward_backbone, forward_joint, fuse_skip, maxpool2x2,
+                      mse, sigmoid, tensor_sum, upsample2x2)
 from jointnet.training import BETA1, BETA2, EPSILON
 
 
@@ -403,6 +407,107 @@ class TestFusedConvMatchesOracle:
 
 
 # ---------------------------------------------------------------------------
+# fuse_skip
+
+
+# (skip, x, whether x is a conv output) of each decoder stage of the recipe
+# network at batch 4, and of its first stage on the one image export-attn
+# forwards. The skip is always an encoder conv's (channel-major) output;
+# x is the bottleneck conv's output at the first stage and the previous
+# (C-ordered) fused map at the second.
+RECIPE_STAGES = {
+    "dec1": ((4, 16, 16, 16), (4, 16, 8, 8), True),
+    "dec2": ((4, 8, 32, 32), (4, 16, 16, 16), False),
+    "dec1_single": ((16, 16, 16), (16, 8, 8), True),
+}
+
+
+def stage_case(stage, rng):
+    """(skip, x, kernel, bias) Tensors of a recipe decoder stage."""
+    skip_shape, x_shape, x_from_conv = RECIPE_STAGES[stage]
+    c_in, c_out = skip_shape[-3], x_shape[-3]
+    # post-relu values: mostly exact zeros
+    skip = channel_major(np.maximum(rng.normal(size=skip_shape) - 0.5, 0.0))
+    x = rng.normal(size=x_shape)
+    if x_from_conv:
+        x = channel_major(np.maximum(x, 0.0))
+    kernel = rng.normal(size=(c_out, c_in, 3, 3)) / math.sqrt(c_in * 9)
+    return Tensor(skip), Tensor(x), Tensor(kernel), Tensor(rng.normal(size=c_out))
+
+
+class TestFuseSkipMatchesComposite:
+    @pytest.mark.parametrize("grad", ["c_order", "channel_major", "two_branch"])
+    @pytest.mark.parametrize("stage", RECIPE_STAGES)
+    def test_forward_and_backward_bitwise(self, stage, grad):
+        """The output and all four input gradients against the three ops
+        it replaced, bit for bit and layout for layout."""
+        rng = np.random.default_rng([*map(ord, stage + grad)])
+        skip, x, kernel, bias = stage_case(stage, rng)
+        tape = Tape()
+        with tape:
+            for t in (skip, x, kernel, bias):
+                tape.watch(t)
+            expected = add(conv2d(skip, kernel, bias), upsample2x2(x))
+            out = fuse_skip(skip, x, kernel, bias)
+        conv, up, plus, fused = tape.nodes
+        assert fused.op == "fuse_skip" and fused.inputs == (skip, x, kernel, bias)
+        assert_same_array(out.data, expected.data)
+        assert out.data.flags.c_contiguous
+        g = upstream_grad(grad, out.shape, rng)
+        g_conv, g_up = plus.backward(g)
+        dskip, dk, db = conv.backward(g_conv)
+        (dx,) = up.backward(g_up)
+        actual = fused.backward(g)
+        assert len(actual) == 4
+        for a, e in zip(actual, (dskip, dx, dk, db)):
+            assert_same_array(a, e)
+
+    def test_untracked_skip_gets_no_gradient(self):
+        rng = np.random.default_rng(71)
+        skip, x, kernel, bias = stage_case("dec1", rng)
+        tape = Tape()
+        with tape:
+            for t in (x, kernel, bias):
+                tape.watch(t)
+            out = fuse_skip(skip, x, kernel, bias)
+        dskip, dx, dk, db = tape.nodes[0].backward(np.ones(out.shape))
+        assert dskip is None
+        assert (dx.shape, dk.shape, db.shape) == (x.shape, kernel.shape, bias.shape)
+
+    def test_closure_keeps_only_inputs(self):
+        """Neither the conv output nor the upsampled map is held: every
+        array the backward closures reach is an input's."""
+        rng = np.random.default_rng(73)
+        inputs = stage_case("dec2", rng)
+        tape = Tape()
+        with tape:
+            for t in inputs:
+                tape.watch(t)
+            fuse_skip(*inputs)
+        held = []
+
+        def visit(obj):
+            if isinstance(obj, Tensor):
+                obj = obj.data
+            if isinstance(obj, np.ndarray):
+                held.append(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                for cell in obj.__closure__:
+                    visit(cell.cell_contents)
+
+        visit(tape.nodes[0].backward)
+        assert held
+        assert all(any(a is t.data for t in inputs) for a in held)
+
+    @pytest.mark.parametrize("x_shape", [(4, 16, 8, 4), (4, 8, 8, 8), (2, 16, 8, 8),
+                                         (16, 8, 8)])
+    def test_mismatched_x_rejected(self, x_shape):
+        skip, _, kernel, bias = stage_case("dec1", np.random.default_rng(79))
+        with pytest.raises(ValueError, match="fuse_skip expects x"):
+            fuse_skip(skip, Tensor(np.zeros(x_shape)), kernel, bias)
+
+
+# ---------------------------------------------------------------------------
 # sigmoid
 
 
@@ -558,26 +663,37 @@ class TestDeadInputGradient:
 # re-entrant backward closures
 
 
-class TestBackwardClosuresReentrant:
-    def test_every_recipe_joint_node_twice(self):
-        """Each backward closure of a recipe joint tape (batch 4, 32 px,
-        2 stages, base width 8, phi 0.5), called twice with one output
-        gradient, returns the same bits both times, and no call changes a
-        node's input, its output or the gradient it was given. Timing a node
-        calls its closure many times, so none may reuse a buffer it handed
-        out or overwrite what it read."""
-        rng = np.random.default_rng(67)
-        net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0)
-        images = Tensor(rng.uniform(0.0, 1.0, (4, 3, 32, 32)))
-        targets = Tensor(np.eye(3)[[0, 1, 2, 0]])
-        tape = Tape()
-        with tape:
-            for p in net.params.values():
-                tape.watch(p)
+def recipe_tape(mode, rng):
+    """The tape of one recipe training step's forward pass and loss
+    (batch 4, 32 px, 2 stages, base width 8, phi 0.5), in ``mode``."""
+    net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0)
+    images = Tensor(rng.uniform(0.0, 1.0, (4, 3, 32, 32)))
+    targets = Tensor(np.eye(3)[[0, 1, 2, 0]])
+    tape = Tape()
+    with tape:
+        for p in net.params.values():
+            tape.watch(p)
+        if mode == "joint":
             out = forward_joint(net, images)
             combined_loss(cross_entropy(targets, out.class_probs),
                           mse(images, out.reconstruction), 0.5)
-        assert {"conv2d", "maxpool2x2", "upsample2x2", "sigmoid", "mse"} <= {
+        else:
+            cross_entropy(targets, forward_backbone(net, images))
+    return tape
+
+
+class TestBackwardClosuresReentrant:
+    def test_every_recipe_joint_node_twice(self):
+        """Each backward closure of a recipe joint tape, called twice with
+        one output gradient, returns the same bits both times, and no call
+        changes a node's input, its output or the gradient it was given.
+        Timing a node calls its closure many times, so none may reuse a
+        buffer it handed out or overwrite what it read."""
+        rng = np.random.default_rng(67)
+        tape = recipe_tape("joint", rng)
+        # the decoder stages are fuse_skip nodes: no upsample2x2 or add
+        # node is left on the decoder path
+        assert {"conv2d", "maxpool2x2", "fuse_skip", "sigmoid", "mse"} <= {
             node.op for node in tape.nodes}
 
         def copies(arrays):
@@ -600,3 +716,24 @@ class TestBackwardClosuresReentrant:
             assert_same_bits(g, g_before)
             for kept, now in zip(held, [t.data for t in node.inputs] + [node.output.data]):
                 assert_same_bits(now, kept)
+
+
+class TestNodesCallableByName:
+    @pytest.mark.parametrize("mode", ["joint", "backbone"])
+    def test_op_name_and_inputs_reproduce_the_output_shape(self, mode):
+        """``node.op`` names a function of ``jointnet.tensor`` or
+        ``jointnet.training`` that, called with ``*node.inputs``, returns an
+        output of the node's shape: the benchmark's op inventory re-invokes
+        every recorded node this way. ``scale`` is left out, since its
+        factor is not an input."""
+        tape = recipe_tape(mode, np.random.default_rng(83))
+        ops = set()
+        for node in tape.nodes:
+            if node.op == "scale":
+                continue
+            fn = (getattr(jointnet.tensor, node.op, None)
+                  or getattr(jointnet.training, node.op))
+            assert fn.__name__ == node.op
+            assert fn(*node.inputs).shape == node.output.shape, node.op
+            ops.add(node.op)
+        assert "conv2d" in ops and "cross_entropy" in ops

@@ -82,6 +82,25 @@ class TestReadAscii:
         with pytest.raises(DataError, match="maxval"):
             read_netpbm(p)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P5 1_6 +1 255\n\x00", "width is not an integer: b'1_6' at byte 6"),
+        (b"P5 16 +1 255\n", "height is not an integer: b'+1' at byte 8"),
+        (b"P2 1 1 2_55\n1", "maxval is not an integer: b'2_55' at byte 11"),
+        (b"P2 2 1 255\n+1 2", "sample is not an integer: b'+1' at byte 13"),
+        (b"P2 2 1 255\n1 1_0", "sample is not an integer: b'1_0' at byte 16"),
+        (b"P3 1 1 255\n1 -0 3", "sample is not an integer: b'-0' at byte 15"),
+        (b"P2 1 1 255\n\xd9\xa1", "sample is not an integer: b'\\xd9\\xa1' at byte 13"),
+    ])
+    def test_token_of_other_than_ascii_digits_rejected(self, tmp_path, data, message):
+        """A header or raster number is ASCII digits only: a sign, an
+        underscore or another script's digit is an error naming the path
+        and the byte offset where the token ends."""
+        p = tmp_path / "t.pnm"
+        p.write_bytes(data)
+        with pytest.raises(DataError) as e:
+            read_netpbm(p)
+        assert str(e.value) == f"{p}: {message}"
+
 
 class TestReadAsciiSampleBound:
     """The header's sample count is checked against the bytes present
