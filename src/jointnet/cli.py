@@ -20,10 +20,11 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, to_network
 from .config import parse_config
-from .data import SHIFTS, load_directory, load_image, synth_generate, write_dataset
+from .data import (CLASS_NAMES, SHIFTS, list_directory, load_directory, load_image,
+                   synth_samples, write_samples)
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import (compare_report, evaluate, export_attention,
-                         render_metrics_kv)
+from .evaluation import (PREDICT_CHUNK, compare_report, export_attention, metrics,
+                         render_metrics_kv, tally)
 from .fileio import write_atomic
 from .gradcheck import TOLERANCE, run_battery
 from .training import MODES, EpochLog, kfold_train
@@ -78,24 +79,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    # write_dataset writes channel 0 only, and the channel count does not
-    # touch the generator's stream, so one plane per image gives the same files
-    dataset = synth_generate(args.per_class, args.size, args.shift, args.seed,
-                             channels=1)
-    paths = write_dataset(dataset, args.out)
+    # only channel 0 is written, and the channel count does not touch the
+    # generator's stream, so one plane per image gives the same files; each
+    # image is written as soon as it is drawn
+    samples = synth_samples(args.per_class, args.size, args.shift, args.seed, channels=1)
+    paths = write_samples(samples, list(CLASS_NAMES), args.out)
     print(f"wrote {len(paths)} images ({args.per_class} per class, "
           f"size {args.size}, shift {args.shift}) to {args.out}")
     return 0
 
 
+def _check_classes(arch, data_dir: str, class_names: list[str]) -> None:
+    if len(class_names) != arch.n_classes:
+        raise ConfigError(
+            f"{data_dir} has {len(class_names)} classes "
+            f"({', '.join(class_names)}) but the model expects {arch.n_classes}")
+
+
 def _load_for(arch, data_dir: str):
     dataset = load_directory(data_dir, arch.input_size, arch.input_channels)
-    if len(dataset.class_names) != arch.n_classes:
-        raise ConfigError(
-            f"{data_dir} has {len(dataset.class_names)} classes "
-            f"({', '.join(dataset.class_names)}) but the model expects "
-            f"{arch.n_classes}")
+    _check_classes(arch, data_dir, dataset.class_names)
     return dataset
+
+
+def _list_for(arch, data_dir: str):
+    listing = list_directory(data_dir)
+    _check_classes(arch, data_dir, listing.class_names)
+    return listing
+
+
+def _stream(listing, arch):
+    """The listed images decoded for ``arch``, one predict chunk at a time."""
+    return listing.batches(arch.input_size, arch.input_channels, PREDICT_CHUNK)
 
 
 def _cmd_train(args) -> int:
@@ -133,9 +148,10 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.model)
     net = to_network(ckpt)
-    dataset = _load_for(ckpt.arch, args.data)
-    counts, report = evaluate(net, dataset)
-    text = render_metrics_kv(counts, report, dataset.class_names,
+    listing = _list_for(ckpt.arch, args.data)
+    (counts,) = tally([net], _stream(listing, ckpt.arch), ckpt.arch.n_classes)
+    report = metrics(counts)
+    text = render_metrics_kv(counts, report, listing.class_names,
                              extra=[("model", args.model), ("data", args.data)])
     write_atomic(args.report, text.encode("utf-8"))
     print(f"accuracy {report.accuracy:.4f} sensitivity {report.sensitivity:.4f} "
@@ -153,13 +169,17 @@ def _cmd_compare(args) -> int:
             f"{ckpt_b.arch.n_classes}")
     name_a = args.name_a or Path(args.model_a).stem
     name_b = args.name_b or Path(args.model_b).stem
-    dataset = _load_for(ckpt_a.arch, args.data)
-    _, report_a = evaluate(to_network(ckpt_a), dataset)
-    # the class counts agree, so only the input shape calls for a reload
+    listing = _list_for(ckpt_a.arch, args.data)
+    nets = [to_network(ckpt_a), to_network(ckpt_b)]
+    n_classes = ckpt_a.arch.n_classes
+    # the class counts agree, so only the input shape calls for a second decode
     if ((ckpt_b.arch.input_size, ckpt_b.arch.input_channels)
-            != (ckpt_a.arch.input_size, ckpt_a.arch.input_channels)):
-        dataset = _load_for(ckpt_b.arch, args.data)
-    _, report_b = evaluate(to_network(ckpt_b), dataset)
+            == (ckpt_a.arch.input_size, ckpt_a.arch.input_channels)):
+        counts = tally(nets, _stream(listing, ckpt_a.arch), n_classes)
+    else:
+        counts = [tally([net], _stream(listing, ckpt.arch), n_classes)[0]
+                  for net, ckpt in zip(nets, (ckpt_a, ckpt_b))]
+    report_a, report_b = map(metrics, counts)
     table = compare_report(name_a, report_a, name_b, report_b)
     write_atomic(args.report, table.encode("utf-8"))
     print(table, end="")

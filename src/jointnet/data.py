@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,6 +65,31 @@ class Dataset:
         samples = [self.samples[i] for i in indices]
         return (Tensor(np.stack([s.image.data for s in samples])),
                 np.array([s.label for s in samples], dtype=np.int64))
+
+    def batches(self, chunk: int) -> Iterator[tuple[Tensor, np.ndarray]]:
+        """Every sample in order, ``chunk`` at a time, as ``batch`` builds them."""
+        n = len(self)
+        for start in range(0, n, chunk):
+            yield self.batch(range(start, min(start + chunk, n)))
+
+
+@dataclass
+class Listing:
+    """The netpbm files of a dataset directory in load order, each with its
+    class index: what ``load_directory`` decodes, before any is decoded."""
+
+    files: list[tuple[Path, int]]
+    class_names: list[str]
+
+    def batches(self, size: int, channels: int,
+                chunk: int) -> Iterator[tuple[Tensor, np.ndarray]]:
+        """The images decoded ``chunk`` files at a time, in order, each
+        chunk as ``Dataset.batch`` stacks the same images and labels; no
+        image outlives the chunk that holds it."""
+        for start in range(0, len(self.files), chunk):
+            part = self.files[start:start + chunk]
+            yield (Tensor(np.stack([load_image(f, size, channels).data for f, _ in part])),
+                   np.array([label for _, label in part], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +173,10 @@ def load_image(path: str | Path, size: int, channels: int = 3) -> Tensor:
     return Tensor(_adapt_channels(img, channels, str(path)))
 
 
-def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dataset:
-    """Load every netpbm image under ``root/<class>/``, normalized to [0, 1]
-    and resized to ``target_size``. Deterministic in directory contents."""
+def list_directory(root: str | Path) -> Listing:
+    """The netpbm files under ``root/<class>/``: classes in sorted name
+    order, files sorted within each. Every class directory must hold at
+    least one. Deterministic in directory contents."""
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"{root}: not a directory")
@@ -157,27 +184,42 @@ def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dat
                         key=lambda d: d.name)
     if not class_dirs:
         raise DataError(f"{root}: contains no class subdirectories")
-    samples: list[Sample] = []
+    files: list[tuple[Path, int]] = []
     for label, class_dir in enumerate(class_dirs):
-        files = sorted(f for f in class_dir.iterdir()
+        found = sorted(f for f in class_dir.iterdir()
                        if f.is_file() and f.suffix.lower() in _EXTENSIONS)
-        if not files:
+        if not found:
             raise DataError(f"{class_dir}: class directory contains no netpbm images")
-        for f in files:
-            samples.append(Sample(load_image(f, target_size, channels), label, str(f)))
-    return Dataset(samples, [d.name for d in class_dirs])
+        files += [(f, label) for f in found]
+    return Listing(files, [d.name for d in class_dirs])
+
+
+def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dataset:
+    """Load every netpbm image that ``list_directory`` finds under ``root``,
+    normalized to [0, 1] and resized to ``target_size``."""
+    listing = list_directory(root)
+    return Dataset([Sample(load_image(f, target_size, channels), label, str(f))
+                    for f, label in listing.files], listing.class_names)
 
 
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> list[Path]:
     """Write each sample's first channel as an 8-bit PGM under
     ``out_dir/<class>/``; suitable for reloading with ``load_directory``."""
+    return write_samples(dataset.samples, dataset.class_names, out_dir)
+
+
+def write_samples(samples: Iterable[Sample], class_names: list[str],
+                  out_dir: str | Path) -> list[Path]:
+    """``write_dataset`` over samples that may be drawn as they are
+    written: each is written before the next is taken."""
     out_dir = Path(out_dir)
-    counters = [0] * len(dataset.class_names)
+    counters = [0] * len(class_names)
     paths: list[Path] = []
-    for sample in dataset.samples:
-        name = dataset.class_names[sample.label]
+    for sample in samples:
+        name = class_names[sample.label]
         class_dir = out_dir / name
-        class_dir.mkdir(parents=True, exist_ok=True)
+        if not counters[sample.label]:  # the class's first image makes its directory
+            class_dir.mkdir(parents=True, exist_ok=True)
         path = class_dir / f"{name.lower()}_{counters[sample.label]:04d}.pgm"
         counters[sample.label] += 1
         write_pgm(path, np.rint(sample.image.data[0] * 255.0), 255)
@@ -242,6 +284,14 @@ def synth_generate(n_per_class: int, size: int, shift: str = "none",
     ``shift`` is "none" for clean images or "wild" for the perturbed
     variant. Identical arguments produce identical datasets.
     """
+    return Dataset(list(synth_samples(n_per_class, size, shift, seed, channels)),
+                   list(CLASS_NAMES))
+
+
+def synth_samples(n_per_class: int, size: int, shift: str = "none",
+                  seed: int = 0, channels: int = 3) -> Iterator[Sample]:
+    """The samples of ``synth_generate``, in its order, each drawn only when
+    it is taken. The arguments are checked here, before the first draw."""
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     if size < 16:
@@ -251,14 +301,15 @@ def synth_generate(n_per_class: int, size: int, shift: str = "none",
     if channels < 1:
         raise ConfigError(f"channels must be >= 1, got {channels}")
     rng = make_rng(seed, SYNTH)
-    samples: list[Sample] = []
-    for label, name in enumerate(CLASS_NAMES):
-        for i in range(n_per_class):
-            plane = _synth_image(rng, size, label, shift == "wild")
-            img = np.repeat(plane[None, :, :], channels, axis=0)
-            samples.append(Sample(Tensor(img), label,
-                                  f"synth/{name}/{shift}/{seed}/{i}"))
-    return Dataset(samples, list(CLASS_NAMES))
+
+    def draw() -> Iterator[Sample]:
+        for label, name in enumerate(CLASS_NAMES):
+            for i in range(n_per_class):
+                plane = _synth_image(rng, size, label, shift == "wild")
+                img = np.repeat(plane[None, :, :], channels, axis=0)
+                yield Sample(Tensor(img), label, f"synth/{name}/{shift}/{seed}/{i}")
+
+    return draw()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 """Confusion matrices, macro-averaged metrics, model comparison tables,
 and attention-map export.
 
+Evaluation streams: ``tally`` classifies one batch of ``PREDICT_CHUNK``
+images at a time with every net it is given and adds each batch into the
+confusion counts, so memory does not grow with the image count when the
+batches are decoded as they are taken (``Listing.batches``, which the
+``eval`` and ``compare`` commands use). ``evaluate`` and ``predict`` run
+the same loop over a loaded ``Dataset``.
+
 Metrics follow the one-vs-rest reading of a K-class confusion matrix
 (rows = true class, columns = predicted class): accuracy is trace over
 total, sensitivity macro-averages TP/(TP+FN), specificity macro-averages
@@ -12,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,24 +92,43 @@ def metrics(counts: np.ndarray) -> MetricsReport:
 
 PREDICT_CHUNK = 4  # images per forward pass; larger chunks ran slower
 
+Batches = Iterable[tuple[Tensor, np.ndarray]]
+
+
+def _predictions(nets: list[JointNetwork],
+                 batches: Batches) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """The predict loop: for each (images, labels) batch, its labels and
+    each net's classifier-path argmax. The batches come from
+    ``Dataset.batches`` or, decoded as they are taken, from
+    ``Listing.batches``; every net sees a batch before the next is taken."""
+    for images, labels in batches:
+        yield labels, [forward_backbone(net, images).data.argmax(axis=1) for net in nets]
+
 
 def predict(net: JointNetwork, dataset: Dataset) -> list[int]:
     """Classifier-path argmax for every sample, in dataset order, one
     forward pass per chunk of ``PREDICT_CHUNK`` images."""
     labels: list[int] = []
-    n = len(dataset)
-    for start in range(0, n, PREDICT_CHUNK):
-        images, _ = dataset.batch(range(start, min(start + PREDICT_CHUNK, n)))
-        labels += forward_backbone(net, images).data.argmax(axis=1).tolist()
+    for _, (predicted,) in _predictions([net], dataset.batches(PREDICT_CHUNK)):
+        labels += predicted.tolist()
     return labels
+
+
+def tally(nets: list[JointNetwork], batches: Batches, n_classes: int) -> list[np.ndarray]:
+    """Each net's confusion counts over ``batches``, added up batch by
+    batch, so a batch is freed once every net has classified it."""
+    counts = [np.zeros((n_classes, n_classes), dtype=np.int64) for _ in nets]
+    for labels, predicted in _predictions(nets, batches):
+        for total, p in zip(counts, predicted):
+            total += confusion(labels, p, n_classes)
+    return counts
 
 
 def evaluate(net: JointNetwork, dataset: Dataset) -> tuple[np.ndarray, MetricsReport]:
     """The confusion counts of ``predict`` on ``dataset`` and their metrics."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    counts = confusion([s.label for s in dataset.samples], predict(net, dataset),
-                       net.config.n_classes)
+    (counts,) = tally([net], dataset.batches(PREDICT_CHUNK), net.config.n_classes)
     return counts, metrics(counts)
 
 

@@ -38,7 +38,29 @@ def parse_kv(text: str, source: str = "config") -> dict[str, str]:
 
 
 def format_kv(pairs: Iterable[tuple[str, object]]) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in pairs)
+    """The pairs as text that ``parse_kv`` reads back as written, values as
+    ``str(value)``. A pair it would read back otherwise is a ``ConfigError``
+    naming the key: a key that is empty, repeated, or holds ``=``, and a
+    key or value that holds ``#`` or a line break or has whitespace at
+    either end."""
+    lines: list[str] = []
+    seen: set[str] = set()
+    for key, value in pairs:
+        value = str(value)
+        if key in seen:
+            raise ConfigError(f"cannot write key {key!r} twice")
+        if not key or "=" in key or not (_inline(key) and _inline(value)):
+            raise ConfigError(f"cannot write key {key!r} with value {value!r}: "
+                              f"it would not read back as written")
+        seen.add(key)
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+def _inline(text: str) -> bool:
+    """Whether ``text`` reads back whole between a line's ``=`` and its end:
+    no comment mark, no line break, nothing that ``strip`` removes."""
+    return "#" not in text and len(text.splitlines()) <= 1 and text == text.strip()
 
 
 def record_pairs(record) -> list[tuple[str, object]]:

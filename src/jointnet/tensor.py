@@ -177,12 +177,18 @@ def _needs_grad(t: Tensor) -> bool:
 def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
     """Reverse-traverse the tape from a scalar seed, consuming it.
 
-    Each node is popped off ``tape.nodes`` before its closure runs, so the
-    closure, its saved arrays and the node's hold on its input and output
-    tensors are released as soon as that node's gradients exist. The tape is
-    empty afterwards, and a second call on it raises ``ValueError``. The
-    id-keyed gradient table stays sound while tensors are freed: the pass
-    creates no Tensor, so no id is reused by a tensor it looks up.
+    Each array is freed after its last reader. A node is popped off
+    ``tape.nodes`` and dropped before its closure runs, so its output dies
+    then unless the closure keeps it; the closure and what it saved die
+    before the next closure runs. The closure gets the only
+    reference to its output gradient, so a rule may free ``g`` once it has
+    read it (the conv rule does, once ``g`` is in its gradient grid), and
+    an input gradient that is summed into an earlier one dies at once. So
+    while a rule runs, the pass holds only the table and the nodes still
+    ahead. The tape is empty afterwards, and a second call on it raises
+    ``ValueError``. The id-keyed gradient table stays sound while tensors
+    are freed: the pass creates no Tensor, so no id is reused by a tensor
+    it looks up.
 
     Returns dLoss/dParam for every watched parameter as the accumulated
     array itself; parameters unreachable from the seed get exact zeros of
@@ -199,20 +205,26 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
     grads: dict[int, Array] = {id(seed): np.ones(())}
     while nodes:
         node = nodes.pop()
-        out_grad = grads.pop(id(node.output), None)
-        if out_grad is None:
+        key = id(node.output)
+        if key not in grads:
             continue
-        input_grads = node.backward(out_grad)
-        for tensor, grad in zip(node.inputs, input_grads):
-            if grad is None:
-                continue
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + grad
-            else:
-                grads[key] = grad
+        keys, rule = [id(t) for t in node.inputs], node.backward
+        # the rule gets the only reference to its output gradient, and
+        # neither the node nor its output outlives this line unless the
+        # rule itself keeps them
+        del node
+        _accumulate(grads, keys, rule(grads.pop(key)))
     return {p: grads[id(p)] if id(p) in grads else np.zeros(p.shape)
             for p in tape._watched.values()}
+
+
+def _accumulate(grads: dict[int, Array], keys: list[int],
+                input_grads: tuple[Array | None, ...]) -> None:
+    """Add one node's input gradients into the table. A gradient that is
+    summed into an existing entry dies when this returns."""
+    for key, grad in zip(keys, input_grads):
+        if grad is not None:
+            grads[key] = grads[key] + grad if key in grads else grad
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +238,20 @@ def _batched(x: Tensor, trailing: int) -> Array:
 
 
 def _conv_taps(op: str, x: Tensor, kernel: Tensor,
-               bias: Tensor) -> tuple[Array, Callable[[Array], tuple]]:
+               bias: Tensor) -> tuple[Array, Callable, Callable]:
     """The tap GEMMs of a stride-1, same-padded 2-D cross-correlation of
     ``x`` [..., C,H,W] with ``kernel`` [C_out,C_in,kH,kW] (odd kH and kW),
     and its backward rule; ``conv2d`` and ``fuse_skip`` differ only in the
     output pass they run over the result.
 
-    Returns ``(blocks, conv_backward)``. ``blocks`` is a read-only
+    Returns ``(blocks, to_grid, conv_backward)``. ``blocks`` is a read-only
     [C_out, N, H, W] view of the tap sums, without the bias, where N folds
-    the leading axes of ``x``. ``conv_backward(g)`` maps the gradient of
-    ``blocks + bias`` (shape [..., C_out,H,W], any layout) to
-    ``(dx, dkernel, dbias)``.
+    the leading axes of ``x``. The backward rule takes two calls:
+    ``to_grid(g)`` copies the gradient of ``blocks + bias`` (shape
+    [..., C_out,H,W], any layout) into the gradient grid below and sums the
+    bias gradient, and ``conv_backward(*to_grid(g))`` returns
+    ``(dx, dkernel, dbias)``. Between them the caller drops ``g``, so ``g``
+    is not held while the grid and the GEMMs are.
 
     Each kernel tap is one GEMM over the whole batch. The input is copied,
     channel-major, at offset (kH//2, kW//2) into a zero-filled
@@ -313,13 +328,16 @@ def _conv_taps(op: str, x: Tensor, kernel: Tensor,
         acc, (c_out, n, h, w), (span * step, hp * wp * step, wp * step, step),
         writeable=False)
 
-    def conv_backward(g: Array):
+    def to_grid(g: Array) -> tuple[Array, Array]:
         gb = g.reshape(-1, c_out, h, w)
         db = gb.sum(axis=(0, 2, 3))
         # the gradient grid behind reach zero columns, which the dx taps
         # read before its start
         gpad = np.zeros((c_out, reach + cells))
         gpad[:, reach:].reshape(c_out, n, hp, wp)[:, :, :h, :w] = gb.transpose(1, 0, 2, 3)
+        return gpad, db
+
+    def conv_backward(gpad: Array, db: Array):
         gflat = gpad[:, reach:reach + span]
         flat = padded_flat()
         dk = np.empty_like(kdata)
@@ -341,7 +359,7 @@ def _conv_taps(op: str, x: Tensor, kernel: Tensor,
               .transpose(1, 0, 2, 3).reshape(x.shape))
         return dx, dk, db
 
-    return blocks, conv_backward
+    return blocks, to_grid, conv_backward
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
@@ -359,8 +377,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
 
     With the relu, backward first masks ``g`` by ``out > 0``: the output
     is positive exactly where the pre-relu value was, so no mask is kept.
+    ``g`` is dropped once it is in the gradient grid.
     """
-    blocks, conv_backward = _conv_taps("conv2d", x, kernel, bias)
+    blocks, to_grid, conv_backward = _conv_taps("conv2d", x, kernel, bias)
     c_out, _, h, w = blocks.shape
     out_data = blocks + bias.data[:, None, None, None]
     del blocks
@@ -371,7 +390,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     def backward_fn(g: Array):
         if relu:
             g = g * (out.data > 0)
-        return conv_backward(g)
+        grid = to_grid(g)
+        del g
+        return conv_backward(*grid)
 
     record("conv2d", (x, kernel, bias), out, backward_fn)
     return out
@@ -472,11 +493,12 @@ def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     The output pass writes the tap sums plus the bias into the fresh
     output array and then adds ``x`` into its four stride-2 views, so
     neither the conv output nor the upsampled map exists as an array, and
-    the tape holds neither. Backward runs the conv's backward rule on ``g``
-    first and then the upsample's replica sum for ``x``, so the gradient of
-    ``x`` is not held while the conv's gradient grids are.
+    the tape holds neither. Backward takes the upsample's replica sum for
+    ``x`` first, a quarter of ``g``'s size, and copies ``g`` into the
+    conv's gradient grid; ``g`` is then dropped before the conv's GEMMs
+    run, so ``g`` and the grid are not both held through them.
     """
-    blocks, conv_backward = _conv_taps("fuse_skip", skip, kernel, bias)
+    blocks, to_grid, conv_backward = _conv_taps("fuse_skip", skip, kernel, bias)
     c_out, _, h, w = blocks.shape
     if h % 2 or w % 2 or x.shape != skip.shape[:-3] + (c_out, h // 2, w // 2):
         raise ValueError(
@@ -491,8 +513,11 @@ def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     out = Tensor(fused)
 
     def backward_fn(g: Array):
-        dskip, dk, db = conv_backward(g)
-        return dskip, _replica_sum(g, x.shape), dk, db
+        dx = _replica_sum(g, x.shape)
+        grid = to_grid(g)
+        del g
+        dskip, dk, db = conv_backward(*grid)
+        return dskip, dx, dk, db
 
     record("fuse_skip", (skip, x, kernel, bias), out, backward_fn)
     return out

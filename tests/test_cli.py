@@ -16,12 +16,13 @@ import pytest
 import jointnet.cli
 import jointnet.data
 import jointnet.fileio
-from jointnet import (Checkpoint, build, compare_report, evaluate,
+from jointnet import (ArchConfig, Checkpoint, build, compare_report, evaluate,
                       load_checkpoint, load_directory, read_netpbm,
-                      save_checkpoint, to_network)
+                      render_metrics_kv, save_checkpoint, to_network, write_pgm)
 from jointnet.cli import main
 from jointnet.gradcheck import GradcheckResult
 
+from peaks import traced_peak
 from test_checkpoint import replace_header_line, version_1_bytes
 from test_fileio import fail_midway, leftovers, pipe_reader
 
@@ -38,6 +39,10 @@ batch_size = 4
 lr = 0.001
 seed = 0
 """
+
+
+def succeeds(argv) -> None:
+    assert main(argv) == 0, argv
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,16 @@ class TestSynth:
         pixels, maxval = read_netpbm(out / "AMD" / "amd_0000.pgm")
         assert pixels.shape == (1, 16, 16)
         assert maxval == 255
+
+    def test_peak_does_not_grow_with_the_image_count(self, tmp_path, capsys):
+        """Each image is written as soon as it is drawn: at 128 px wild,
+        6 per class peaked within 2 KB of 1 per class (0.68 MB), where
+        holding every image until the write read 0.79 and 2.76 MB."""
+        peaks = [traced_peak(lambda: succeeds(["synth", "--out", str(tmp_path / str(n)),
+                                               "--per-class", str(n), "--size", "128",
+                                               "--shift", "wild"]))
+                 for n in (1, 6)]
+        assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
     @pytest.mark.parametrize("shift", ["none", "wild"])
     def test_same_files_as_the_three_channel_dataset(self, tmp_path, shift):
@@ -233,6 +248,11 @@ class TestEval:
         assert "deep.ckpt: invalid architecture in header" in capsys.readouterr().err
 
     def test_oversized_ascii_header_exits_2(self, workspace, tmp_path, capsys):
+        # three classes, as the model expects: a class count that differs
+        # exits 1 before any image is decoded
+        for name in ("DME", "NORMAL"):
+            (tmp_path / "data" / name).mkdir(parents=True)
+            write_pgm(tmp_path / "data" / name / "ok.pgm", np.zeros((16, 16)), 255)
         amd = tmp_path / "data" / "AMD"
         amd.mkdir(parents=True)
         (amd / "huge.pgm").write_bytes(b"P2 2000000000 2000000000 255\n0\n")
@@ -240,6 +260,94 @@ class TestEval:
                      "--data", str(tmp_path / "data"),
                      "--report", str(tmp_path / "r.txt")]) == 2
         assert "huge.pgm" in capsys.readouterr().err
+
+    def test_class_count_is_checked_before_any_image_is_decoded(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        for name in ("AMD", "DME"):
+            (tmp_path / "data" / name).mkdir(parents=True)
+            write_pgm(tmp_path / "data" / name / "x.pgm", np.zeros((16, 16)), 255)
+        monkeypatch.setattr(jointnet.data, "read_netpbm", None)  # any decode fails
+        assert main(["eval", "--model", str(workspace["model"]),
+                     "--data", str(tmp_path / "data"),
+                     "--report", str(tmp_path / "r.txt")]) == 1
+        assert "has 2 classes (AMD, DME) but the model expects 3" in capsys.readouterr().err
+
+    def test_data_path_that_would_not_read_back_exits_1(self, workspace, tmp_path, capsys):
+        """A report line ``data = runs/#3`` would read back as ``runs/``."""
+        data = tmp_path / "runs" / "#3"
+        data.parent.mkdir()
+        data.symlink_to(workspace["data"])
+        report = tmp_path / "r.txt"
+        assert main(["eval", "--model", str(workspace["model"]), "--data", str(data),
+                     "--report", str(report)]) == 1
+        assert "key 'data'" in capsys.readouterr().err
+        assert not report.exists()
+
+
+# Eval and compare stream their images, so their traced peak is the same
+# (within this margin, the listing of the files) on 96 images as on 12:
+# 1.42 and 1.45 MB for eval, 1.60 and 1.62 MB for compare at the recipe.
+# Decoding every image first read 1.72 and 3.81 MB for eval, 1.81 and
+# 3.90 MB for compare.
+STREAM_MARGIN = 64 * 1024
+
+
+@pytest.fixture(scope="module")
+def recipe_sets(tmp_path_factory):
+    """Two untrained recipe checkpoints (32 px, 3 channels, 2 stages, base
+    width 8) and 32 px sets of 12 and 96 images."""
+    root = tmp_path_factory.mktemp("stream")
+    arch = ArchConfig(n_stages=2, input_size=32, base_channels=8)
+    models = []
+    for seed in (0, 1):
+        net = build(arch, seed=seed)
+        models.append(root / f"m{seed}.ckpt")
+        save_checkpoint(Checkpoint(arch, {name: p.data for name, p in net.params.items()},
+                                   1, 0.5), models[-1])
+    sets = {}
+    for per_class in (4, 32):
+        sets[3 * per_class] = root / f"data{3 * per_class}"
+        assert main(["synth", "--out", str(sets[3 * per_class]), "--per-class",
+                     str(per_class), "--size", "32", "--seed", "3"]) == 0
+    return {"root": root, "models": models, "sets": sets}
+
+
+class TestStreaming:
+    @staticmethod
+    def _eval(recipe_sets, n):
+        return ["eval", "--model", str(recipe_sets["models"][0]),
+                "--data", str(recipe_sets["sets"][n]),
+                "--report", str(recipe_sets["root"] / f"eval{n}.txt")]
+
+    @staticmethod
+    def _compare(recipe_sets, n):
+        a, b = recipe_sets["models"]
+        return ["compare", "--model-a", str(a), "--model-b", str(b),
+                "--data", str(recipe_sets["sets"][n]),
+                "--report", str(recipe_sets["root"] / f"compare{n}.txt")]
+
+    @pytest.mark.parametrize("command", ["_eval", "_compare"])
+    def test_peak_does_not_grow_with_the_image_count(self, recipe_sets, capsys, command):
+        argv = getattr(self, command)
+        peaks = {n: traced_peak(lambda: succeeds(argv(recipe_sets, n))) for n in (12, 96)}
+        assert peaks[96] - peaks[12] <= STREAM_MARGIN, peaks
+
+    @pytest.mark.parametrize("n", [12, 96])
+    def test_reports_match_evaluating_the_loaded_set(self, recipe_sets, capsys, n):
+        succeeds(self._eval(recipe_sets, n))
+        succeeds(self._compare(recipe_sets, n))
+        dataset = load_directory(recipe_sets["sets"][n], 32, 3)
+        reports = []
+        for model in recipe_sets["models"]:
+            counts, report = evaluate(to_network(load_checkpoint(model)), dataset)
+            reports.append(report)
+            if model == recipe_sets["models"][0]:
+                want = render_metrics_kv(counts, report, dataset.class_names,
+                                         extra=[("model", str(model)),
+                                                ("data", str(recipe_sets["sets"][n]))])
+                assert (recipe_sets["root"] / f"eval{n}.txt").read_text() == want
+        assert ((recipe_sets["root"] / f"compare{n}.txt").read_text()
+                == compare_report("m0", reports[0], "m1", reports[1]))
 
 
 class TestCompare:

@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jointnet import ConfigError, RunConfig, parse_config, parse_config_text
 from jointnet.kvio import format_kv, parse_kv
@@ -28,6 +30,43 @@ class TestKvLines:
     def test_format_round_trips(self):
         pairs = [("alpha", 1), ("beta", "x y")]
         assert parse_kv(format_kv(pairs)) == {"alpha": "1", "beta": "x y"}
+
+    @pytest.mark.parametrize("pairs, key", [
+        ([("model", "runs/#3/m.ckpt")], "model"),
+        ([("class.A=B.sensitivity", "1.0")], "class.A=B.sensitivity"),
+        ([("data", "runs/a\nb = 1")], "data"),
+        ([("data", "ends in a space ")], "data"),
+        ([(" padded", "1")], " padded"),
+        ([("", "1")], ""),
+        ([("a", 1), ("a", 2)], "a"),
+    ])
+    def test_format_refuses_a_pair_that_would_not_read_back(self, pairs, key):
+        with pytest.raises(ConfigError, match=f"key {key!r}"):
+            format_kv(pairs)
+
+    # characters that end a line, start a comment, split a pair or are stripped
+    _TRICKY = st.sampled_from("ab=# \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028")
+    _TEXT = st.text(_TRICKY | st.characters(), max_size=5)
+
+    @given(st.lists(st.tuples(st.text(st.sampled_from("ab=# \n"), max_size=3) | _TEXT,
+                              _TEXT), max_size=4))
+    @example([("model", "runs/#3/m.ckpt"), ("class.A=B.sensitivity", "1.0")])
+    def test_format_accepts_exactly_the_pairs_that_read_back(self, pairs):
+        """A pair list is accepted exactly when its lines, written plainly,
+        read back as the same pairs in the same order; what is accepted
+        reads back as written, and what is not raises ``ConfigError``."""
+        plain = "".join(f"{key} = {value}\n" for key, value in pairs)
+        try:
+            reads_back = list(parse_kv(plain).items()) == pairs
+        except ConfigError:
+            reads_back = False
+        if reads_back:
+            text = format_kv(pairs)
+            assert text == plain
+            assert list(parse_kv(text).items()) == pairs
+        else:
+            with pytest.raises(ConfigError):
+                format_kv(pairs)
 
 
 class TestParseConfig:

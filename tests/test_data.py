@@ -7,7 +7,8 @@ from jointnet import (ConfigError, DataError, Tensor, load_directory,
                       load_image, read_netpbm, stratified_folds,
                       synth_generate, write_dataset, write_pgm)
 from jointnet.data import (CLASS_NAMES, Dataset, Sample, _axis_coords,
-                           _gather, _interpolate)
+                           _gather, _interpolate, list_directory, synth_samples,
+                           write_samples)
 
 import image_oracles as parent
 
@@ -119,6 +120,22 @@ class TestLoadDirectory:
     def test_no_class_dirs_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no class"):
             load_directory(tmp_path, 8)
+
+    def test_listing_batches_are_the_loaded_batches(self, tmp_path):
+        """Decoding chunk by chunk gives each chunk's images and labels with
+        the bits ``Dataset.batches`` stacks from the loaded set."""
+        self._make_tree(tmp_path, n=3)
+        listing = list_directory(tmp_path)
+        loaded = load_directory(tmp_path, 8, channels=3)
+        assert listing.class_names == loaded.class_names
+        assert [str(f) for f, _ in listing.files] == [s.source_id for s in loaded.samples]
+        streamed, batched = list(listing.batches(8, 3, 4)), list(loaded.batches(4))
+        assert [len(labels) for _, labels in streamed] == [4, 4, 1]
+        for (images, labels), (want_images, want_labels) in zip(streamed, batched,
+                                                                 strict=True):
+            assert images.data.tobytes() == want_images.data.tobytes()
+            assert images.shape == want_images.shape
+            assert labels.tolist() == want_labels.tolist()
 
     def test_pure_function_of_contents(self, tmp_path):
         self._make_tree(tmp_path)
@@ -247,6 +264,22 @@ class TestWriteDataset:
         # 8-bit quantization bounds the roundtrip error
         for orig, back in zip(ds.samples, loaded.samples):
             assert np.abs(orig.image.data - back.image.data).max() <= 0.5 / 255 + 1e-9
+
+
+    def test_drawn_samples_write_the_generated_dataset(self, tmp_path):
+        """Written as they are drawn, the samples give the files of the
+        whole generated dataset."""
+        want = write_dataset(synth_generate(2, 20, "wild", seed=6), tmp_path / "whole")
+        got = write_samples(synth_samples(2, 20, "wild", seed=6), list(CLASS_NAMES),
+                            tmp_path / "drawn")
+        assert [p.relative_to(tmp_path / "drawn") for p in got] == [
+            p.relative_to(tmp_path / "whole") for p in want]
+        for mine, theirs in zip(got, want):
+            assert mine.read_bytes() == theirs.read_bytes()
+
+    def test_arguments_checked_before_the_first_draw(self):
+        with pytest.raises(ConfigError, match="n_per_class"):
+            synth_samples(0, 16)
 
 
 class TestBatch:

@@ -7,6 +7,7 @@ from jointnet import (ArchConfig, MetricsReport, Tensor, build, compare_report,
                       confusion, evaluate, export_attention, metrics, predict,
                       read_netpbm, render_metrics_kv)
 from jointnet.data import Dataset, Sample
+from jointnet.evaluation import tally
 from jointnet.kvio import parse_kv
 
 
@@ -148,6 +149,19 @@ class TestPredictEvaluate:
         cm, report = evaluate(net, ds)
         assert cm.sum() == 10
         assert report.accuracy == np.trace(cm) / 10
+
+    def test_tally_counts_each_net_as_predict_does(self):
+        """One pass over the batches gives every net the counts of its own
+        predictions; batches of 3 split the 10 samples unevenly."""
+        arch = ArchConfig(n_stages=1, input_channels=1, input_size=16,
+                          base_channels=2)
+        nets = [build(arch, seed=s) for s in (1, 2)]
+        ds = self._dataset(arch, n=10, seed=3)
+        counts = tally(nets, ds.batches(3), arch.n_classes)
+        for net, got in zip(nets, counts, strict=True):
+            want = confusion(ds.labels(), predict(net, ds), arch.n_classes)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, evaluate(net, ds)[0])
 
 
 class TestRenderKv:

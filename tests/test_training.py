@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from jointnet import (Adam, ArchConfig, ConfigError, NumericError,
                       forward_joint, kfold_train, mse, scale, train)
 from jointnet.data import Dataset, Sample
 from jointnet.training import LR_FLOOR, _batch_losses
+
+from peaks import traced_peak, traced_peaks
 
 TINY_ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16,
                        base_channels=2, n_classes=3)
@@ -295,12 +296,13 @@ class TestBatchedStep:
         assert calls["untaped"] == [4, 2] * 2
 
 
-# The traced peak of one recipe joint step, tape and backward: 3.18 MiB with
-# one fuse_skip node per decoder stage; with a conv2d, an upsample2x2 and an
-# add per stage, 3.57 MiB, and 4.84 MiB when the tape also held every
-# activation until the pass ended. The bound keeps the headroom that its
-# earlier 4.3 MiB had over 3.57 MiB.
-STEP_PEAK_BOUND = int(3.83 * 2**20)
+# The traced peak of one recipe joint step, tape and backward: 2.43 MiB, the
+# forward pass's own peak, when backward frees each array after its last
+# reader; 3.18 MiB when backward held each node, its output gradient and
+# the previous node's input gradients through the next rule (3.57 MiB with
+# a conv2d, an upsample2x2 and an add per decoder stage, and 4.84 MiB when
+# the tape also held every activation until the pass ended).
+STEP_PEAK_BOUND = int(2.5 * 2**20)
 # The arrays a recipe joint tape holds once its forward pass and loss are
 # recorded: 1.88 MiB with fused decoder stages, 3.13 MiB when each stage
 # also kept its conv output and its upsampled map.
@@ -361,21 +363,21 @@ class TestStepMemory:
 
     def test_recipe_joint_step_peak(self):
         """One training step at the recipe (batch 4, 32 px, 2 stages, base
-        width 8, phi 0.5) stays under a bound that a tape holding every
-        activation through backward exceeds."""
+        width 8, phi 0.5) stays under a bound that a backward holding each
+        node and gradient past its last reader exceeds."""
         _, record = self._recipe()
-
-        def step():
-            return backward(*record())
-
-        step()  # a first call fills numpy's lazy caches
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: backward(*record()))
         assert peak <= STEP_PEAK_BOUND, f"one joint step peaked at {peak} bytes"
+
+    def test_recipe_joint_backward_peaks_below_its_forward_pass(self):
+        """Backward frees each map and gradient after its last reader, so a
+        recipe joint step's backward pass (counting the tape it consumes)
+        peaks no higher than the forward pass and loss that recorded the
+        tape: 2.31 against 2.43 MiB. Holding each node, its output gradient
+        and the previous input gradients through the next rule read 3.18."""
+        _, record = self._recipe()
+        forward, back = traced_peaks(record, lambda recorded: backward(*recorded))
+        assert back <= forward, f"backward peaked at {back} bytes, forward at {forward}"
 
     def test_recipe_joint_tape_holds_no_intermediate_map(self):
         """After the forward pass and the loss, a recipe joint tape has 20
