@@ -202,16 +202,12 @@ def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dat
                     for f, label in listing.files], listing.class_names)
 
 
-def write_dataset(dataset: Dataset, out_dir: str | Path) -> list[Path]:
-    """Write each sample's first channel as an 8-bit PGM under
-    ``out_dir/<class>/``; suitable for reloading with ``load_directory``."""
-    return write_samples(dataset.samples, dataset.class_names, out_dir)
-
-
 def write_samples(samples: Iterable[Sample], class_names: list[str],
                   out_dir: str | Path) -> list[Path]:
-    """``write_dataset`` over samples that may be drawn as they are
-    written: each is written before the next is taken."""
+    """Write each sample's first channel as an 8-bit PGM under
+    ``out_dir/<class>/``, suitable for reloading with ``load_directory``.
+    The samples may be drawn as they are written: each is written before
+    the next is taken."""
     out_dir = Path(out_dir)
     counters = [0] * len(class_names)
     paths: list[Path] = []

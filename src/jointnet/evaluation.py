@@ -5,8 +5,8 @@ Evaluation streams: ``tally`` classifies one batch of ``PREDICT_CHUNK``
 images at a time with every net it is given and adds each batch into the
 confusion counts, so memory does not grow with the image count when the
 batches are decoded as they are taken (``Listing.batches``, which the
-``eval`` and ``compare`` commands use). ``evaluate`` and ``predict`` run
-the same loop over a loaded ``Dataset``.
+``eval`` and ``compare`` commands use). ``evaluate`` runs the same loop
+over a loaded ``Dataset``.
 
 Metrics follow the one-vs-rest reading of a K-class confusion matrix
 (rows = true class, columns = predicted class): accuracy is trace over
@@ -105,15 +105,6 @@ def _predictions(nets: list[JointNetwork],
         yield labels, [forward_backbone(net, images).data.argmax(axis=1) for net in nets]
 
 
-def predict(net: JointNetwork, dataset: Dataset) -> list[int]:
-    """Classifier-path argmax for every sample, in dataset order, one
-    forward pass per chunk of ``PREDICT_CHUNK`` images."""
-    labels: list[int] = []
-    for _, (predicted,) in _predictions([net], dataset.batches(PREDICT_CHUNK)):
-        labels += predicted.tolist()
-    return labels
-
-
 def tally(nets: list[JointNetwork], batches: Batches, n_classes: int) -> list[np.ndarray]:
     """Each net's confusion counts over ``batches``, added up batch by
     batch, so a batch is freed once every net has classified it."""
@@ -125,7 +116,8 @@ def tally(nets: list[JointNetwork], batches: Batches, n_classes: int) -> list[np
 
 
 def evaluate(net: JointNetwork, dataset: Dataset) -> tuple[np.ndarray, MetricsReport]:
-    """The confusion counts of ``predict`` on ``dataset`` and their metrics."""
+    """The confusion counts of the classifier path on ``dataset``, one
+    forward pass per chunk of ``PREDICT_CHUNK`` images, and their metrics."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     (counts,) = tally([net], dataset.batches(PREDICT_CHUNK), net.config.n_classes)

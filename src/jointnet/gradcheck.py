@@ -92,8 +92,7 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
     from . import training
     from .network import ArchConfig, build
     from .tensor import (add, conv2d, dense, fuse_skip, global_avg_pool,
-                         maxpool2x2, scale, sigmoid, softmax, tensor_sum,
-                         upsample2x2)
+                         maxpool2x2, scale, sigmoid, softmax, tensor_sum)
 
     rng = make_rng(seed, GRADCHECK)
 
@@ -112,11 +111,6 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
         "maxpool2x2",
         lambda p: tensor_sum(maxpool2x2(p["x"])),
         {"x": t(2, 4, 4)},
-    ))
-    checks.append((
-        "upsample2x2",
-        lambda p: tensor_sum(sigmoid(upsample2x2(p["x"]))),
-        {"x": t(2, 3, 3)},
     ))
     x_dense = t(4)
     checks.append((
@@ -189,11 +183,6 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
         "maxpool2x2_batch2",
         lambda p: tensor_sum(maxpool2x2(p["x"])),
         {"x": t(2, 2, 4, 4)},
-    ))
-    checks.append((
-        "upsample2x2_batch2",
-        lambda p: tensor_sum(sigmoid(upsample2x2(p["x"]))),
-        {"x": t(2, 2, 3, 3)},
     ))
     xb_dense = t(2, 4)
     checks.append((

@@ -6,9 +6,9 @@ classifier head pools the bottleneck once more, global-average-pools, and
 ends in dense + softmax. The decoder starts from the bottleneck and, per
 stage, fuses a 3x3-convolved encoder skip with the 2x upsampled previous
 decoder map; a final 1x1 conv + sigmoid produces the reconstruction. Each
-stage is one ``fuse_skip`` op, ``add(conv2d(skip), upsample2x2(x))`` bit
-for bit, whose tape node keeps neither the conv output nor the upsampled
-map: a recipe joint forward pass and loss record 20 nodes.
+stage is one ``fuse_skip`` op, the skip conv plus the upsampled map in
+one output pass, whose tape node keeps neither the conv output nor the
+upsampled map: a recipe joint forward pass and loss record 20 nodes.
 
 Spatial bookkeeping for input size S: stage k emits its skip at
 S / 2^(k-1); the bottleneck sits at S / 2^n; decoder map i lives at
@@ -97,10 +97,6 @@ def parameter_specs(config: ArchConfig) -> list[tuple[str, tuple[int, ...]]]:
         conv_spec(f"dec{i}.skip", cb, skip_channels, 3)
     conv_spec("recon.conv", config.input_channels, cb, 1)
     return specs
-
-
-def parameter_count(config: ArchConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in parameter_specs(config))
 
 
 class JointNetwork:

@@ -17,11 +17,11 @@ The relu is fused into the convolution, not a primitive of its own:
 pass, and its backward masks ``g`` by ``out > 0``. The mask is taken from
 the output, which is positive exactly where the pre-relu value was, so
 the node keeps no mask array. A decoder stage is one op too:
-``fuse_skip(skip, x, kernel, bias)`` is ``add(conv2d(skip, kernel, bias),
-upsample2x2(x))`` in one output pass and one node, so neither the conv
-output nor the upsampled map is made or held. ``conv2d`` and
-``fuse_skip`` share their tap GEMMs and backward rule (``_conv_taps``),
-and ``upsample2x2`` and ``fuse_skip`` their replica sum.
+``fuse_skip(skip, x, kernel, bias)`` is ``conv2d(skip, kernel, bias)``
+plus the nearest-neighbor 2x upsampling of ``x``, in one output pass and
+one node, so neither the conv output nor the upsampled map is made or
+held. ``conv2d`` and ``fuse_skip`` share their tap GEMMs and backward
+rule (``_conv_taps``); the upsampling's gradient is ``_replica_sum``.
 
 Gradients flow only where they can reach a parameter, and two places skip
 one. The tape tracks the watched parameters and every op output computed
@@ -460,35 +460,12 @@ def _replica_sum(g: Array, shape: tuple[int, ...]) -> Array:
     return dx
 
 
-def upsample2x2(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsampling of [..., C,H,W]; backward sums the
-    four replicas (``_replica_sum``).
-
-    Forward assigns ``x`` into the four stride-2 views of one array. The
-    gradient is C-ordered, and that matters downstream: ``conv2d``'s bias
-    gradient sums in an order that follows the layout of its ``g``.
-    """
-    if x.ndim < 3:
-        raise ValueError(f"upsample2x2 expects [..., C,H,W], got {x.shape}")
-    h, w = x.shape[-2:]
-    up = np.empty(x.shape[:-2] + (2 * h, 2 * w))
-    for i, j in _WINDOW:
-        up[..., i::2, j::2] = x.data
-    out = Tensor(up)
-
-    def backward_fn(g: Array):
-        return (_replica_sum(g, x.shape),)
-
-    record("upsample2x2", (x,), out, backward_fn)
-    return out
-
-
 def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """One decoder stage: ``add(conv2d(skip, kernel, bias), upsample2x2(x))``
-    bit for bit, as one op and one tape node. ``skip`` is [..., C,H,W] and
-    ``x`` is [..., C_out, H/2, W/2] with the same leading (batch) axes; the
-    output is a C-ordered [..., C_out,H,W] array, the layout ``add``
-    returns.
+    """One decoder stage: ``conv2d(skip, kernel, bias)`` plus the
+    nearest-neighbor 2x upsampling of ``x``, as one op and one tape node.
+    ``skip`` is [..., C,H,W] and ``x`` is [..., C_out, H/2, W/2] with the
+    same leading (batch) axes; the output is a C-ordered [..., C_out,H,W]
+    array, the layout ``add`` returns.
 
     The output pass writes the tap sums plus the bias into the fresh
     output array and then adds ``x`` into its four stride-2 views, so

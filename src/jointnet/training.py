@@ -299,11 +299,9 @@ def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
 
         val_correct = 0
         val_sum = 0.0
-        for start in range(0, n_val, config.batch_size):
-            chunk = range(start, min(start + config.batch_size, n_val))
-            images, labels = val_set.batch(chunk)
+        for images, labels in val_set.batches(config.batch_size):
             loss, _, _, probs = _batch_losses(net, images, labels, config)
-            val_sum += float(loss.data) * len(chunk)
+            val_sum += float(loss.data) * len(labels)
             val_correct += int(np.sum(probs.data.argmax(axis=1) == labels))
         val_loss = val_sum / n_val
         val_accuracy = val_correct / n_val

@@ -90,8 +90,8 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--per-class", "3", "--size", "24",
                      "--shift", shift, "--seed", "4"]) == 0
         full = tmp_path / "full"
-        want = sorted(jointnet.data.write_dataset(
-            jointnet.data.synth_generate(3, 24, shift, 4, channels=3), full))
+        ds = jointnet.data.synth_generate(3, 24, shift, 4, channels=3)
+        want = sorted(jointnet.data.write_samples(ds.samples, ds.class_names, full))
         got = sorted(p for p in out.rglob("*") if p.is_file())
         assert [p.relative_to(out) for p in got] == [p.relative_to(full) for p in want]
         for mine, theirs in zip(got, want):

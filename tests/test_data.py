@@ -5,7 +5,7 @@ import pytest
 
 from jointnet import (ConfigError, DataError, Tensor, load_directory,
                       load_image, read_netpbm, stratified_folds,
-                      synth_generate, write_dataset, write_pgm)
+                      synth_generate, write_pgm)
 from jointnet.data import (CLASS_NAMES, Dataset, Sample, _axis_coords,
                            _gather, _interpolate, list_directory, synth_samples,
                            write_samples)
@@ -257,7 +257,7 @@ class TestSynth:
 class TestWriteDataset:
     def test_roundtrip_through_directory(self, tmp_path):
         ds = synth_generate(2, 16, seed=3)
-        write_dataset(ds, tmp_path)
+        write_samples(ds.samples, ds.class_names, tmp_path)
         loaded = load_directory(tmp_path, 16, channels=3)
         assert loaded.class_names == list(CLASS_NAMES)
         assert len(loaded) == 6
@@ -269,7 +269,8 @@ class TestWriteDataset:
     def test_drawn_samples_write_the_generated_dataset(self, tmp_path):
         """Written as they are drawn, the samples give the files of the
         whole generated dataset."""
-        want = write_dataset(synth_generate(2, 20, "wild", seed=6), tmp_path / "whole")
+        ds = synth_generate(2, 20, "wild", seed=6)
+        want = write_samples(ds.samples, ds.class_names, tmp_path / "whole")
         got = write_samples(synth_samples(2, 20, "wild", seed=6), list(CLASS_NAMES),
                             tmp_path / "drawn")
         assert [p.relative_to(tmp_path / "drawn") for p in got] == [

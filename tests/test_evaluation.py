@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from jointnet import (ArchConfig, MetricsReport, Tensor, build, compare_report,
-                      confusion, evaluate, export_attention, metrics, predict,
-                      read_netpbm, render_metrics_kv)
+                      confusion, evaluate, export_attention, forward_backbone,
+                      metrics, read_netpbm, render_metrics_kv)
 from jointnet.data import Dataset, Sample
-from jointnet.evaluation import tally
+from jointnet.evaluation import PREDICT_CHUNK, tally
 from jointnet.kvio import parse_kv
 
 
@@ -131,15 +131,19 @@ class TestPredictEvaluate:
                    for i in range(n)]
         return Dataset(samples, [f"c{c}" for c in range(arch.n_classes)])
 
-    def test_predict_matches_argmax(self):
+    def test_tally_matches_argmax(self):
+        """The chunked counts are those of each sample's classifier-path
+        argmax, and a second pass gives the same counts."""
         arch = ArchConfig(n_stages=1, input_channels=1, input_size=16,
                           base_channels=2)
         net = build(arch, seed=0)
         ds = self._dataset(arch)
-        preds = predict(net, ds)
-        assert len(preds) == len(ds)
-        assert all(0 <= p < arch.n_classes for p in preds)
-        assert preds == predict(net, ds)
+        (counts,) = tally([net], ds.batches(PREDICT_CHUNK), arch.n_classes)
+        assert counts.sum() == len(ds)
+        argmax = [int(forward_backbone(net, s.image).data.argmax()) for s in ds.samples]
+        np.testing.assert_array_equal(counts, confusion(ds.labels(), argmax, arch.n_classes))
+        np.testing.assert_array_equal(
+            counts, tally([net], ds.batches(PREDICT_CHUNK), arch.n_classes)[0])
 
     def test_evaluate_consistency(self):
         arch = ArchConfig(n_stages=1, input_channels=1, input_size=16,
@@ -150,7 +154,7 @@ class TestPredictEvaluate:
         assert cm.sum() == 10
         assert report.accuracy == np.trace(cm) / 10
 
-    def test_tally_counts_each_net_as_predict_does(self):
+    def test_tally_counts_each_net_as_evaluate_does(self):
         """One pass over the batches gives every net the counts of its own
         predictions; batches of 3 split the 10 samples unevenly."""
         arch = ArchConfig(n_stages=1, input_channels=1, input_size=16,
@@ -159,8 +163,6 @@ class TestPredictEvaluate:
         ds = self._dataset(arch, n=10, seed=3)
         counts = tally(nets, ds.batches(3), arch.n_classes)
         for net, got in zip(nets, counts, strict=True):
-            want = confusion(ds.labels(), predict(net, ds), arch.n_classes)
-            np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(got, evaluate(net, ds)[0])
 
 

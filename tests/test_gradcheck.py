@@ -85,7 +85,7 @@ class TestBattery:
         """Each stock primitive and the joint network are also checked on a
         leading batch axis of 2 (the pass/fail runs with the battery)."""
         names = {name for name, _, _ in standard_battery(seed=0)}
-        for case in ("conv2d_same", "maxpool2x2", "upsample2x2", "fuse_skip",
+        for case in ("conv2d_same", "maxpool2x2", "fuse_skip",
                      "dense", "softmax_cross_entropy", "global_avg_pool",
                      "joint_16x16_2stage"):
             assert case in names and f"{case}_batch2" in names, case

@@ -8,7 +8,8 @@ The oracles below are the earlier implementations, kept verbatim: the
 reshape/argmax max pool, the reshape/sum upsample gradient, conv2d
 followed by a separate relu op, the sign-masked two-branch sigmoid, and
 the per-parameter Adam loop. ``fuse_skip`` is checked against the three
-ops it replaced, ``add(conv2d(...), upsample2x2(...))``. Equality is on the raw bytes, so a flipped
+ops it replaced, ``add(conv2d(...), upsample2x2(...))``, with the taped
+upsample kept in ``upsample_op``. Equality is on the raw bytes, so a flipped
 sign of zero or a changed summation order fails. The conv is also checked
 at every conv shape of the recipe network, where a GEMM run over other
 columns rounds differently.
@@ -23,8 +24,10 @@ import jointnet
 from jointnet import (Adam, ArchConfig, NumericError, Tape, Tensor, add,
                       backward, build, combined_loss, conv2d, cross_entropy,
                       forward_backbone, forward_joint, fuse_skip, maxpool2x2,
-                      mse, sigmoid, tensor_sum, upsample2x2)
+                      mse, sigmoid, tensor_sum)
 from jointnet.training import BETA1, BETA2, EPSILON
+
+from upsample_op import upsample2x2
 
 
 def assert_same_bits(actual, expected):

@@ -1,11 +1,13 @@
 """Architecture wiring: shapes, parameter bookkeeping, forward paths."""
 
+import math
+
 import numpy as np
 import pytest
 
 from jointnet import (ArchConfig, ConfigError, Tensor, build,
                       extract_attention, forward_backbone, forward_joint,
-                      parameter_count, parameter_specs)
+                      parameter_specs)
 
 
 def _image(arch: ArchConfig, seed: int = 0) -> Tensor:
@@ -49,7 +51,7 @@ class TestParameters:
         arch = ArchConfig(base_channels=4)
         net = build(arch, seed=0)
         total = sum(p.size for p in net.params.values())
-        assert total == parameter_count(arch)
+        assert total == sum(math.prod(shape) for _, shape in parameter_specs(arch))
 
     # Each width makes numpy refuse one parameter before it touches memory:
     # more bytes than the address space, or more than numpy's size limit.
