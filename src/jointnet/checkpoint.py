@@ -1,19 +1,23 @@
-"""Binary checkpoint format (magic ``JANW``, version 2).
+"""Binary checkpoint format (magic ``JANW``, version 3).
 
 Layout, all integers little-endian:
 
 * 4-byte magic ``JANW``, then u8 format version.
 * u32 byte length + UTF-8 ``key = value`` block holding the architecture
-  dims (the fields of ``ArchConfig``, in declaration order), the epoch the
-  snapshot was taken at, and its validation loss (floats written via
-  ``repr`` so they round-trip bit-exactly).
+  dims (the fields of ``ArchConfig``, in declaration order), the payload
+  ``dtype`` (``float32`` or ``float64``), the epoch the snapshot was taken
+  at, and its validation loss (floats written via ``repr`` so they
+  round-trip bit-exactly).
 * u32 parameter tensor count, then one record per parameter in canonical
   order: u16 name length + UTF-8 name, u8 rank, u32 per-dim sizes,
-  float64 row-major payload. The last record ends the file.
+  row-major payload of little-endian ``dtype`` values (4 or 8 bytes
+  each). The last record ends the file.
 
-A checkpoint is the model: the optimizer state is not saved. Every
-payload value is finite. Writing the same state twice yields identical
-bytes.
+A checkpoint is the model: the optimizer state is not saved. Its
+parameters load in the dtype they were saved in, so a model evaluates in
+the dtype it trained in. Every payload value is finite. Writing the same
+state twice yields identical bytes. Earlier versions (2 held float64
+payloads and no ``dtype`` key) are refused, as every unknown version is.
 """
 
 from __future__ import annotations
@@ -32,13 +36,16 @@ from .network import ArchConfig, JointNetwork, parameter_specs
 from .tensor import Tensor
 
 MAGIC = b"JANW"
-VERSION = 2
+VERSION = 3
+# the payload dtypes by header name, as little-endian numpy dtypes
+DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 @dataclass
 class Checkpoint:
-    """A training snapshot: architecture, parameters, and the epoch it was
-    taken at with its validation loss."""
+    """A training snapshot: architecture, parameters (arrays of one dtype,
+    float32 or float64), and the epoch it was taken at with its validation
+    loss."""
 
     arch: ArchConfig
     params: dict[str, np.ndarray]
@@ -51,21 +58,29 @@ def to_network(ckpt: Checkpoint) -> JointNetwork:
                                     for name, arr in ckpt.params.items()})
 
 
-def _tensor_record(buf: bytearray, name: str, arr: np.ndarray) -> None:
+def _tensor_record(buf: bytearray, name: str, arr: np.ndarray, dtype: np.dtype) -> None:
     encoded = name.encode("utf-8")
     buf += struct.pack("<H", len(encoded))
     buf += encoded
     buf += struct.pack("<B", arr.ndim)
     for dim in arr.shape:
         buf += struct.pack("<I", dim)
-    buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    buf += np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write ``ckpt`` in the dtype of its parameters, which must share one:
+    float32 or float64."""
     names = [name for name, _ in parameter_specs(ckpt.arch)]
+    dtypes = {ckpt.params[name].dtype.name for name in names}
+    if len(dtypes) != 1 or not dtypes <= DTYPES.keys():
+        raise ValueError(f"checkpoint parameters must share one dtype of "
+                         f"{sorted(DTYPES)}, got {sorted(dtypes)}")
+    (dtype_name,) = dtypes
     header = format_kv(
         record_pairs(ckpt.arch)
-        + [("epoch", ckpt.epoch),
+        + [("dtype", dtype_name),
+           ("epoch", ckpt.epoch),
            ("best_val_loss", repr(float(ckpt.best_val_loss)))]).encode("utf-8")
     buf = bytearray()
     buf += MAGIC
@@ -74,7 +89,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     buf += header
     buf += struct.pack("<I", len(names))
     for name in names:
-        _tensor_record(buf, name, ckpt.params[name])
+        _tensor_record(buf, name, ckpt.params[name], DTYPES[dtype_name])
     write_atomic(path, buf)
 
 
@@ -97,7 +112,8 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
-def _read_record(cur: _Cursor, expect_name: str, expect_shape: tuple[int, ...]) -> np.ndarray:
+def _read_record(cur: _Cursor, expect_name: str, expect_shape: tuple[int, ...],
+                 dtype: np.dtype) -> np.ndarray:
     name_len = cur.unpack("<H", "tensor name length")
     name = cur.take(name_len, "tensor name")
     if name != expect_name.encode("utf-8"):
@@ -112,14 +128,15 @@ def _read_record(cur: _Cursor, expect_name: str, expect_shape: tuple[int, ...]) 
             f"expected {expect_shape}")
     count = math.prod(shape)
     at = cur.off
-    values = np.frombuffer(cur.take(8 * count, f"tensor '{expect_name}' payload"),
-                           dtype="<f8")
+    size = dtype.itemsize
+    values = np.frombuffer(cur.take(size * count, f"tensor '{expect_name}' payload"),
+                           dtype=dtype)
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DataError(f"{cur.source}: tensor '{expect_name}' holds non-finite "
-                        f"{values[i]} at byte {at + 8 * i}")
-    return values.reshape(shape).astype(np.float64)
+                        f"{values[i]} at byte {at + size * i}")
+    return values.reshape(shape).astype(dtype.newbyteorder("="))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -147,10 +164,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except ConfigError as e:
         raise DataError(f"{path}: malformed header at byte {header_at}: {e}") from e
     arch_keys = [f.name for f in fields(ArchConfig)]
-    expected_keys = set(arch_keys) | {"epoch", "best_val_loss"}
+    expected_keys = set(arch_keys) | {"dtype", "epoch", "best_val_loss"}
     if set(header) != expected_keys:
         raise DataError(
             f"{path}: header keys {sorted(header)} do not match {sorted(expected_keys)}")
+    dtype = DTYPES.get(header["dtype"])
+    if dtype is None:
+        raise DataError(f"{path}: header key 'dtype' is {header['dtype']!r}, "
+                        f"expected one of {sorted(DTYPES)}")
     try:
         epoch = int(header["epoch"])
     except ValueError as e:
@@ -175,7 +196,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if count != len(specs):
         raise DataError(
             f"{path}: {count} parameter tensors, architecture requires {len(specs)}")
-    params = {name: _read_record(cur, name, shape) for name, shape in specs}
+    params = {name: _read_record(cur, name, shape, dtype) for name, shape in specs}
     if cur.off != len(data):
         raise DataError(
             f"{path}: {len(data) - cur.off} trailing bytes after the last "

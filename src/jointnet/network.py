@@ -17,6 +17,11 @@ the decoder stays at the bottleneck width.
 
 Both forward passes take one [C,S,S] image or an [N,C,S,S] batch; every
 output then carries the same leading batch axis.
+
+A network computes in the dtype of its parameters, float32 or float64
+(``build``'s ``dtype``). The forward passes cast the image to that dtype
+once (``cast_input``), so the data path stays float64 and one pass never
+mixes the two.
 """
 
 from __future__ import annotations
@@ -120,6 +125,11 @@ class JointNetwork:
         self.config = config
         self.params = params
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: that of the parameters."""
+        return next(iter(self.params.values())).data.dtype
+
     def parameter_groups(self) -> dict[str, list[str]]:
         """Names grouped by role: encoder, classifier, decoder."""
         groups = {"encoder": [], "classifier": [], "decoder": []}
@@ -133,10 +143,12 @@ class JointNetwork:
         return groups
 
 
-def build(config: ArchConfig, seed: int = 0) -> JointNetwork:
+def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> JointNetwork:
     """Initialize a network: weights uniform(-sqrt(6/fan_in), +sqrt(6/fan_in))
     drawn in canonical parameter order, biases zero. fan_in is the product
-    of a weight's shape past its first axis: C_in*k*k or D.
+    of a weight's shape past its first axis: C_in*k*k or D. The draws are
+    float64 whatever ``dtype`` is, then rounded to it, so a float32 network
+    holds the float64 network's weights to float32 precision.
 
     A width too large for numpy to allocate is a ConfigError naming the
     first parameter it refuses and that parameter's shape."""
@@ -145,10 +157,10 @@ def build(config: ArchConfig, seed: int = 0) -> JointNetwork:
     for name, shape in parameter_specs(config):
         try:
             if name.endswith(".b"):
-                params[name] = Tensor(np.zeros(shape))
+                params[name] = Tensor(np.zeros(shape, dtype))
             else:
                 limit = float(np.sqrt(6.0 / math.prod(shape[1:])))
-                params[name] = Tensor(rng.uniform(-limit, limit, shape))
+                params[name] = Tensor(rng.uniform(-limit, limit, shape).astype(dtype))
         except (MemoryError, OverflowError, ValueError) as e:
             raise ConfigError(
                 f"parameter '{name}' of shape {shape} cannot be allocated: {e}") from None
@@ -166,7 +178,13 @@ class JointOutput:
     attention_maps: list[Tensor] = field(default_factory=list)
 
 
-def _check_image(config: ArchConfig, image: Tensor) -> None:
+def cast_input(net: JointNetwork, image: Tensor) -> Tensor:
+    """``image`` checked against ``net``'s input shape and the [0, 1] range,
+    in ``net``'s dtype: the image itself when it has that dtype already,
+    else one cast copy. Both forward passes start here, so a caller that
+    casts first (the reconstruction loss compares against the cast image)
+    makes no second copy."""
+    config = net.config
     expected = (config.input_channels, config.input_size, config.input_size)
     if image.ndim not in (3, 4) or image.shape[-3:] != expected:
         raise ValueError(
@@ -174,6 +192,8 @@ def _check_image(config: ArchConfig, image: Tensor) -> None:
             f"or [N, *{expected}]")
     if image.data.min() < 0.0 or image.data.max() > 1.0:
         raise ValueError("image values must lie within [0, 1]")
+    dtype = net.dtype
+    return image if image.data.dtype == dtype else Tensor(image.data.astype(dtype))
 
 
 def _encode(net: JointNetwork, image: Tensor) -> tuple[list[Tensor], Tensor]:
@@ -201,16 +221,14 @@ def _classify(net: JointNetwork, bottleneck: Tensor) -> Tensor:
 def forward_backbone(net: JointNetwork, image: Tensor) -> Tensor:
     """Classifier path only; the decoder is never touched. Returns [K]
     probabilities for one image, [N,K] for a batch."""
-    _check_image(net.config, image)
-    _, bottleneck = _encode(net, image)
+    _, bottleneck = _encode(net, cast_input(net, image))
     return _classify(net, bottleneck)
 
 
 def forward_joint(net: JointNetwork, image: Tensor) -> JointOutput:
     """Full pass: class probabilities, reconstruction, and decoder maps."""
-    _check_image(net.config, image)
     p = net.params
-    skips, bottleneck = _encode(net, image)
+    skips, bottleneck = _encode(net, cast_input(net, image))
     probs = _classify(net, bottleneck)
 
     n = net.config.n_stages

@@ -1,4 +1,4 @@
-"""Dense float64 tensors and a reverse-mode differentiation tape.
+"""Dense float32 or float64 tensors and a reverse-mode differentiation tape.
 
 Every layer and loss in the package is built from the primitives here. Ops
 compute eagerly on numpy arrays; when a Tape is active (``with tape:``) each
@@ -32,6 +32,14 @@ tape. And neither loss (``training.cross_entropy``, ``training.mse``)
 differentiates its target: the one-hot rows and the input image are data,
 and their gradient is always None.
 
+The compute dtype follows the data. A Tensor keeps a float32 or float64
+array as it is, and every array an op, its backward rule or ``backward``
+makes has the dtype of the op's inputs, so a float32 network computes in
+float32 and a float64 one in float64 on the same code. Each allocation
+names its dtype: numpy 2 promotes float32 with a float64 0-d array, so a
+single default-dtype ``np.ones(())`` would turn a float32 pass into a
+float64 one. A conv computes in the common dtype of its input and kernel.
+
 Finiteness is checked once, where a value becomes a Tensor: the
 constructor rejects NaN and infinity, so every op output is checked and the
 primitives do not re-check their inputs. Gradients are plain arrays:
@@ -59,9 +67,14 @@ from .errors import NumericError
 
 Array = np.ndarray
 
+# the dtypes a Tensor keeps; it converts anything else to float64
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 class Tensor:
-    """Dense array of 64-bit floats.
+    """Dense array of 32- or 64-bit floats: a float32 or float64 array keeps
+    its dtype, and anything else (Python numbers, integer arrays) becomes
+    float64.
 
     Values must be finite: NaN/Inf is an error state, never a silent value.
     The constructor is the one place this is checked. Ops treat ``data`` as
@@ -72,7 +85,9 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype not in FLOAT_DTYPES:
+            arr = np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NumericError("tensor contains non-finite values")
         self.data = arr
@@ -202,7 +217,7 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
                          "record a new tape for each backward pass")
     tape._spent = True
     nodes = tape.nodes
-    grads: dict[int, Array] = {id(seed): np.ones(())}
+    grads: dict[int, Array] = {id(seed): np.ones((), seed.data.dtype)}
     while nodes:
         node = nodes.pop()
         key = id(node.output)
@@ -214,7 +229,7 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
         # rule itself keeps them
         del node
         _accumulate(grads, keys, rule(grads.pop(key)))
-    return {p: grads[id(p)] if id(p) in grads else np.zeros(p.shape)
+    return {p: grads[id(p)] if id(p) in grads else np.zeros(p.shape, p.data.dtype)
             for p in tape._watched.values()}
 
 
@@ -304,18 +319,19 @@ def _conv_taps(op: str, x: Tensor, kernel: Tensor,
     span = cells - reach
     taps = [(ki, kj, ki * wp + kj) for ki in range(kh) for kj in range(kw)]
     kdata = kernel.data
+    dtype = np.result_type(x.data, kdata)
     need_dx = _needs_grad(x)
 
     def padded_flat() -> Array:
         # rebuilt in backward: keeping it was 1.02x faster but +1.6 MB peak RSS
-        padded = np.zeros((c_in, n, hp, wp))
+        padded = np.zeros((c_in, n, hp, wp), dtype)
         padded[:, :, top:top + h, left:left + w] = _batched(x, 3).transpose(1, 0, 2, 3)
         return padded.reshape(c_in, cells)
 
     flat = padded_flat()
     # taps sum into a C-ordered [C_out, span] array: numpy adds two
     # contiguous arrays several times faster than two strided row views
-    acc = np.empty((c_out, span))
+    acc = np.empty((c_out, span), dtype)
     tmp = np.empty_like(acc) if len(taps) > 1 else None
     for t, (ki, kj, off) in enumerate(taps):
         np.matmul(kdata[:, :, ki, kj], flat[:, off:off + span], out=tmp if t else acc)
@@ -333,7 +349,7 @@ def _conv_taps(op: str, x: Tensor, kernel: Tensor,
         db = gb.sum(axis=(0, 2, 3))
         # the gradient grid behind reach zero columns, which the dx taps
         # read before its start
-        gpad = np.zeros((c_out, reach + cells))
+        gpad = np.zeros((c_out, reach + cells), dtype)
         gpad[:, reach:].reshape(c_out, n, hp, wp)[:, :, :h, :w] = gb.transpose(1, 0, 2, 3)
         return gpad, db
 
@@ -422,14 +438,14 @@ def maxpool2x2(x: Tensor) -> Tensor:
         raise ValueError(f"maxpool2x2 requires even spatial dims, got {h}x{w}")
     xd = x.data
     v00, v01, v10, v11 = (xd[..., i::2, j::2] for i, j in _WINDOW)
-    pooled = np.empty(x.shape[:-2] + (h // 2, w // 2))
+    pooled = np.empty(x.shape[:-2] + (h // 2, w // 2), xd.dtype)
     # on operands that compare equal (0.0 and -0.0) np.maximum returns the
     # second, so the earlier positions go second
     np.maximum(np.maximum(v11, v10), np.maximum(v01, v00), out=pooled)
     out = Tensor(pooled)
 
     def backward_fn(g: Array):
-        dx = np.empty(x.shape)
+        dx = np.empty(x.shape, xd.dtype)
         free = np.ones(pooled.shape, dtype=bool)  # no maximum met yet
         for i, j in _WINDOW[:3]:
             hit = xd[..., i::2, j::2] == pooled
@@ -450,7 +466,7 @@ def _replica_sum(g: Array, shape: tuple[int, ...]) -> Array:
     2).sum(axis=(-3, -1))``, ``(g00 + g01) + (g10 + g11)``, or left to
     right when W is 1."""
     g00, g01, g10, g11 = (g[..., i::2, j::2] for i, j in _WINDOW)
-    dx = np.empty(shape)
+    dx = np.empty(shape, g.dtype)
     np.add(g00, g01, out=dx)
     if shape[-1] == 1:
         dx += g10
@@ -481,7 +497,7 @@ def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(
             f"fuse_skip expects x [..., {c_out}, H/2, W/2] for skip {skip.shape}, "
             f"got {x.shape}")
-    fused = np.empty(skip.shape[:-3] + (c_out, h, w))
+    fused = np.empty(skip.shape[:-3] + (c_out, h, w), blocks.dtype)
     np.add(blocks.transpose(1, 0, 2, 3), bias.data[:, None, None],
            out=fused.reshape(-1, c_out, h, w))
     del blocks
@@ -602,10 +618,10 @@ def scale(x: Tensor, factor: float) -> Tensor:
 def tensor_sum(x: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     out = Tensor(x.data.sum())
-    shape = x.shape
+    shape, dtype = x.shape, x.data.dtype
 
     def backward_fn(g: Array):
-        return (np.full(shape, float(g)),)
+        return (np.full(shape, g, dtype),)
 
     record("tensor_sum", (x,), out, backward_fn)
     return out

@@ -13,6 +13,13 @@ the accuracy from it.
 Training is deterministic for a fixed seed: the epoch shuffle has its own
 random stream, and each minibatch is stacked in ascending sample-index
 order.
+
+Training computes in the network's dtype: ``kfold_train`` builds float32
+networks, whose tap GEMMs move half the bytes of float64 ones, and the
+one-hot targets, the losses, the gradients and Adam's moments all take
+that dtype (Gupta et al., ICML 2015; Micikevicius et al., ICLR 2018,
+where the weights and their updates stay in float32). The
+finite-difference checks build float64 networks on the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericError
-from .network import ArchConfig, JointNetwork, build, forward_backbone, forward_joint
+from .network import (ArchConfig, JointNetwork, build, cast_input, forward_backbone,
+                      forward_joint)
 from .rng import SHUFFLE, make_rng
 from .tensor import Tape, Tensor, add, backward, record, scale
 
@@ -90,7 +98,7 @@ def cross_entropy(true_onehot: Tensor, predicted: Tensor) -> Tensor:
     p = predicted.data.reshape(y.shape)
     if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)):
         raise ValueError("true_onehot must hold one-hot vectors")
-    if p.min() < 0.0 or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+    if p.min() < 0.0 or np.any(np.abs(p.sum(axis=1) - 1.0) > _sum_tolerance(p)):
         raise ValueError("predicted must hold probability vectors")
     rows = y.shape[0]
     clamped = np.maximum(p, LOG_CLAMP)
@@ -102,6 +110,19 @@ def cross_entropy(true_onehot: Tensor, predicted: Tensor) -> Tensor:
 
     record("cross_entropy", (true_onehot, predicted), out, backward_fn)
     return out
+
+
+def _sum_tolerance(p: np.ndarray) -> float:
+    """How far a probability row of ``p``'s dtype may sum from 1: 1e-9 in
+    float64. A float32 softmax row of K entries is off by the rounding of
+    each exp and each division (about 2 eps relative) plus at most K - 1
+    roundings in the softmax's own sum and K - 1 in this check's, so at
+    most about (2K + 2) eps. 4 K eps (1.4e-6 at K = 3) bounds that, and
+    still refuses a row off by 1e-5. Measured: at most 3 eps for K up to
+    1000, as numpy sums pairwise."""
+    if p.dtype == np.float64:
+        return 1e-9
+    return 4 * p.shape[-1] * float(np.finfo(p.dtype).eps)
 
 
 def mse(input_pixels: Tensor, reconstructed: Tensor) -> Tensor:
@@ -141,11 +162,12 @@ class Adam:
     each step concatenates the gradients and the parameters the same way,
     so one ufunc per term updates every parameter. Each element goes
     through the same expression as in a per-parameter loop, so the results
-    are bit for bit those of one. The moments live only here; a
-    checkpoint does not save them. ``step`` is functional: it makes fresh
-    moment and parameter vectors and never mutates its inputs or an
-    earlier step's arrays, so a checkpoint's parameters stay valid by
-    reference.
+    are bit for bit those of one. The moments are made at the first step,
+    in the parameters' dtype, so a float32 network's update stays float32.
+    They live only here; a checkpoint does not save them. ``step`` is
+    functional: it makes fresh moment and parameter vectors and never
+    mutates its inputs or an earlier step's arrays, so a checkpoint's
+    parameters stay valid by reference.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]]):
@@ -155,8 +177,7 @@ class Adam:
             size = math.prod(shape)
             self._slots[name] = (slice(offset, offset + size), tuple(shape))
             offset += size
-        self._m = np.zeros(offset)
-        self._v = np.zeros(offset)
+        self._m = self._v = None
         self.step_count = 0
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -167,6 +188,8 @@ class Adam:
                        if not np.all(np.isfinite(grads[name])))
             raise NumericError(f"non-finite gradient for parameter '{bad}'")
         p = np.concatenate([params[name].data.ravel() for name in self._slots])
+        if self._m is None:
+            self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - BETA1 ** t
@@ -238,8 +261,10 @@ def _batch_losses(net: JointNetwork, images: Tensor, labels: int | np.ndarray,
     """One batch's blended mean loss tensor in ``config.mode``, float L_s and
     L_u readings, and the class probabilities. ``labels`` holds the class
     index of each image (one index for one unbatched image); their one-hot
-    rows are made here."""
-    targets = Tensor(np.eye(net.config.n_classes)[labels])
+    rows are made here, in the network's dtype. The image is cast to that
+    dtype once, and the reconstruction loss compares against the cast."""
+    images = cast_input(net, images)
+    targets = Tensor(np.eye(net.config.n_classes, dtype=net.dtype)[labels])
     if config.mode == "joint":
         out = forward_joint(net, images)
         ls = cross_entropy(targets, out.class_probs)

@@ -8,34 +8,60 @@ import pytest
 from jointnet import (ArchConfig, Checkpoint, DataError, Tensor, build,
                       forward_joint, load_checkpoint, parameter_specs,
                       save_checkpoint, to_network)
-from jointnet.checkpoint import _tensor_record
+from jointnet.checkpoint import DTYPES, _tensor_record
 
 ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16, base_channels=2)
+BOTH_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
 
 
-def _checkpoint(seed=0, epoch=3, best=0.1 + 0.2):
-    net = build(ARCH, seed=seed)
+def _checkpoint(seed=0, epoch=3, best=0.1 + 0.2, dtype=np.float32):
+    net = build(ARCH, seed=seed, dtype=dtype)
     params = {name: p.data for name, p in net.params.items()}
     return Checkpoint(ARCH, params, epoch, best)
 
 
+def as_float64(path, out):
+    """Save the checkpoint at ``path`` with float64 parameters to ``out``."""
+    ckpt = load_checkpoint(path)
+    ckpt.params = {name: arr.astype(np.float64) for name, arr in ckpt.params.items()}
+    save_checkpoint(ckpt, out)
+    return out
+
+
+def version_2_bytes(path):
+    """The float64 version 3 checkpoint at ``path`` in the earlier version 2
+    layout: version byte 2 and no ``dtype`` header line."""
+    blob = bytearray(replace_header_line(path.read_bytes(), b"dtype = float64\n", b""))
+    blob[4] = 2
+    return bytes(blob)
+
+
 def version_1_bytes(path):
-    """The version 2 checkpoint at ``path`` in the earlier version 1
-    layout: version byte 1, and after the parameters an Adam moment record
-    ``<name>.m`` and ``<name>.v`` per parameter and a u64 step counter."""
-    blob = bytearray(path.read_bytes())
+    """The float64 version 3 checkpoint at ``path`` in the earlier version 1
+    layout: the version 2 file with version byte 1, and after the
+    parameters an Adam moment record ``<name>.m`` and ``<name>.v`` per
+    parameter and a u64 step counter."""
+    blob = bytearray(version_2_bytes(path))
     blob[4] = 1
     for name, arr in load_checkpoint(path).params.items():
-        _tensor_record(blob, name + ".m", np.zeros_like(arr))
-        _tensor_record(blob, name + ".v", np.zeros_like(arr))
+        _tensor_record(blob, name + ".m", np.zeros_like(arr), DTYPES["float64"])
+        _tensor_record(blob, name + ".v", np.zeros_like(arr), DTYPES["float64"])
     return bytes(blob + struct.pack("<Q", 17))
 
 
-def _saved(tmp_path):
+def _saved(tmp_path, dtype=np.float32):
     """A saved checkpoint's path and its bytes, ready to corrupt."""
     path = tmp_path / "m.ckpt"
-    save_checkpoint(_checkpoint(), path)
+    save_checkpoint(_checkpoint(dtype=dtype), path)
     return path, bytearray(path.read_bytes())
+
+
+def _first_payload(blob) -> int:
+    """The byte offset of the first parameter's payload, after its name,
+    rank and dims."""
+    (header_length,) = struct.unpack("<I", blob[5:9])
+    name, shape = parameter_specs(ARCH)[0]
+    return 4 + 1 + 4 + header_length + 4 + 2 + len(name) + 1 + 4 * len(shape)
 
 
 def replace_header_line(blob: bytes, old: bytes, new: bytes) -> bytes:
@@ -57,8 +83,10 @@ def _with_header_line(tmp_path, old: bytes, new: bytes):
 
 
 class TestRoundTrip:
-    def test_fields_and_tensors_survive(self, tmp_path):
-        ckpt = _checkpoint()
+    @BOTH_DTYPES
+    def test_fields_and_tensors_survive(self, tmp_path, dtype):
+        """Each dtype round-trips bit for bit, and loads in that dtype."""
+        ckpt = _checkpoint(dtype=dtype)
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
@@ -67,10 +95,20 @@ class TestRoundTrip:
         assert loaded.best_val_loss == ckpt.best_val_loss  # repr round trip
         assert list(loaded.params) == list(ckpt.params)
         for name in ckpt.params:
-            np.testing.assert_array_equal(loaded.params[name], ckpt.params[name])
+            assert loaded.params[name].dtype == dtype
+            assert loaded.params[name].tobytes() == ckpt.params[name].tobytes()
+        assert to_network(loaded).dtype == dtype
 
-    def test_save_load_save_byte_identical(self, tmp_path):
-        ckpt = _checkpoint(seed=5)
+    def test_mixed_dtypes_refused(self, tmp_path):
+        ckpt = _checkpoint()
+        name = next(iter(ckpt.params))
+        ckpt.params[name] = ckpt.params[name].astype(np.float64)
+        with pytest.raises(ValueError, match="one dtype"):
+            save_checkpoint(ckpt, tmp_path / "m.ckpt")
+
+    @BOTH_DTYPES
+    def test_save_load_save_byte_identical(self, tmp_path, dtype):
+        ckpt = _checkpoint(seed=5, dtype=dtype)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(ckpt, a)
         save_checkpoint(load_checkpoint(a), b)
@@ -95,22 +133,31 @@ class TestFormat:
         save_checkpoint(_checkpoint(), path)
         blob = path.read_bytes()
         assert blob[:4] == b"JANW"
-        assert blob[4] == 2
+        assert blob[4] == 3
 
-    def test_file_is_header_then_parameter_records(self, tmp_path):
+    @BOTH_DTYPES
+    def test_file_is_header_then_parameter_records(self, tmp_path, dtype):
         """Magic, version, header length, header, tensor count, then one
-        record per parameter (name length, name, rank, dims, payload);
-        nothing follows the last record."""
-        _, blob = _saved(tmp_path)
+        record per parameter (name length, name, rank, dims, payload of 4-
+        or 8-byte values); nothing follows the last record."""
+        _, blob = _saved(tmp_path, dtype)
         (header_length,) = struct.unpack("<I", blob[5:9])
-        records = sum(2 + len(name) + 1 + 4 * len(shape) + 8 * int(np.prod(shape))
+        size = np.dtype(dtype).itemsize
+        records = sum(2 + len(name) + 1 + 4 * len(shape) + size * int(np.prod(shape))
                       for name, shape in parameter_specs(ARCH))
         assert len(blob) == 4 + 1 + 4 + header_length + 4 + records
         assert struct.unpack("<I", blob[9 + header_length:13 + header_length]) == (
             len(parameter_specs(ARCH)),)
 
+    def test_version_2_file_rejected(self, tmp_path):
+        path, _ = _saved(tmp_path, np.float64)
+        path.write_bytes(version_2_bytes(path))
+        with pytest.raises(DataError,
+                           match=r"m\.ckpt: unsupported checkpoint version 2 at byte 4"):
+            load_checkpoint(path)
+
     def test_version_1_file_rejected(self, tmp_path):
-        path, _ = _saved(tmp_path)
+        path, _ = _saved(tmp_path, np.float64)
         path.write_bytes(version_1_bytes(path))
         with pytest.raises(DataError,
                            match=r"m\.ckpt: unsupported checkpoint version 1 at byte 4"):
@@ -142,6 +189,17 @@ class TestFormat:
         with pytest.raises(DataError, match="truncated at byte"):
             load_checkpoint(path)
 
+    def test_truncated_float32_payload_offset_counts_4_byte_values(self, tmp_path):
+        path, blob = _saved(tmp_path)
+        at = _first_payload(blob)
+        name, shape = parameter_specs(ARCH)[0]
+        path.write_bytes(bytes(blob[:at + 10]))
+        with pytest.raises(DataError,
+                           match=rf"m\.ckpt: truncated at byte {at}: needed "
+                                 rf"{4 * int(np.prod(shape))} bytes for tensor "
+                                 rf"'{name}' payload, 10 remain"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(_checkpoint(), path)
@@ -160,8 +218,15 @@ class TestFormat:
         (length,) = struct.unpack("<I", blob[5:9])
         assert blob[9:9 + length] == (
             b"n_stages = 1\ninput_channels = 1\ninput_size = 16\n"
-            b"base_channels = 2\nn_classes = 3\nepoch = 3\n"
+            b"base_channels = 2\nn_classes = 3\ndtype = float32\nepoch = 3\n"
             b"best_val_loss = 0.30000000000000004\n")
+
+    @pytest.mark.parametrize("value", [b"float16", b"<f4", b"f8", b""])
+    def test_unknown_dtype_rejected(self, tmp_path, value):
+        path = _with_header_line(tmp_path, b"dtype = float32\n",
+                                 b"dtype = " + value + b"\n")
+        with pytest.raises(DataError, match=r"m\.ckpt: header key 'dtype' is "):
+            load_checkpoint(path)
 
 
 class TestCorruptText:
@@ -256,16 +321,14 @@ class TestPayloadValues:
                                             rf"needed \d+ bytes for tensor '{name}' payload"):
             load_checkpoint(path)
 
+    @BOTH_DTYPES
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_parameter_rejected(self, tmp_path, value):
-        path, blob = _saved(tmp_path)
-        (header_length,) = struct.unpack("<I", blob[5:9])
-        name, shape = parameter_specs(ARCH)[0]
-        # the first record's payload follows its name, rank and dims
-        payload = (4 + 1 + 4 + header_length + 4
-                   + 2 + len(name) + 1 + 4 * len(shape))
-        at = payload + 8 * 5
-        blob[at:at + 8] = struct.pack("<d", value)
+    def test_non_finite_parameter_rejected(self, tmp_path, value, dtype):
+        path, blob = _saved(tmp_path, dtype)
+        name, _ = parameter_specs(ARCH)[0]
+        size = np.dtype(dtype).itemsize
+        at = _first_payload(blob) + size * 5
+        blob[at:at + size] = np.array(value, DTYPES[np.dtype(dtype).name]).tobytes()
         path.write_bytes(blob)
         with pytest.raises(DataError,
                            match=rf"m\.ckpt: tensor '{name}' holds non-finite "

@@ -15,7 +15,9 @@ import pytest
 
 import jointnet.cli
 import jointnet.data
+import jointnet.evaluation
 import jointnet.fileio
+import jointnet.network
 from jointnet import (ArchConfig, Checkpoint, build, compare_report, evaluate,
                       load_checkpoint, load_directory, read_netpbm,
                       render_metrics_kv, save_checkpoint, to_network, write_pgm)
@@ -23,7 +25,7 @@ from jointnet.cli import main
 from jointnet.gradcheck import GradcheckResult
 
 from peaks import traced_peak
-from test_checkpoint import replace_header_line, version_1_bytes
+from test_checkpoint import as_float64, replace_header_line, version_1_bytes
 from test_fileio import fail_midway, leftovers, pipe_reader
 
 TINY_CONFIG = """\
@@ -207,9 +209,34 @@ class TestEval:
                      "--data", str(workspace["data"]),
                      "--report", str(tmp_path / "r.txt")]) == 2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_runs_in_the_checkpoint_dtype(self, workspace, tmp_path,
+                                                  monkeypatch, dtype):
+        """``train`` writes float32; a float64 checkpoint evaluates in
+        float64 from its first conv to its class probabilities."""
+        model = workspace["model"]
+        if dtype == np.float64:
+            model = as_float64(model, tmp_path / "f64.ckpt")
+        seen = []
+
+        def recording(fn):
+            def run(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.append(out.data.dtype)
+                return out
+            return run
+
+        monkeypatch.setattr(jointnet.network, "conv2d", recording(jointnet.network.conv2d))
+        monkeypatch.setattr(jointnet.evaluation, "forward_backbone",
+                            recording(jointnet.evaluation.forward_backbone))
+        assert main(["eval", "--model", str(model), "--data", str(workspace["data"]),
+                     "--report", str(tmp_path / "r.txt")]) == 0
+        assert len(seen) > 1 and set(seen) == {np.dtype(dtype)}
+
     def test_version_1_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         old = tmp_path / "v1.ckpt"
-        old.write_bytes(version_1_bytes(workspace["model"]))
+        old.write_bytes(version_1_bytes(as_float64(workspace["model"],
+                                                   tmp_path / "f64.ckpt")))
         assert main(["eval", "--model", str(old),
                      "--data", str(workspace["data"]),
                      "--report", str(tmp_path / "r.txt")]) == 2
@@ -217,7 +244,7 @@ class TestEval:
 
     def test_non_finite_parameter_exits_2(self, workspace, tmp_path, capsys):
         blob = bytearray(workspace["model"].read_bytes())
-        blob[-8:] = struct.pack("<d", np.nan)  # the last parameter's last value
+        blob[-4:] = struct.pack("<f", np.nan)  # the last float32 parameter value
         bad = tmp_path / "nan.ckpt"
         bad.write_bytes(bytes(blob))
         assert main(["eval", "--model", str(bad),
@@ -225,7 +252,7 @@ class TestEval:
                      "--report", str(tmp_path / "r.txt")]) == 2
         err = capsys.readouterr().err
         assert "nan.ckpt: tensor '" in err
-        assert f"holds non-finite nan at byte {len(blob) - 8}" in err
+        assert f"holds non-finite nan at byte {len(blob) - 4}" in err
 
     def test_non_utf8_checkpoint_header_exits_2(self, workspace, tmp_path, capsys):
         blob = bytearray(workspace["model"].read_bytes())

@@ -45,6 +45,21 @@ class TestResize:
         raw, maxval = read_netpbm(p)
         assert load_image(p, 8, 1).data.tobytes() == (raw / maxval).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, ">u2", np.int64, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 256, 256), (3, 256, 256), (1, 37, 50),
+                                       (3, 20, 300), (1, 1, 1)])
+    def test_gather_equals_the_fancy_index(self, dtype, shape):
+        """``_gather``'s two ``take``s read the same samples as the fancy
+        index ``img[:, rows[:, None], cols]``: same values and dtype, in one
+        C-ordered array."""
+        img = np.random.default_rng(3).integers(0, 256, shape).astype(dtype)
+        _, h, w = shape
+        for size in (32, 7, 1):
+            rows, cols = _axis_coords(h, size)[0], _axis_coords(w, size)[0]
+            got, want = _gather(img, size), img[:, rows[:, None], cols]
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
     def test_output_within_input_range(self):
         rng = np.random.default_rng(1)
         for _ in range(10):

@@ -6,7 +6,9 @@ import pytest
 from jointnet import (ArchConfig, Tape, Tensor, build, combined_loss,
                       cross_entropy, forward_backbone, forward_joint,
                       gradcheck, mse)
-from jointnet.gradcheck import relative_error, run_battery, standard_battery
+from jointnet.gradcheck import (DTYPE_TOLERANCE, STEP, TOLERANCE, recipe_gradients,
+                                relative_error, relative_l2_errors, run_battery,
+                                standard_battery)
 from jointnet.tensor import add, dense, tensor_sum
 
 
@@ -81,6 +83,13 @@ class TestBattery:
         for r in results:
             assert r.passed, f"{r.name}: {r.max_relative_error}"
 
+    def test_every_check_runs_in_float64(self):
+        """Central differences at STEP need float64, whatever dtype
+        ``build`` defaults to."""
+        for name, fn, params in standard_battery(seed=0):
+            assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}, name
+            assert fn(params).data.dtype == np.float64, name
+
     def test_batched_cases_carry_a_batch_axis(self):
         """Each stock primitive and the joint network are also checked on a
         leading batch axis of 2 (the pass/fail runs with the battery)."""
@@ -125,3 +134,35 @@ class TestBattery:
     def test_second_seed_passes(self):
         for r in run_battery(seed=1):
             assert r.passed, f"{r.name}: {r.max_relative_error}"
+
+
+class TestFloat32AgainstFloat64:
+    """The recipe network's float32 gradient matches its float64 gradient
+    at the same float32-representable weights and batch of 4 (phi = 0.5),
+    tensor by tensor, within DTYPE_TOLERANCE; the finite-difference
+    constants are untouched."""
+
+    def test_constants(self):
+        assert (STEP, TOLERANCE, DTYPE_TOLERANCE) == (1e-5, 1e-4, 1e-5)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float32_gradient_matches_float64(self, seed):
+        low = recipe_gradients(seed, np.float32)
+        reference = recipe_gradients(seed, np.float64)
+        assert {g.dtype for g in low.values()} == {np.dtype(np.float32)}
+        assert {g.dtype for g in reference.values()} == {np.dtype(np.float64)}
+        errors = relative_l2_errors(low, reference)
+        assert list(errors) == list(reference)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= DTYPE_TOLERANCE, (worst, errors[worst])
+        # float32 rounding is visible, so the two are not the same function
+        assert errors[worst] > 0.0
+
+    @pytest.mark.parametrize("name", ["enc1.conv1.w", "classifier.dense.b", "recon.conv.w"])
+    def test_a_gradient_off_by_1e_3_fails(self, name):
+        low = recipe_gradients(0, np.float32)
+        reference = recipe_gradients(0, np.float64)
+        low[name] = low[name] * np.float32(1 + 1e-3)
+        errors = relative_l2_errors(low, reference)
+        assert errors[name] > DTYPE_TOLERANCE
+        assert max(e for n, e in errors.items() if n != name) <= DTYPE_TOLERANCE

@@ -130,7 +130,7 @@ class TestForward:
 
     def test_probabilities_normalized(self):
         arch = ArchConfig()
-        out = forward_joint(build(arch, seed=1), _image(arch, seed=2))
+        out = forward_joint(build(arch, seed=1, dtype=np.float64), _image(arch, seed=2))
         assert abs(out.class_probs.data.sum() - 1.0) <= 1e-12
         assert np.all(out.class_probs.data >= 0.0)
 
@@ -163,18 +163,29 @@ class TestForward:
 
 
 class TestBatchedForward:
-    """One [N,C,H,W] pass equals N single-image passes, stacked. The bound
-    is float64 round-off (eps 2.2e-16) grown by the summation depth of the
-    network, far below any learned difference."""
+    """One [N,C,H,W] pass equals N single-image passes, stacked. In float64
+    the bound is round-off (eps 2.2e-16) grown by the summation depth of
+    the network, far below any learned difference. In float32 it is
+    stated in float32 ulps: both dtypes measured at most 5 ulps apart
+    (the class probabilities; the maps and the reconstruction were equal),
+    and ``MAX_ULP_FLOAT32`` leaves 3x of that."""
 
     RTOL = 1e-12
+    MAX_ULP_FLOAT32 = 16
 
     def _batch(self, arch, n=3):
         return [_image(arch, seed=20 + i) for i in range(n)]
 
-    def test_joint_matches_stacked_single_images(self):
+    def _assert_rows(self, got, want, dtype):
+        assert got.dtype == want.dtype == dtype
+        if dtype == np.float64:
+            np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=0)
+        else:
+            np.testing.assert_array_max_ulp(got, want, maxulp=self.MAX_ULP_FLOAT32)
+
+    def _joint(self, dtype):
         arch = ArchConfig()
-        net = build(arch, seed=3)
+        net = build(arch, seed=3, dtype=dtype)
         images = self._batch(arch)
         batched = forward_joint(net, Tensor(np.stack([im.data for im in images])))
         singles = [forward_joint(net, im) for im in images]
@@ -184,16 +195,27 @@ class TestBatchedForward:
                   for i, m in enumerate(batched.attention_maps)]
         for got, rows in pairs:
             assert got.shape == (len(images),) + rows[0].shape
-            np.testing.assert_allclose(got.data, np.stack([r.data for r in rows]),
-                                       rtol=self.RTOL, atol=0)
+            self._assert_rows(got.data, np.stack([r.data for r in rows]), dtype)
 
-    def test_backbone_matches_stacked_single_images(self):
+    def _backbone(self, dtype):
         arch = ArchConfig(n_stages=3, input_size=32, base_channels=4)
-        net = build(arch, seed=3)
+        net = build(arch, seed=3, dtype=dtype)
         images = self._batch(arch, n=2)
         batched = forward_backbone(net, Tensor(np.stack([im.data for im in images])))
         singles = np.stack([forward_backbone(net, im).data for im in images])
-        np.testing.assert_allclose(batched.data, singles, rtol=self.RTOL, atol=0)
+        self._assert_rows(batched.data, singles, dtype)
+
+    def test_joint_matches_stacked_single_images(self):
+        self._joint(np.float64)
+
+    def test_backbone_matches_stacked_single_images(self):
+        self._backbone(np.float64)
+
+    def test_joint_matches_stacked_single_images_float32(self):
+        self._joint(np.float32)
+
+    def test_backbone_matches_stacked_single_images_float32(self):
+        self._backbone(np.float32)
 
     def test_batch_with_wrong_image_shape_rejected(self):
         net = build(ArchConfig(), seed=0)

@@ -6,17 +6,30 @@ import numpy as np
 import pytest
 
 from jointnet import (NumericError, Tape, Tensor, add, backward, conv2d,
-                      dense, global_avg_pool, maxpool2x2, scale, sigmoid,
-                      softmax, tensor_sum)
+                      dense, fuse_skip, global_avg_pool, maxpool2x2, scale,
+                      sigmoid, softmax, tensor_sum)
 
 from upsample_op import upsample2x2
 
 
 class TestTensorBasics:
-    def test_converts_to_float64(self):
-        t = Tensor([[1, 2], [3, 4]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_float32_and_float64(self, dtype):
+        data = np.arange(4.0, dtype=dtype).reshape(2, 2)
+        t = Tensor(data)
+        assert t.data.dtype == dtype
+        assert t.data is data
+
+    @pytest.mark.parametrize("data", [[[1, 2], [3, 4]], np.arange(4).reshape(2, 2),
+                                      np.ones((2, 2), np.float16),
+                                      np.ones((2, 2), bool)])
+    def test_converts_everything_else_to_float64(self, data):
+        t = Tensor(data)
         assert t.data.dtype == np.float64
         assert t.shape == (2, 2)
+
+    def test_python_scalars_are_float64(self):
+        assert Tensor(3.5).data.dtype == Tensor(2).data.dtype == np.float64
 
     def test_rejects_nan(self):
         with pytest.raises(NumericError):
@@ -284,3 +297,54 @@ class TestBatchAxis:
         assert out.shape == (2, 3, 2, 4, 4)
         flat = conv2d(Tensor(x.reshape(6, 1, 4, 4)), kernel, bias)
         np.testing.assert_array_equal(out.data.reshape(6, 2, 4, 4), flat.data)
+
+
+class TestDtype:
+    """Each primitive computes in its inputs' dtype: the output, every
+    input gradient its rule returns, and ``backward``'s results, including
+    the zeros of a parameter the loss never reaches."""
+
+    CASES = {
+        "conv2d": (lambda p: conv2d(p["x"], p["k"], p["b"]),
+                   {"x": (2, 2, 5, 5), "k": (3, 2, 3, 3), "b": (3,)}),
+        "conv2d_relu": (lambda p: conv2d(p["x"], p["k"], p["b"], relu=True),
+                        {"x": (2, 2, 5, 5), "k": (3, 2, 3, 3), "b": (3,)}),
+        "fuse_skip": (lambda p: fuse_skip(p["s"], p["x"], p["k"], p["b"]),
+                      {"s": (2, 2, 4, 4), "x": (2, 3, 2, 2), "k": (3, 2, 3, 3),
+                       "b": (3,)}),
+        "maxpool2x2": (lambda p: maxpool2x2(p["x"]), {"x": (2, 3, 4, 4)}),
+        "dense": (lambda p: dense(p["x"], p["w"], p["b"]),
+                  {"x": (2, 4), "w": (3, 4), "b": (3,)}),
+        "sigmoid": (lambda p: sigmoid(p["x"]), {"x": (2, 3)}),
+        "softmax": (lambda p: softmax(p["x"]), {"x": (2, 3)}),
+        "global_avg_pool": (lambda p: global_avg_pool(p["x"]), {"x": (2, 3, 4, 4)}),
+        "add_scale": (lambda p: scale(add(p["a"], p["x"]), 0.75),
+                      {"a": (2, 3), "x": (2, 3)}),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_and_gradients_keep_the_dtype(self, case, dtype):
+        fn, shapes = self.CASES[case]
+        rng = np.random.default_rng(11)
+        params = {name: Tensor(rng.normal(size=shape).astype(dtype))
+                  for name, shape in shapes.items()}
+        unused = Tensor(np.ones(2, dtype))
+        tape = Tape()
+        with tape:
+            for p in (*params.values(), unused):
+                tape.watch(p)
+            out = fn(params)
+            loss = tensor_sum(sigmoid(out))
+        assert out.data.dtype == loss.data.dtype == dtype
+        for node in tape.nodes:
+            rule = node.backward
+            node.backward = lambda g, rule=rule: self._same_dtype(rule(g), dtype)
+        grads = backward(tape, loss)
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+        assert np.all(grads[unused] == 0.0)
+
+    @staticmethod
+    def _same_dtype(grads, dtype):
+        assert {g.dtype for g in grads if g is not None} == {np.dtype(dtype)}
+        return grads

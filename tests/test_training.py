@@ -9,7 +9,8 @@ import pytest
 from jointnet import (Adam, ArchConfig, ConfigError, NumericError,
                       PlateauScheduler, Tape, Tensor, TrainConfig, add,
                       backward, build, combined_loss, cross_entropy,
-                      forward_joint, kfold_train, mse, scale, train)
+                      forward_joint, kfold_train, mse, scale, softmax,
+                      synth_generate, train)
 from jointnet.data import Dataset, Sample
 from jointnet.training import LR_FLOOR, _batch_losses
 
@@ -51,6 +52,25 @@ class TestLosses:
     def test_cross_entropy_rejects_non_distribution(self):
         with pytest.raises(ValueError, match="probability"):
             cross_entropy(Tensor([1.0, 0.0]), Tensor([0.9, 0.3]))
+
+    def test_float32_row_off_by_1e_3_rejected(self):
+        onehot = Tensor(np.array([0.0, 1.0, 0.0], np.float32))
+        with pytest.raises(ValueError, match="probability"):
+            cross_entropy(onehot, Tensor(np.array([0.2, 0.3, 0.501], np.float32)))
+
+    def test_float64_bound_stays_1e_9(self):
+        onehot = Tensor([0.0, 1.0, 0.0])
+        cross_entropy(onehot, Tensor([0.2, 0.3, 0.5 + 5e-10]))
+        with pytest.raises(ValueError, match="probability"):
+            cross_entropy(onehot, Tensor([0.2, 0.3, 0.5 + 2e-9]))
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 100])
+    def test_float32_softmax_rows_accepted(self, k):
+        rng = np.random.default_rng(k)
+        logits = rng.normal(size=(500, k)) * rng.choice([0.1, 1.0, 30.0], size=(500, 1))
+        probs = softmax(Tensor(logits.astype(np.float32)))
+        onehot = Tensor(np.eye(k, dtype=np.float32)[rng.integers(0, k, 500)])
+        assert cross_entropy(onehot, probs).data.dtype == np.float32
 
     def test_mse_oracle(self):
         loss = mse(Tensor([0.0, 0.5, 1.0]), Tensor([0.0, 0.8, 0.7]))
@@ -110,7 +130,7 @@ class TestLossRouting:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_endpoint_gradients_and_midpoint_value(self, seed):
-        net = build(TINY_ARCH, seed=seed)
+        net = build(TINY_ARCH, seed=seed, dtype=np.float64)
         rng = np.random.default_rng(seed + 1000)
         image = Tensor(rng.uniform(0.0, 1.0, (1, 16, 16)))
         label = Tensor(np.eye(3)[seed % 3])
@@ -136,6 +156,54 @@ class TestLossRouting:
                     assert np.all(by_name[name] == 0.0), name
                 assert any(np.any(by_name[n] != 0.0) for n in groups["encoder"])
         assert abs(values[0.5] - (values[0.0] + values[1.0]) / 2.0) <= 1e-12
+
+
+class TestDtypeFollowsParameters:
+    """A recipe step computes in the parameter dtype from the loss down:
+    every tape node's output, every gradient a backward rule gets or
+    returns, every gradient ``backward`` returns and every tensor
+    ``Adam.step`` returns. The images come from the float64 data path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["joint", "backbone"])
+    def test_recipe_step(self, dtype, mode):
+        dtype = np.dtype(dtype)
+        net = build(ArchConfig(), seed=0, dtype=dtype)
+        images, labels = synth_generate(2, 32, seed=0).batch([0, 2, 4, 1])
+        assert images.data.dtype == np.float64
+        optimizer = Adam({name: p.shape for name, p in net.params.items()})
+        for _ in range(2):  # the second step reads the moments
+            tape = Tape()
+            with tape:
+                for p in net.params.values():
+                    tape.watch(p)
+                loss = _batch_losses(net, images, labels, TrainConfig(mode=mode))[0]
+            assert {(node.op, node.output.data.dtype) for node in tape.nodes} == {
+                (node.op, dtype) for node in tape.nodes}
+            seen = set()
+
+            def watching(op, rule):
+                def run(g):
+                    grads = rule(g)
+                    seen.update((op, a.dtype) for a in (g, *grads) if a is not None)
+                    return grads
+                return run
+
+            for node in tape.nodes:
+                node.backward = watching(node.op, node.backward)
+            grads = backward(tape, loss)
+            assert {dt for _, dt in seen} == {dtype}, seen
+            assert {g.dtype for g in grads.values()} == {dtype}
+            net.params = optimizer.step(
+                net.params, {name: grads[p] for name, p in net.params.items()}, 1e-4)
+            assert {p.data.dtype for p in net.params.values()} == {dtype}
+        assert optimizer._m.dtype == optimizer._v.dtype == dtype
+
+    def test_train_builds_float32_networks(self):
+        result = kfold_train(_tiny_dataset(2), TINY_ARCH,
+                             TrainConfig(epochs=1, folds=2, batch_size=4))
+        assert {a.dtype for fold in result.folds
+                for a in fold.checkpoint.params.values()} == {np.dtype(np.float32)}
 
 
 class TestAdam:
@@ -250,7 +318,7 @@ class TestBatchedStep:
         """One tape over a stacked batch gives the mean of the per-image
         gradients, for distinct images and labels."""
         net = build(ArchConfig(n_stages=2, input_channels=1, input_size=16,
-                               base_channels=4, n_classes=3), seed=0)
+                               base_channels=4, n_classes=3), seed=0, dtype=np.float64)
         rng = np.random.default_rng(8)
         images = rng.uniform(0.0, 1.0, (3, 1, 16, 16))
         labels = np.eye(3)[[2, 0, 1]]
