@@ -5,11 +5,6 @@ scalar-valued function of named parameters. ``standard_battery`` builds the
 stock set of checks (every primitive plus small composed networks) used by
 the CLI and the release tests. Finite differences at ``STEP`` need float64,
 so every check here runs on float64 tensors and networks.
-
-Training runs in float32 on the same code. ``recipe_gradients`` and
-``relative_l2_errors`` compare the recipe network's float32 gradient with
-its float64 gradient at the same float32-representable point, tensor by
-tensor, against ``DTYPE_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -25,10 +20,6 @@ from .tensor import Tape, Tensor, backward
 STEP = 1e-5
 TOLERANCE = 1e-4
 FLOOR = 1e-8
-# The largest relative L2 error of a float32 gradient tensor against the
-# float64 one (``relative_l2_errors``): seeds 0-7 read at most 7.6e-7 and
-# seeds 0-31 at most 2.3e-6 (seed 18).
-DTYPE_TOLERANCE = 1e-5
 
 
 @dataclass
@@ -254,40 +245,3 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
 def run_battery(seed: int) -> list[GradcheckResult]:
     return [gradcheck(fn, params, name=name)
             for name, fn, params in standard_battery(seed)]
-
-
-# ---------------------------------------------------------------------------
-# float32 against float64
-
-
-def recipe_gradients(seed: int, dtype) -> dict[str, np.ndarray]:
-    """The gradient ``train`` takes on the recipe network (``ArchConfig()``,
-    joint mode, phi = 0.5) for one batch of 4 synthetic images, computed in
-    ``dtype``, by parameter name. The weights are ``build``'s float32 ones
-    and the images are rounded to float32, so every dtype differentiates
-    the same function at the same point."""
-    from . import training
-    from .data import synth_generate
-    from .network import ArchConfig, JointNetwork, build
-
-    arch = ArchConfig()
-    start = build(arch, seed=seed, dtype=np.float32)
-    net = JointNetwork(arch, {name: Tensor(p.data.astype(dtype))
-                              for name, p in start.params.items()})
-    images, labels = synth_generate(2, arch.input_size, seed=seed).batch([0, 2, 4, 1])
-    images = Tensor(images.data.astype(np.float32).astype(dtype))
-    tape = Tape()
-    with tape:
-        for p in net.params.values():
-            tape.watch(p)
-        loss = training._batch_losses(net, images, labels, training.TrainConfig(phi=0.5))[0]
-    grads = backward(tape, loss)
-    return {name: grads[p] for name, p in net.params.items()}
-
-
-def relative_l2_errors(grads: dict[str, np.ndarray],
-                       reference: dict[str, np.ndarray]) -> dict[str, float]:
-    """||g - ref|| / max(||ref||, FLOOR) for each tensor, in float64."""
-    return {name: float(np.linalg.norm(grads[name].astype(np.float64) - ref)
-                        / max(float(np.linalg.norm(ref)), FLOOR))
-            for name, ref in reference.items()}

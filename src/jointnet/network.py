@@ -20,14 +20,14 @@ output then carries the same leading batch axis.
 
 A network computes in the dtype of its parameters, float32 or float64
 (``build``'s ``dtype``). The forward passes cast the image to that dtype
-once (``cast_input``), so the data path stays float64 and one pass never
+once (``_cast_input``), so the data path stays float64 and one pass never
 mixes the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,21 +169,21 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> JointNetwork:
 
 @dataclass
 class JointOutput:
-    """Both heads of one forward pass plus the fused decoder maps
-    (index i holds the stage-i fusion, spatial size S / 2^(n-i)). For a
-    batch, each tensor has the batch as its leading axis."""
+    """Both heads of one forward pass, the fused decoder maps (index i
+    holds the stage-i fusion, spatial size S / 2^(n-i)) and the input image
+    in the network's dtype, the reconstruction's target. For a batch, each
+    tensor has the batch as its leading axis."""
 
     class_probs: Tensor
     reconstruction: Tensor
-    attention_maps: list[Tensor] = field(default_factory=list)
+    attention_maps: list[Tensor]
+    image: Tensor
 
 
-def cast_input(net: JointNetwork, image: Tensor) -> Tensor:
+def _cast_input(net: JointNetwork, image: Tensor) -> Tensor:
     """``image`` checked against ``net``'s input shape and the [0, 1] range,
     in ``net``'s dtype: the image itself when it has that dtype already,
-    else one cast copy. Both forward passes start here, so a caller that
-    casts first (the reconstruction loss compares against the cast image)
-    makes no second copy."""
+    else one cast copy. Both forward passes start here."""
     config = net.config
     expected = (config.input_channels, config.input_size, config.input_size)
     if image.ndim not in (3, 4) or image.shape[-3:] != expected:
@@ -221,14 +221,16 @@ def _classify(net: JointNetwork, bottleneck: Tensor) -> Tensor:
 def forward_backbone(net: JointNetwork, image: Tensor) -> Tensor:
     """Classifier path only; the decoder is never touched. Returns [K]
     probabilities for one image, [N,K] for a batch."""
-    _, bottleneck = _encode(net, cast_input(net, image))
+    _, bottleneck = _encode(net, _cast_input(net, image))
     return _classify(net, bottleneck)
 
 
 def forward_joint(net: JointNetwork, image: Tensor) -> JointOutput:
-    """Full pass: class probabilities, reconstruction, and decoder maps."""
+    """Full pass: class probabilities, reconstruction, decoder maps and the
+    input in the network's dtype."""
     p = net.params
-    skips, bottleneck = _encode(net, cast_input(net, image))
+    image = _cast_input(net, image)
+    skips, bottleneck = _encode(net, image)
     probs = _classify(net, bottleneck)
 
     n = net.config.n_stages
@@ -238,7 +240,7 @@ def forward_joint(net: JointNetwork, image: Tensor) -> JointOutput:
         x = fuse_skip(skips[n - i], x, p[f"dec{i}.skip.w"], p[f"dec{i}.skip.b"])
         maps.append(x)
     recon = sigmoid(conv2d(x, p["recon.conv.w"], p["recon.conv.b"]))
-    return JointOutput(probs, recon, maps)
+    return JointOutput(probs, recon, maps, image)
 
 
 def extract_attention(output: JointOutput, stage: int) -> Tensor:

@@ -32,8 +32,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericError
-from .network import (ArchConfig, JointNetwork, build, cast_input, forward_backbone,
-                      forward_joint)
+from .network import ArchConfig, JointNetwork, build, forward_backbone, forward_joint
 from .rng import SHUFFLE, make_rng
 from .tensor import Tape, Tensor, add, backward, record, scale
 
@@ -261,14 +260,14 @@ def _batch_losses(net: JointNetwork, images: Tensor, labels: int | np.ndarray,
     """One batch's blended mean loss tensor in ``config.mode``, float L_s and
     L_u readings, and the class probabilities. ``labels`` holds the class
     index of each image (one index for one unbatched image); their one-hot
-    rows are made here, in the network's dtype. The image is cast to that
-    dtype once, and the reconstruction loss compares against the cast."""
-    images = cast_input(net, images)
+    rows are made here, in the network's dtype. The forward pass casts the
+    image to that dtype, and the reconstruction loss compares against the
+    cast it hands back."""
     targets = Tensor(np.eye(net.config.n_classes, dtype=net.dtype)[labels])
     if config.mode == "joint":
         out = forward_joint(net, images)
         ls = cross_entropy(targets, out.class_probs)
-        lu = mse(images, out.reconstruction)
+        lu = mse(out.image, out.reconstruction)
         return (combined_loss(ls, lu, config.phi), float(ls.data), float(lu.data),
                 out.class_probs)
     probs = forward_backbone(net, images)

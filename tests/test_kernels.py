@@ -668,10 +668,12 @@ class TestDeadInputGradient:
 
 def recipe_tape(mode, rng):
     """The tape of one recipe training step's forward pass and loss
-    (batch 4, 32 px, 2 stages, base width 8, phi 0.5), in ``mode``."""
-    net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0)
+    (batch 4, 32 px, 2 stages, base width 8, phi 0.5), in ``mode``, on a
+    float32 network as ``train`` builds it."""
+    net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0,
+                dtype=np.float32)
     images = Tensor(rng.uniform(0.0, 1.0, (4, 3, 32, 32)))
-    targets = Tensor(np.eye(3)[[0, 1, 2, 0]])
+    targets = Tensor(np.eye(3, dtype=np.float32)[[0, 1, 2, 0]])
     tape = Tape()
     with tape:
         for p in net.params.values():
@@ -679,7 +681,7 @@ def recipe_tape(mode, rng):
         if mode == "joint":
             out = forward_joint(net, images)
             combined_loss(cross_entropy(targets, out.class_probs),
-                          mse(images, out.reconstruction), 0.5)
+                          mse(out.image, out.reconstruction), 0.5)
         else:
             cross_entropy(targets, forward_backbone(net, images))
     return tape

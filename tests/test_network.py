@@ -161,6 +161,31 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             forward_joint(net, Tensor(bad))
 
+    def test_range_checked_before_the_cast(self):
+        """1 + 1e-12 rounds to 1.0 in float32; a float32 network still
+        refuses the float64 image that holds it."""
+        net = build(ArchConfig(), seed=0, dtype=np.float32)
+        bad = np.zeros((3, 32, 32))
+        bad[0, 0, 0] = 1.0 + 1e-12
+        assert np.float32(bad[0, 0, 0]) == 1.0
+        for forward in (forward_joint, forward_backbone):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                forward(net, Tensor(bad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_joint_output_holds_the_cast_image(self, dtype):
+        """``out.image``, the reconstruction's target, is the input in the
+        network's dtype: one cast copy of a float64 image for a float32
+        network, and the input itself when the dtypes already match."""
+        arch = ArchConfig()
+        net = build(arch, seed=0, dtype=dtype)
+        image = _image(arch)
+        out = forward_joint(net, image)
+        assert out.image.data.dtype == dtype
+        np.testing.assert_array_equal(out.image.data, image.data.astype(dtype))
+        same = Tensor(image.data.astype(dtype))
+        assert forward_joint(net, same).image is same
+
 
 class TestBatchedForward:
     """One [N,C,H,W] pass equals N single-image passes, stacked. In float64

@@ -364,16 +364,17 @@ class TestBatchedStep:
         assert calls["untaped"] == [4, 2] * 2
 
 
-# The traced peak of one recipe joint step, tape and backward: 2.43 MiB, the
-# forward pass's own peak, when backward frees each array after its last
-# reader; 3.18 MiB when backward held each node, its output gradient and
-# the previous node's input gradients through the next rule (3.57 MiB with
-# a conv2d, an upsample2x2 and an add per decoder stage, and 4.84 MiB when
-# the tape also held every activation until the pass ended).
+# The traced peak of one float64 recipe joint step, tape and backward (a
+# float32 step takes half the bytes and would hide the regressions below):
+# 2.43 MiB, the forward pass's own peak, when backward frees each array
+# after its last reader; 3.18 MiB when backward held each node, its output
+# gradient and the previous node's input gradients through the next rule
+# (3.57 MiB with a conv2d, an upsample2x2 and an add per decoder stage, and
+# 4.84 MiB when the tape also held every activation until the pass ended).
 STEP_PEAK_BOUND = int(2.5 * 2**20)
-# The arrays a recipe joint tape holds once its forward pass and loss are
-# recorded: 1.88 MiB with fused decoder stages, 3.13 MiB when each stage
-# also kept its conv output and its upsampled map.
+# The arrays a float64 recipe joint tape holds once its forward pass and
+# loss are recorded: 1.88 MiB with fused decoder stages, 3.13 MiB when each
+# stage also kept its conv output and its upsampled map.
 TAPE_HELD_BOUND = int(2.0 * 2**20)
 
 
@@ -413,7 +414,8 @@ def tape_held_bytes(tape: Tape, params) -> int:
 class TestStepMemory:
     @staticmethod
     def _recipe():
-        net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0)
+        net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0,
+                    dtype=np.float64)
         rng = np.random.default_rng(0)
         images = Tensor(rng.uniform(0.0, 1.0, (4, 3, 32, 32)))
         labels = np.array([0, 1, 2, 0])
