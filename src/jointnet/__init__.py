@@ -13,9 +13,9 @@ from .netpbm import read_netpbm, write_pgm
 from .network import (ArchConfig, JointNetwork, JointOutput, build,
                       extract_attention, forward_backbone, forward_joint,
                       parameter_specs)
-from .tensor import (Tape, Tensor, add, backward, conv2d, dense, fuse_skip,
-                     global_avg_pool, maxpool2x2, record, scale, sigmoid,
-                     softmax, tensor_sum)
+from .tensor import (Tape, Tensor, backward, conv2d, dense, fuse_skip,
+                     global_avg_pool, maxpool2x2, record, sigmoid, softmax,
+                     tensor_sum, weighted_sum)
 from .training import (Adam, EpochLog, KFoldResult, PlateauScheduler,
                        TrainConfig, TrainResult, combined_loss, cross_entropy,
                        kfold_train, mse, train)

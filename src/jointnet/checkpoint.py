@@ -33,12 +33,12 @@ from .errors import ConfigError, DataError
 from .fileio import write_atomic
 from .kvio import format_kv, parse_kv, parse_record, record_pairs
 from .network import ArchConfig, JointNetwork, parameter_specs
-from .tensor import Tensor
+from .tensor import FLOAT_DTYPES, Tensor
 
 MAGIC = b"JANW"
 VERSION = 3
-# the payload dtypes by header name, as little-endian numpy dtypes
-DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+# the payload dtypes by header name: the compute dtypes, little-endian
+DTYPES = {d.name: d.newbyteorder("<") for d in FLOAT_DTYPES}
 
 
 @dataclass

@@ -218,8 +218,9 @@ def _cmd_export_attn(args) -> int:
 # glibc's mallopt parameters, from <malloc.h>.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-# The largest array a recipe step allocates is about 0.6 MB and a step
-# frees a few MB, so heap allocation up to 4 MiB and trimming only past
+# The largest array a float32 recipe step allocates is about 0.3 MB (dec2's
+# gradient grid, 16 x 4,694 values; 0.6 MB in float64) and a step frees a
+# few MB, so heap allocation up to 4 MiB and trimming only past
 # 64 MiB of free heap keep those pages mapped from one step to the next.
 # With glibc's default (dynamic) thresholds, the heap is trimmed and
 # mapped again between steps, and every step faults in fresh zero pages.

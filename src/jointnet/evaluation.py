@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -95,23 +95,17 @@ PREDICT_CHUNK = 4  # images per forward pass; larger chunks ran slower
 Batches = Iterable[tuple[Tensor, np.ndarray]]
 
 
-def _predictions(nets: list[JointNetwork],
-                 batches: Batches) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """The predict loop: for each (images, labels) batch, its labels and
-    each net's classifier-path argmax. The batches come from
-    ``Dataset.batches`` or, decoded as they are taken, from
-    ``Listing.batches``; every net sees a batch before the next is taken."""
-    for images, labels in batches:
-        yield labels, [forward_backbone(net, images).data.argmax(axis=1) for net in nets]
-
-
 def tally(nets: list[JointNetwork], batches: Batches, n_classes: int) -> list[np.ndarray]:
-    """Each net's confusion counts over ``batches``, added up batch by
-    batch, so a batch is freed once every net has classified it."""
+    """Each net's confusion counts over the (images, labels) ``batches``
+    from the classifier path's argmax, added up batch by batch. The batches
+    come from ``Dataset.batches`` or, decoded as they are taken, from
+    ``Listing.batches``; every net classifies a batch before the next is
+    taken, so a batch is freed once every net has classified it."""
     counts = [np.zeros((n_classes, n_classes), dtype=np.int64) for _ in nets]
-    for labels, predicted in _predictions(nets, batches):
-        for total, p in zip(counts, predicted):
-            total += confusion(labels, p, n_classes)
+    for images, labels in batches:
+        for net, total in zip(nets, counts):
+            predicted = forward_backbone(net, images).data.argmax(axis=1)
+            total += confusion(labels, predicted, n_classes)
     return counts
 
 

@@ -92,8 +92,8 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
     two-stage joint network on one 16x16 input and on a batch of two."""
     from . import training
     from .network import ArchConfig, build
-    from .tensor import (add, conv2d, dense, fuse_skip, global_avg_pool,
-                         maxpool2x2, scale, sigmoid, softmax, tensor_sum)
+    from .tensor import (conv2d, dense, fuse_skip, global_avg_pool, maxpool2x2,
+                         sigmoid, softmax, tensor_sum, weighted_sum)
 
     rng = make_rng(seed, GRADCHECK)
 
@@ -146,11 +146,11 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
         lambda p: tensor_sum(global_avg_pool(p["x"])),
         {"x": t(3, 4, 4)},
     ))
-    a_ref = t(2, 3, 3)
+    blend = Tensor(np.array([0.75, 0.25]))
     checks.append((
-        "add_scale",
-        lambda p: tensor_sum(scale(add(a_ref, p["x"]), 0.75)),
-        {"x": t(2, 3, 3)},
+        "weighted_sum",
+        lambda p: tensor_sum(weighted_sum(p["a"], p["b"], blend)),
+        {"a": t(2, 3, 3), "b": t(2, 3, 3)},
     ))
     target_mse = Tensor(rng.uniform(0.0, 1.0, (1, 4, 4)))
     checks.append((

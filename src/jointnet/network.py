@@ -8,7 +8,7 @@ stage, fuses a 3x3-convolved encoder skip with the 2x upsampled previous
 decoder map; a final 1x1 conv + sigmoid produces the reconstruction. Each
 stage is one ``fuse_skip`` op, the skip conv plus the upsampled map in
 one output pass, whose tape node keeps neither the conv output nor the
-upsampled map: a recipe joint forward pass and loss record 20 nodes.
+upsampled map: a recipe joint forward pass and loss record 18 nodes.
 
 Spatial bookkeeping for input size S: stage k emits its skip at
 S / 2^(k-1); the bottleneck sits at S / 2^n; decoder map i lives at

@@ -28,9 +28,10 @@ one. The tape tracks the watched parameters and every op output computed
 from a tracked tensor, and a primitive may skip the gradient of an
 untracked input: ``conv2d`` skips the input-image gradient of the first
 layer, so ``watch`` must come before the parameter's first use on the
-tape. And neither loss (``training.cross_entropy``, ``training.mse``)
-differentiates its target: the one-hot rows and the input image are data,
-and their gradient is always None.
+tape. And no op differentiates its data: the one-hot rows and the input
+image that the losses (``training.cross_entropy``, ``training.mse``) take
+as targets, and the two weights of ``weighted_sum``, have no gradient, so
+every recorded node can be called again as ``fn(*node.inputs)``.
 
 The compute dtype follows the data. A Tensor keeps a float32 or float64
 array as it is, and every array an op, its backward rule or ``backward``
@@ -51,8 +52,8 @@ reductions sum in an order that follows the memory layout of their operand
 (``conv2d``'s bias gradient does), so the layout of each array a primitive
 returns is part of the contract, not only its values: the pooling kernels
 return C-ordered arrays, ``conv2d`` the transpose of a channel-major
-one, and ``fuse_skip`` a C-ordered one, the layout of the ``add`` it
-replaces.
+one, and ``fuse_skip`` a C-ordered one, the layout of the elementwise sum
+it replaced.
 """
 
 from __future__ import annotations
@@ -481,7 +482,7 @@ def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     nearest-neighbor 2x upsampling of ``x``, as one op and one tape node.
     ``skip`` is [..., C,H,W] and ``x`` is [..., C_out, H/2, W/2] with the
     same leading (batch) axes; the output is a C-ordered [..., C_out,H,W]
-    array, the layout ``add`` returns.
+    array, the layout of the elementwise sum it replaced.
 
     The output pass writes the tap sums plus the bias into the fresh
     output array and then adds ``x`` into its four stride-2 views, so
@@ -588,30 +589,21 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
+def weighted_sum(a: Tensor, b: Tensor, weights: Tensor) -> Tensor:
+    """``weights[0] * a + weights[1] * b`` for same-shape ``a`` and ``b``.
+    ``weights`` is a [2] data tensor, like a loss's target: its gradient is
+    always None, and the node can be called again with its inputs."""
+    if a.shape != b.shape or weights.shape != (2,):
+        raise ValueError(
+            f"weighted_sum expects same-shape a and b and weights [2]; got "
+            f"{a.shape}, {b.shape}, {weights.shape}")
+    wa, wb = weights.data
+    out = Tensor(wa * a.data + wb * b.data)
 
     def backward_fn(g: Array):
-        return g, g
+        return wa * g, wb * g, None
 
-    record("add", (a, b), out, backward_fn)
-    return out
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar (used for loss weighting)."""
-    factor = float(factor)
-    if not np.isfinite(factor):
-        raise NumericError(f"scale factor must be finite, got {factor}")
-    out = Tensor(x.data * factor)
-
-    def backward_fn(g: Array):
-        return (g * factor,)
-
-    record("scale", (x,), out, backward_fn)
+    record("weighted_sum", (a, b, weights), out, backward_fn)
     return out
 
 

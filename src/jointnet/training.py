@@ -34,7 +34,7 @@ from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericError
 from .network import ArchConfig, JointNetwork, build, forward_backbone, forward_joint
 from .rng import SHUFFLE, make_rng
-from .tensor import Tape, Tensor, add, backward, record, scale
+from .tensor import Tape, Tensor, backward, record, weighted_sum
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -142,11 +142,15 @@ def mse(input_pixels: Tensor, reconstructed: Tensor) -> Tensor:
 
 
 def combined_loss(supervised: Tensor, unsupervised: Tensor, phi: float) -> Tensor:
-    """phi * L_s + (1 - phi) * L_u, built from tape ops so the endpoints
-    route exact-zero gradients into the switched-off branch."""
+    """phi * L_s + (1 - phi) * L_u as one ``weighted_sum`` node, so the
+    endpoints route exact-zero gradients into the switched-off branch. The
+    weights are a data input in the losses' dtype: phi and 1 - phi are
+    each computed as Python floats and rounded once to that dtype."""
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must be within [0, 1], got {phi}")
-    return add(scale(supervised, phi), scale(unsupervised, 1.0 - phi))
+    dtype = np.result_type(supervised.data, unsupervised.data)
+    weights = Tensor(np.array([phi, 1.0 - phi], dtype))
+    return weighted_sum(supervised, unsupervised, weights)
 
 
 # ---------------------------------------------------------------------------

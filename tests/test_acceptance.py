@@ -2,8 +2,8 @@
 
 Run `pytest -v tests/test_acceptance.py` for one pass/fail line per check;
 add -s for the measured numbers. Checks 6 and 7 train real networks and
-dominate the runtime (check 6 about 24 s, check 7 about 46 s, of about
-2 minutes for the whole suite); they are marked ``slow``.
+dominate the runtime (check 6 about 17 s, check 7 about 33 s, of about
+90 s for the whole suite on 2 vCPUs); they are marked ``slow``.
 """
 
 import time

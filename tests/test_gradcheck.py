@@ -8,7 +8,7 @@ from jointnet import (ArchConfig, JointNetwork, Tape, Tensor, TrainConfig, backw
                       forward_joint, gradcheck, mse, synth_generate)
 from jointnet.gradcheck import (FLOOR, STEP, TOLERANCE, relative_error, run_battery,
                                 standard_battery)
-from jointnet.tensor import add, dense, tensor_sum
+from jointnet.tensor import dense, tensor_sum, weighted_sum
 from jointnet.training import _batch_losses
 
 # The largest relative L2 error of a float32 gradient tensor against the
@@ -66,8 +66,10 @@ class TestGradcheck:
             return out
 
         params = {"v": Tensor(np.ones(2)), "w": Tensor(np.array([1.0, -2.0, 0.5]))}
-        result = gradcheck(lambda p: add(tensor_sum(p["v"]),
-                                         tensor_sum(inf_at_one(p["w"]))), params)
+        ones = Tensor(np.ones(2))
+        result = gradcheck(lambda p: weighted_sum(tensor_sum(p["v"]),
+                                                  tensor_sum(inf_at_one(p["w"])), ones),
+                           params)
         assert not result.passed
         assert result.max_relative_error == float("inf")
         assert (result.worst_param, result.worst_index) == ("w", 2)

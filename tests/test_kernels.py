@@ -9,8 +9,8 @@ reshape/argmax max pool, the reshape/sum upsample gradient, conv2d
 followed by a separate relu op, the sign-masked two-branch sigmoid, and
 the per-parameter Adam loop. ``fuse_skip`` is checked against the three
 ops it replaced, ``add(conv2d(...), upsample2x2(...))``, with the taped
-upsample kept in ``upsample_op``. Equality is on the raw bytes, so a flipped
-sign of zero or a changed summation order fails. The conv is also checked
+upsample and sum kept in ``upsample_op``. Equality is on the raw bytes,
+so a flipped sign of zero or a changed summation order fails. The conv is also checked
 at every conv shape of the recipe network, where a GEMM run over other
 columns rounds differently.
 """
@@ -21,13 +21,13 @@ import numpy as np
 import pytest
 
 import jointnet
-from jointnet import (Adam, ArchConfig, NumericError, Tape, Tensor, add,
-                      backward, build, combined_loss, conv2d, cross_entropy,
+from jointnet import (Adam, ArchConfig, NumericError, Tape, Tensor, backward,
+                      build, combined_loss, conv2d, cross_entropy,
                       forward_backbone, forward_joint, fuse_skip, maxpool2x2,
                       mse, sigmoid, tensor_sum)
 from jointnet.training import BETA1, BETA2, EPSILON
 
-from upsample_op import upsample2x2
+from upsample_op import add, upsample2x2
 
 
 def assert_same_bits(actual, expected):
@@ -729,16 +729,15 @@ class TestNodesCallableByName:
         """``node.op`` names a function of ``jointnet.tensor`` or
         ``jointnet.training`` that, called with ``*node.inputs``, returns an
         output of the node's shape: the benchmark's op inventory re-invokes
-        every recorded node this way. ``scale`` is left out, since its
-        factor is not an input."""
+        every recorded node this way, the loss blend's included."""
         tape = recipe_tape(mode, np.random.default_rng(83))
         ops = set()
         for node in tape.nodes:
-            if node.op == "scale":
-                continue
             fn = (getattr(jointnet.tensor, node.op, None)
                   or getattr(jointnet.training, node.op))
             assert fn.__name__ == node.op
             assert fn(*node.inputs).shape == node.output.shape, node.op
             ops.add(node.op)
         assert "conv2d" in ops and "cross_entropy" in ops
+        if mode == "joint":
+            assert "weighted_sum" in ops

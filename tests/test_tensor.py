@@ -5,9 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from jointnet import (NumericError, Tape, Tensor, add, backward, conv2d,
-                      dense, fuse_skip, global_avg_pool, maxpool2x2, scale,
-                      sigmoid, softmax, tensor_sum)
+from jointnet import (NumericError, Tape, Tensor, backward, conv2d, dense,
+                      fuse_skip, global_avg_pool, maxpool2x2, sigmoid, softmax,
+                      tensor_sum, weighted_sum)
 
 from upsample_op import upsample2x2
 
@@ -168,6 +168,34 @@ class TestDenseAndActivations:
         np.testing.assert_array_equal(global_avg_pool(x).data, [3.0, 1.5])
 
 
+class TestWeightedSum:
+    def test_value_and_rule(self):
+        """weights[0] * a + weights[1] * b; the weights are data, so their
+        gradient is None."""
+        a, b = Tensor(np.array([1.0, -2.0])), Tensor(np.array([4.0, 0.5]))
+        weights = Tensor(np.array([0.25, 0.75]))
+        tape = Tape()
+        with tape:
+            out = weighted_sum(a, b, weights)
+        np.testing.assert_array_equal(out.data, [3.25, -0.125])
+        (node,) = tape.nodes
+        assert node.op == "weighted_sum" and node.inputs == (a, b, weights)
+        da, db, dw = node.backward(np.array([2.0, -4.0]))
+        np.testing.assert_array_equal(da, [0.5, -1.0])
+        np.testing.assert_array_equal(db, [1.5, -3.0])
+        assert dw is None
+
+    @pytest.mark.parametrize("a, b, weights", [
+        ((2,), (3,), (2,)),
+        ((2,), (2,), (3,)),
+        ((), (), ()),
+    ])
+    def test_shapes_rejected(self, a, b, weights):
+        with pytest.raises(ValueError, match="weighted_sum expects"):
+            weighted_sum(Tensor(np.zeros(a)), Tensor(np.zeros(b)),
+                         Tensor(np.zeros(weights)))
+
+
 class TestBackward:
     def test_unreachable_parameter_gets_exact_zero(self):
         w = Tensor(np.ones((2, 2)))
@@ -186,7 +214,8 @@ class TestBackward:
         tape = Tape()
         with tape:
             tape.watch(w)
-            loss = scale(tensor_sum(sigmoid(w)), 0.0)
+            loss = weighted_sum(tensor_sum(sigmoid(w)), Tensor(3.0),
+                                Tensor(np.array([0.0, 1.0])))
         assert np.all(backward(tape, loss)[w] == 0.0)
 
     def test_reused_tensor_accumulates(self):
@@ -194,7 +223,7 @@ class TestBackward:
         tape = Tape()
         with tape:
             tape.watch(w)
-            loss = add(tensor_sum(w), tensor_sum(w))
+            loss = weighted_sum(tensor_sum(w), tensor_sum(w), Tensor(np.ones(2)))
         np.testing.assert_array_equal(backward(tape, loss)[w], [2.0])
 
     def test_non_scalar_seed_rejected(self):
@@ -318,8 +347,9 @@ class TestDtype:
         "sigmoid": (lambda p: sigmoid(p["x"]), {"x": (2, 3)}),
         "softmax": (lambda p: softmax(p["x"]), {"x": (2, 3)}),
         "global_avg_pool": (lambda p: global_avg_pool(p["x"]), {"x": (2, 3, 4, 4)}),
-        "add_scale": (lambda p: scale(add(p["a"], p["x"]), 0.75),
-                      {"a": (2, 3), "x": (2, 3)}),
+        "weighted_sum": (lambda p: weighted_sum(p["a"], p["x"], Tensor(
+                             np.array([0.75, 0.25], p["a"].data.dtype))),
+                         {"a": (2, 3), "x": (2, 3)}),
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from jointnet import (Adam, ArchConfig, ConfigError, NumericError,
-                      PlateauScheduler, Tape, Tensor, TrainConfig, add,
-                      backward, build, combined_loss, cross_entropy,
-                      forward_joint, kfold_train, mse, scale, softmax,
-                      synth_generate, train)
+                      PlateauScheduler, Tape, Tensor, TrainConfig, backward,
+                      build, combined_loss, cross_entropy, forward_joint,
+                      kfold_train, mse, record, softmax, synth_generate, train,
+                      weighted_sum)
 from jointnet.data import Dataset, Sample
 from jointnet.training import LR_FLOOR, _batch_losses
 
 from peaks import traced_peak, traced_peaks
+from upsample_op import add
 
 TINY_ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16,
                        base_channels=2, n_classes=3)
@@ -123,6 +124,44 @@ class TestLosses:
     def test_combined_interpolates(self):
         ls, lu = Tensor(2.0), Tensor(4.0)
         assert combined_loss(ls, lu, 0.25).item() == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phi", [0.9, 0.5])
+    def test_combined_matches_the_three_node_blend(self, phi, dtype):
+        """The one-node blend against the three nodes it replaced,
+        ``add(scale(ls, phi), scale(lu, 1 - phi))``: the value and both
+        loss gradients, bit for bit. Each weight is a Python float rounded
+        once to the dtype; at phi = 0.9, float32(1 - 0.9) differs from
+        1 - float32(0.9), so a weight computed in float32 fails here."""
+        rng = np.random.default_rng(int(phi * 10))
+        values = rng.uniform(0.0, 3.0, 2).astype(dtype)
+        seed = np.array(rng.uniform(0.5, 2.0), dtype)
+        results = []
+        for blend in (combined_loss,
+                      lambda ls, lu, phi: add(_scale(ls, phi), _scale(lu, 1.0 - phi))):
+            ls, lu = Tensor(values[0]), Tensor(values[1])
+            tape = Tape()
+            with tape:
+                tape.watch(ls)
+                tape.watch(lu)
+                loss = blend(ls, lu, phi)
+            # the blend's last node gets ``seed`` as its output gradient,
+            # so the gradients are not the weights alone
+            rule = tape.nodes[-1].backward
+            tape.nodes[-1].backward = lambda g, rule=rule: rule(seed * g)
+            grads = backward(tape, loss)
+            results.append([loss.data, grads[ls], grads[lu]])
+        for actual, expected in zip(*results):
+            assert actual.dtype == expected.dtype == dtype
+            assert actual.tobytes() == expected.tobytes()
+
+
+def _scale(x: Tensor, factor: float) -> Tensor:
+    """The taped multiplication by a Python float that the loss blend was
+    built from, kept as the oracle of ``combined_loss``."""
+    out = Tensor(x.data * factor)
+    record("scale", (x,), out, lambda g: (g * factor,))
+    return out
 
 
 class TestLossRouting:
@@ -299,15 +338,15 @@ class TestBatchOrder:
             with tape:
                 for p in net.params.values():
                     tape.watch(p)
-                total = None
+                losses = []
                 for s in sorted(pair, key=lambda s: s.source_id):
                     out = forward_joint(net, s.image)
-                    loss = combined_loss(
+                    losses.append(combined_loss(
                         cross_entropy(Tensor(np.eye(3)[s.label]), out.class_probs),
-                        mse(s.image, out.reconstruction), 0.5)
-                    total = loss if total is None else add(total, loss)
-                batch_loss = scale(total, 0.5)
-            grads = backward(tape, batch_loss)
+                        mse(s.image, out.reconstruction), 0.5))
+                half = Tensor(np.full(2, 0.5, out.image.data.dtype))
+                mean = weighted_sum(*losses, half)
+            grads = backward(tape, mean)
             results.append({n: grads[p] for n, p in net.params.items()})
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
@@ -450,13 +489,13 @@ class TestStepMemory:
         assert back <= forward, f"backward peaked at {back} bytes, forward at {forward}"
 
     def test_recipe_joint_tape_holds_no_intermediate_map(self):
-        """After the forward pass and the loss, a recipe joint tape has 20
+        """After the forward pass and the loss, a recipe joint tape has 18
         nodes and holds no more arrays than the fused decoder needs: a
         decoder stage that kept its conv output or its upsampled map would
         exceed the bound."""
         net, record = self._recipe()
         tape, _ = record()
-        assert len(tape.nodes) == 20
+        assert len(tape.nodes) == 18
         held = tape_held_bytes(tape, net.params.values())
         assert held <= TAPE_HELD_BOUND, f"the tape holds {held} bytes"
 

@@ -1,8 +1,9 @@
-"""Nearest-neighbor 2x upsampling as a taped op of its own: the op each
-decoder stage recorded before the stage became one ``fuse_skip`` node.
-The tests keep it as the reference ``fuse_skip`` must match,
-``add(conv2d(...), upsample2x2(...))`` bit for bit, and to check the
-replica sum that both use."""
+"""Nearest-neighbor 2x upsampling and the elementwise sum as taped ops of
+their own: two of the three ops each decoder stage recorded before the
+stage became one ``fuse_skip`` node. The tests keep them as the reference
+``fuse_skip`` must match, ``add(conv2d(...), upsample2x2(...))`` bit for
+bit, and the upsample to check the replica sum it shares with
+``fuse_skip``."""
 
 from __future__ import annotations
 
@@ -32,4 +33,18 @@ def upsample2x2(x: Tensor) -> Tensor:
         return (_replica_sum(g, x.shape),)
 
     tensor.record("upsample2x2", (x,), out, backward_fn)
+    return out
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two same-shape tensors; backward hands ``g`` to
+    both."""
+    if a.shape != b.shape:
+        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    out = Tensor(a.data + b.data)
+
+    def backward_fn(g):
+        return g, g
+
+    tensor.record("add", (a, b), out, backward_fn)
     return out
