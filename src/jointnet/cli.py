@@ -23,7 +23,7 @@ from .config import parse_config
 from .data import (CLASS_NAMES, SHIFTS, list_directory, load_directory, load_image,
                    synth_samples, write_samples)
 from .errors import ConfigError, DataError, NumericError
-from .evaluation import (PREDICT_CHUNK, compare_report, export_attention, metrics,
+from .evaluation import (compare_report, export_attention, metrics, predict_chunk,
                          render_metrics_kv, tally)
 from .fileio import write_atomic
 from .gradcheck import TOLERANCE, run_battery
@@ -108,9 +108,12 @@ def _list_for(arch, data_dir: str):
     return listing
 
 
-def _stream(listing, arch):
-    """The listed images decoded for ``arch``, one predict chunk at a time."""
-    return listing.batches(arch.input_size, arch.input_channels, PREDICT_CHUNK)
+def _stream(listing, nets):
+    """The listed images decoded for ``nets``, which share an input shape,
+    in chunks of the smallest ``predict_chunk`` among them."""
+    arch = nets[0].config
+    return listing.batches(arch.input_size, arch.input_channels,
+                           min(map(predict_chunk, nets)))
 
 
 def _cmd_train(args) -> int:
@@ -149,7 +152,7 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.model)
     net = to_network(ckpt)
     listing = _list_for(ckpt.arch, args.data)
-    (counts,) = tally([net], _stream(listing, ckpt.arch), ckpt.arch.n_classes)
+    (counts,) = tally([net], _stream(listing, [net]), ckpt.arch.n_classes)
     report = metrics(counts)
     text = render_metrics_kv(counts, report, listing.class_names,
                              extra=[("model", args.model), ("data", args.data)])
@@ -175,10 +178,9 @@ def _cmd_compare(args) -> int:
     # the class counts agree, so only the input shape calls for a second decode
     if ((ckpt_b.arch.input_size, ckpt_b.arch.input_channels)
             == (ckpt_a.arch.input_size, ckpt_a.arch.input_channels)):
-        counts = tally(nets, _stream(listing, ckpt_a.arch), n_classes)
+        counts = tally(nets, _stream(listing, nets), n_classes)
     else:
-        counts = [tally([net], _stream(listing, ckpt.arch), n_classes)[0]
-                  for net, ckpt in zip(nets, (ckpt_a, ckpt_b))]
+        counts = [tally([net], _stream(listing, [net]), n_classes)[0] for net in nets]
     report_a, report_b = map(metrics, counts)
     table = compare_report(name_a, report_a, name_b, report_b)
     write_atomic(args.report, table.encode("utf-8"))

@@ -1,7 +1,7 @@
 """Confusion matrices, macro-averaged metrics, model comparison tables,
 and attention-map export.
 
-Evaluation streams: ``tally`` classifies one batch of ``PREDICT_CHUNK``
+Evaluation streams: ``tally`` classifies one batch of ``predict_chunk``
 images at a time with every net it is given and adds each batch into the
 confusion counts, so memory does not grow with the image count when the
 batches are decoded as they are taken (``Listing.batches``, which the
@@ -90,17 +90,34 @@ def metrics(counts: np.ndarray) -> MetricsReport:
     )
 
 
-PREDICT_CHUNK = 4  # images per forward pass; larger chunks ran slower
+# The first conv's output is a forward pass's largest map. A chunk whose
+# output fits this budget shares each op's fixed cost among its images
+# without outgrowing the cache: the fastest chunks measured were 8-12
+# images for the float32 recipe, 6-8 in float64 and 2-3 at 64 px; this
+# gives 10, 5 and 2.
+CHUNK_BYTES = 320 << 10
+
+
+def predict_chunk(net: JointNetwork) -> int:
+    """Images per forward pass: as many as keep the first conv's output,
+    ``base_channels`` maps of ``input_size**2`` values in ``net``'s dtype,
+    within ``CHUNK_BYTES``, and at least one."""
+    arch = net.config
+    return max(1, CHUNK_BYTES // (arch.base_channels * arch.input_size ** 2
+                                  * net.dtype.itemsize))
+
 
 Batches = Iterable[tuple[Tensor, np.ndarray]]
 
 
 def tally(nets: list[JointNetwork], batches: Batches, n_classes: int) -> list[np.ndarray]:
     """Each net's confusion counts over the (images, labels) ``batches``
-    from the classifier path's argmax, added up batch by batch. The batches
-    come from ``Dataset.batches`` or, decoded as they are taken, from
-    ``Listing.batches``; every net classifies a batch before the next is
-    taken, so a batch is freed once every net has classified it."""
+    from the classifier path's argmax, added up batch by batch, one forward
+    pass per net and batch. The batches come from ``Dataset.batches`` or,
+    decoded as they are taken, from ``Listing.batches``, ``predict_chunk``
+    images at a time (the smallest among ``nets``); every net classifies a
+    batch before the next is taken, so a batch is freed once every net has
+    classified it."""
     counts = [np.zeros((n_classes, n_classes), dtype=np.int64) for _ in nets]
     for images, labels in batches:
         for net, total in zip(nets, counts):
@@ -111,10 +128,11 @@ def tally(nets: list[JointNetwork], batches: Batches, n_classes: int) -> list[np
 
 def evaluate(net: JointNetwork, dataset: Dataset) -> tuple[np.ndarray, MetricsReport]:
     """The confusion counts of the classifier path on ``dataset``, one
-    forward pass per chunk of ``PREDICT_CHUNK`` images, and their metrics."""
+    forward pass per chunk of ``predict_chunk(net)`` images, and their
+    metrics."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    (counts,) = tally([net], dataset.batches(PREDICT_CHUNK), net.config.n_classes)
+    (counts,) = tally([net], dataset.batches(predict_chunk(net)), net.config.n_classes)
     return counts, metrics(counts)
 
 

@@ -313,10 +313,14 @@ class TestEval:
 
 # Eval and compare stream their images, so their traced peak is the same
 # (within this margin, the listing of the files) on 96 images as on 12:
-# 1.42 and 1.45 MB for eval, 1.60 and 1.62 MB for compare at the recipe.
-# Decoding every image first read 1.72 and 3.81 MB for eval, 1.81 and
-# 3.90 MB for compare.
+# 1.91 and 1.94 MB for eval, 2.00 and 2.03 MB for compare at the float32
+# recipe, 10 images per forward pass (0.82 and 0.86 MB, 0.92 and 0.94 MB
+# at 4 per pass). Decoding every image first read 1.72 and 3.81 MB for
+# eval, 1.81 and 3.90 MB for compare, in float64 at 4 per pass.
 STREAM_MARGIN = 64 * 1024
+# The recipe eval's own bound, so that a larger chunk budget cannot grow
+# it unseen.
+EVAL_PEAK = 2_500_000
 
 
 @pytest.fixture(scope="module")
@@ -353,11 +357,47 @@ class TestStreaming:
                 "--data", str(recipe_sets["sets"][n]),
                 "--report", str(recipe_sets["root"] / f"compare{n}.txt")]
 
+    @staticmethod
+    def _record_batches(monkeypatch):
+        """(dtype, image count) of every classifier forward pass, in order."""
+        seen = []
+        real = jointnet.evaluation.forward_backbone
+
+        def recording(net, images):
+            seen.append((net.dtype, len(images.data)))
+            return real(net, images)
+
+        monkeypatch.setattr(jointnet.evaluation, "forward_backbone", recording)
+        return seen
+
     @pytest.mark.parametrize("command", ["_eval", "_compare"])
     def test_peak_does_not_grow_with_the_image_count(self, recipe_sets, capsys, command):
         argv = getattr(self, command)
         peaks = {n: traced_peak(lambda: succeeds(argv(recipe_sets, n))) for n in (12, 96)}
+        if command == "_eval":
+            assert max(peaks.values()) <= EVAL_PEAK, peaks
         assert peaks[96] - peaks[12] <= STREAM_MARGIN, peaks
+
+    def test_eval_forwards_predict_chunks_and_a_tail(self, recipe_sets, capsys,
+                                                     monkeypatch):
+        """A float32 recipe model classifies 10 images per pass, so 12
+        images make one chunk of 10 and a tail of 2."""
+        seen = self._record_batches(monkeypatch)
+        succeeds(self._eval(recipe_sets, 12))
+        assert seen == [(np.dtype(np.float32), 10), (np.dtype(np.float32), 2)]
+
+    def test_compare_forwards_the_smaller_chunk_to_both(self, recipe_sets, tmp_path,
+                                                        capsys, monkeypatch):
+        """Beside a float64 model of the same shape (5 per pass), the float32
+        model (10 per pass) gets the same chunks of 5, from one decode."""
+        a = recipe_sets["models"][0]
+        b = as_float64(recipe_sets["models"][1], tmp_path / "f64.ckpt")
+        seen = self._record_batches(monkeypatch)
+        succeeds(["compare", "--model-a", str(a), "--model-b", str(b),
+                  "--data", str(recipe_sets["sets"][12]),
+                  "--report", str(tmp_path / "compare.txt")])
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        assert seen == [(f32, 5), (f64, 5), (f32, 5), (f64, 5), (f32, 2), (f64, 2)]
 
     @pytest.mark.parametrize("n", [12, 96])
     def test_reports_match_evaluating_the_loaded_set(self, recipe_sets, capsys, n):

@@ -7,7 +7,7 @@ from jointnet import (ArchConfig, MetricsReport, Tensor, build, compare_report,
                       confusion, evaluate, export_attention, forward_backbone,
                       metrics, read_netpbm, render_metrics_kv)
 from jointnet.data import Dataset, Sample
-from jointnet.evaluation import PREDICT_CHUNK, tally
+from jointnet.evaluation import predict_chunk, tally
 from jointnet.kvio import parse_kv
 
 
@@ -131,19 +131,31 @@ class TestPredictEvaluate:
                    for i in range(n)]
         return Dataset(samples, [f"c{c}" for c in range(arch.n_classes)])
 
+    @pytest.mark.parametrize("dtype, size, chunk", [(np.float32, 32, 10),
+                                                    (np.float64, 32, 5),
+                                                    (np.float32, 64, 2),
+                                                    (np.float32, 256, 1)])
+    def test_predict_chunk_follows_the_first_conv_bytes(self, dtype, size, chunk):
+        """At base width 8, the first conv's output is 32 KiB per float32
+        image at 32 px, so 10 fit the budget; at 256 px one image is over
+        it and still makes a chunk."""
+        arch = ArchConfig(n_stages=2, input_size=size, base_channels=8)
+        assert predict_chunk(build(arch, seed=0, dtype=dtype)) == chunk
+
     def test_tally_matches_argmax(self):
         """The chunked counts are those of each sample's classifier-path
-        argmax, and a second pass gives the same counts."""
-        arch = ArchConfig(n_stages=1, input_channels=1, input_size=16,
-                          base_channels=2)
+        argmax, and a second pass gives the same counts; the 23 recipe
+        images make chunks of 10, 10 and 3."""
+        arch = ArchConfig(n_stages=2, input_size=32, base_channels=8)
         net = build(arch, seed=0)
-        ds = self._dataset(arch)
-        (counts,) = tally([net], ds.batches(PREDICT_CHUNK), arch.n_classes)
+        ds = self._dataset(arch, n=23)
+        chunk = predict_chunk(net)
+        assert [len(labels) for _, labels in ds.batches(chunk)] == [10, 10, 3]
+        (counts,) = tally([net], ds.batches(chunk), arch.n_classes)
         assert counts.sum() == len(ds)
         argmax = [int(forward_backbone(net, s.image).data.argmax()) for s in ds.samples]
         np.testing.assert_array_equal(counts, confusion(ds.labels(), argmax, arch.n_classes))
-        np.testing.assert_array_equal(
-            counts, tally([net], ds.batches(PREDICT_CHUNK), arch.n_classes)[0])
+        np.testing.assert_array_equal(counts, tally([net], ds.batches(chunk), arch.n_classes)[0])
 
     def test_evaluate_consistency(self):
         arch = ArchConfig(n_stages=1, input_channels=1, input_size=16,
