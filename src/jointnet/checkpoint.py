@@ -3,11 +3,11 @@
 Layout, all integers little-endian:
 
 * 4-byte magic ``JANW``, then u8 format version.
-* u32 byte length + UTF-8 ``key = value`` block holding the architecture
-  dims (the fields of ``ArchConfig``, in declaration order), the payload
-  ``dtype`` (``float32`` or ``float64``), the epoch the snapshot was taken
-  at, and its validation loss (floats written via ``repr`` so they
-  round-trip bit-exactly).
+* u32 byte length + UTF-8 ``key = value`` block holding two records: the
+  architecture dims (the fields of ``ArchConfig``, in declaration order),
+  then the payload ``dtype`` (``float32`` or ``float64``), the epoch the
+  snapshot was taken at (1 or more), and its finite validation loss
+  (floats written via ``repr`` so they round-trip bit-exactly).
 * u32 parameter tensor count, then one record per parameter in canonical
   order: u16 name length + UTF-8 name, u8 rank, u32 per-dim sizes,
   row-major payload of little-endian ``dtype`` values (4 or 8 bytes
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import write_atomic
-from .kvio import format_kv, parse_kv, parse_record, record_pairs
+from .kvio import format_kv, parse_kv, parse_records, record_pairs
 from .network import ArchConfig, JointNetwork, parameter_specs
 from .tensor import FLOAT_DTYPES, Tensor
 
@@ -53,6 +53,24 @@ class Checkpoint:
     best_val_loss: float
 
 
+@dataclass(frozen=True)
+class _Snapshot:
+    """The header keys after the architecture's."""
+
+    dtype: str
+    epoch: int
+    best_val_loss: float
+
+    def __post_init__(self):
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
+        if self.epoch < 1:
+            raise ConfigError(f"epoch must be >= 1, got {self.epoch}")
+        # every loss training records is finite, so nan or inf is corruption
+        if not math.isfinite(self.best_val_loss):
+            raise ConfigError(f"best_val_loss must be finite, got {self.best_val_loss}")
+
+
 def to_network(ckpt: Checkpoint) -> JointNetwork:
     return JointNetwork(ckpt.arch, {name: Tensor(arr.copy())
                                     for name, arr in ckpt.params.items()})
@@ -70,18 +88,16 @@ def _tensor_record(buf: bytearray, name: str, arr: np.ndarray, dtype: np.dtype) 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write ``ckpt`` in the dtype of its parameters, which must share one:
-    float32 or float64."""
+    float32 or float64. An epoch below 1 or a non-finite loss, which no
+    load accepts, is a ``ConfigError``."""
     names = [name for name, _ in parameter_specs(ckpt.arch)]
     dtypes = {ckpt.params[name].dtype.name for name in names}
     if len(dtypes) != 1 or not dtypes <= DTYPES.keys():
         raise ValueError(f"checkpoint parameters must share one dtype of "
                          f"{sorted(DTYPES)}, got {sorted(dtypes)}")
     (dtype_name,) = dtypes
-    header = format_kv(
-        record_pairs(ckpt.arch)
-        + [("dtype", dtype_name),
-           ("epoch", ckpt.epoch),
-           ("best_val_loss", repr(float(ckpt.best_val_loss)))]).encode("utf-8")
+    snapshot = _Snapshot(dtype_name, ckpt.epoch, float(ckpt.best_val_loss))
+    header = format_kv(record_pairs(ckpt.arch) + record_pairs(snapshot)).encode("utf-8")
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<B", VERSION)
@@ -163,42 +179,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: header is not UTF-8 at byte {header_at + e.start}") from e
     except ConfigError as e:
         raise DataError(f"{path}: malformed header at byte {header_at}: {e}") from e
-    arch_keys = [f.name for f in fields(ArchConfig)]
-    expected_keys = set(arch_keys) | {"dtype", "epoch", "best_val_loss"}
+    expected_keys = {f.name for kind in (ArchConfig, _Snapshot) for f in fields(kind)}
     if set(header) != expected_keys:
         raise DataError(
             f"{path}: header keys {sorted(header)} do not match {sorted(expected_keys)}")
-    dtype = DTYPES.get(header["dtype"])
-    if dtype is None:
-        raise DataError(f"{path}: header key 'dtype' is {header['dtype']!r}, "
-                        f"expected one of {sorted(DTYPES)}")
     try:
-        epoch = int(header["epoch"])
-    except ValueError as e:
-        raise DataError(f"{path}: header key 'epoch' is not an integer: "
-                        f"{header['epoch']!r}") from e
-    try:
-        best_val_loss = float(header["best_val_loss"])
-    except ValueError:
-        best_val_loss = math.nan
-    # every loss training records is finite, so nan or inf is corruption
-    if not math.isfinite(best_val_loss):
-        raise DataError(f"{path}: header key 'best_val_loss' is not a finite "
-                        f"float: {header['best_val_loss']!r}")
-    try:
-        arch = parse_record(ArchConfig, {key: header[key] for key in arch_keys},
-                            f"{path}#header")
+        arch, snapshot = parse_records((ArchConfig, _Snapshot), header, f"{path}#header")
     except ConfigError as e:
-        raise DataError(f"{path}: invalid architecture in header: {e}") from e
+        raise DataError(f"{path}: invalid header: {e}") from e
 
     specs = parameter_specs(arch)
     count = cur.unpack("<I", "tensor count")
     if count != len(specs):
         raise DataError(
             f"{path}: {count} parameter tensors, architecture requires {len(specs)}")
-    params = {name: _read_record(cur, name, shape, dtype) for name, shape in specs}
+    params = {name: _read_record(cur, name, shape, DTYPES[snapshot.dtype])
+              for name, shape in specs}
     if cur.off != len(data):
         raise DataError(
             f"{path}: {len(data) - cur.off} trailing bytes after the last "
             f"tensor record at byte {cur.off}")
-    return Checkpoint(arch, params, epoch, best_val_loss)
+    return Checkpoint(arch, params, snapshot.epoch, snapshot.best_val_loss)

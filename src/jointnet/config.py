@@ -9,12 +9,12 @@ the file name, line, and the violated constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ConfigError
-from .kvio import parse_kv, parse_record, record_pairs
+from .kvio import parse_kv, parse_records, record_pairs
 from .network import ArchConfig
 from .training import TrainConfig
 
@@ -32,22 +32,9 @@ class RunConfig:
         return record_pairs(self.arch) + record_pairs(self.train)
 
 
-# RunConfig field -> its record type
-_PARTS = get_type_hints(RunConfig)
-# config key -> the RunConfig field whose record declares it, in RunConfig order
-_KEYS = {f.name: part for part, kind in _PARTS.items() for f in fields(kind)}
-
-
 def parse_config_text(text: str, source: str = "config") -> RunConfig:
-    raw = parse_kv(text, source=source)
-    for key in raw:
-        if key not in _KEYS:
-            raise ConfigError(
-                f"{source}: unknown key '{key}' (valid: {', '.join(_KEYS)})")
-    return RunConfig(**{
-        part: parse_record(kind, {k: v for k, v in raw.items() if _KEYS[k] == part},
-                           source)
-        for part, kind in _PARTS.items()})
+    return RunConfig(*parse_records(get_type_hints(RunConfig).values(),
+                                    parse_kv(text, source=source), source))
 
 
 def parse_config(path: str | Path) -> RunConfig:

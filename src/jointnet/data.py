@@ -222,7 +222,7 @@ def write_samples(samples: Iterable[Sample], class_names: list[str],
             class_dir.mkdir(parents=True, exist_ok=True)
         path = class_dir / f"{name.lower()}_{counters[sample.label]:04d}.pgm"
         counters[sample.label] += 1
-        write_pgm(path, np.rint(sample.image.data[0] * 255.0), 255)
+        write_pgm(path, sample.image.data[0])
         paths.append(path)
     return paths
 

@@ -192,6 +192,6 @@ def export_attention(net: JointNetwork, image: Tensor,
     for stage in range(1, net.config.n_stages + 1):
         plane = extract_attention(output, stage).data[0]
         path = out_dir / f"attn_stage{stage}.pgm"
-        write_pgm(path, np.rint(plane * 255.0), 255)
+        write_pgm(path, plane)
         paths.append(path)
     return paths

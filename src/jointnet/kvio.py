@@ -6,7 +6,8 @@ duplicate keys are an error. Writers emit ``key = value`` with single
 spaces so identical inputs serialize to identical bytes.
 
 A config record (a dataclass such as ``ArchConfig`` or ``TrainConfig``) is
-written with ``record_pairs`` and read back with ``parse_record``.
+written with ``record_pairs`` and read back with ``parse_record``, several
+at once with ``parse_records``.
 """
 
 from __future__ import annotations
@@ -72,14 +73,31 @@ def record_pairs(record) -> list[tuple[str, object]]:
 
 def parse_record(cls, raw: dict[str, str], source: str):
     """``cls`` from text values for some of its fields, each converted by its
-    field's type; a value that does not convert is a ``ConfigError`` naming
-    the key. Other fields keep their defaults; ``cls`` validates the result."""
+    field's type; an int or float must be ASCII without ``_``, as ``int``
+    and ``float`` alone also read ``1_0`` and other scripts' digits. A value
+    that does not convert is a ``ConfigError`` naming the key. Other fields
+    keep their defaults; ``cls`` validates the result."""
     kinds = get_type_hints(cls)
     values = {}
     for key, text in raw.items():
         try:
+            if kinds[key] in (int, float) and not (text.isascii() and "_" not in text):
+                raise ValueError
             values[key] = kinds[key](text)
         except ValueError as e:
             raise ConfigError(f"{source}: key '{key}' needs a {kinds[key].__name__}, "
                               f"got {text!r}") from e
     return cls(**values)
+
+
+def parse_records(kinds, raw: dict[str, str], source: str) -> list:
+    """One record of each type in ``kinds``, in order, each read by
+    ``parse_record`` from the keys its fields declare. A key that no type
+    declares is a ``ConfigError`` listing the valid keys."""
+    owners = {f.name: kind for kind in kinds for f in fields(kind)}
+    for key in raw:
+        if key not in owners:
+            raise ConfigError(
+                f"{source}: unknown key '{key}' (valid: {', '.join(owners)})")
+    return [parse_record(kind, {k: v for k, v in raw.items() if owners[k] is kind}, source)
+            for kind in kinds]

@@ -3,7 +3,7 @@
 Reads P2/P5 (grayscale) and P3/P6 (RGB) with maxval 1..65535; binary
 rasters use one byte per sample below 256, two big-endian bytes otherwise.
 Every header number and ASCII sample is ASCII digits only. Parse errors
-carry the file path and byte offset. Writing emits P5.
+carry the file path and byte offset. Writing emits 8-bit P5 only.
 """
 
 from __future__ import annotations
@@ -116,18 +116,14 @@ def read_netpbm(path: str | Path) -> tuple[np.ndarray, int]:
     return values.reshape(height, width, 3).transpose(2, 0, 1), maxval
 
 
-def write_pgm(path: str | Path, levels: np.ndarray, maxval: int = 255) -> None:
-    """Write integer gray levels [H,W] as binary P5."""
-    levels = np.asarray(levels)
-    if levels.ndim != 2:
-        raise ValueError(f"write_pgm expects [H,W], got shape {levels.shape}")
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval must be within [1, 65535], got {maxval}")
-    rounded = np.rint(levels)
-    if rounded.min() < 0 or rounded.max() > maxval:
-        raise ValueError(
-            f"levels range [{levels.min()}, {levels.max()}] outside [0, {maxval}]")
-    h, w = levels.shape
-    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
-    dtype = ">u2" if maxval > 255 else np.uint8
-    Path(path).write_bytes(header + rounded.astype(dtype).tobytes())
+def write_pgm(path: str | Path, plane: np.ndarray) -> None:
+    """Write intensities [H,W] in [0, 1] as 8-bit binary P5, each as level
+    ``rint(255 * intensity)``."""
+    plane = np.asarray(plane)
+    if plane.ndim != 2:
+        raise ValueError(f"write_pgm expects [H,W], got shape {plane.shape}")
+    if not 0 <= plane.min() <= plane.max() <= 1:  # NaN fails every comparison
+        raise ValueError(f"intensities range [{plane.min()}, {plane.max()}] outside [0, 1]")
+    h, w = plane.shape
+    header = f"P5\n{w} {h}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + np.rint(255 * plane).astype(np.uint8).tobytes())

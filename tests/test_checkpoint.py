@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from jointnet import (ArchConfig, Checkpoint, DataError, Tensor, build,
+from jointnet import (ArchConfig, Checkpoint, ConfigError, DataError, Tensor, build,
                       forward_joint, load_checkpoint, parameter_specs,
                       save_checkpoint, to_network)
 from jointnet.checkpoint import DTYPES, _tensor_record
@@ -225,7 +225,8 @@ class TestFormat:
     def test_unknown_dtype_rejected(self, tmp_path, value):
         path = _with_header_line(tmp_path, b"dtype = float32\n",
                                  b"dtype = " + value + b"\n")
-        with pytest.raises(DataError, match=r"m\.ckpt: header key 'dtype' is "):
+        with pytest.raises(DataError, match=r"m\.ckpt: invalid header: dtype must be "
+                                            r"one of \['float32', 'float64'\], got '"):
             load_checkpoint(path)
 
 
@@ -267,7 +268,7 @@ class TestHeaderValues:
         path = _with_header_line(tmp_path, b"n_stages = 1\n",
                                  b"n_stages = 1000000000000\n")
         with pytest.raises(DataError,
-                           match=r"invalid architecture .*2\^1000000000001, got 16"):
+                           match=r"invalid header: .*2\^1000000000001, got 16"):
             load_checkpoint(path)
 
     def test_n_stages_past_the_print_limit_rejected(self, tmp_path):
@@ -276,23 +277,52 @@ class TestHeaderValues:
         path = _with_header_line(tmp_path, b"n_stages = 1\n",
                                  b"n_stages = " + b"9" * 4300 + b"\n")
         with pytest.raises(DataError,
-                           match=r"invalid architecture .*2\^\(n_stages\+1\), got 16"):
+                           match=r"invalid header: .*2\^\(n_stages\+1\), got 16"):
             load_checkpoint(path)
 
     def test_arch_value_that_is_not_an_integer_rejected(self, tmp_path):
         path = _with_header_line(tmp_path, b"base_channels = 2\n",
                                  b"base_channels = two\n")
-        with pytest.raises(DataError, match=r"invalid architecture in header: "
+        with pytest.raises(DataError, match=r"m\.ckpt: invalid header: "
                                             r".*'base_channels' needs a int, got 'two'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "soon"])
-    def test_best_val_loss_must_be_a_finite_float(self, tmp_path, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_best_val_loss_must_be_finite(self, tmp_path, value):
         path = _with_header_line(tmp_path, b"best_val_loss = 0.30000000000000004\n",
                                  f"best_val_loss = {value}\n".encode())
-        with pytest.raises(DataError, match=f"'best_val_loss' is not a finite "
-                                            f"float: '{value}'"):
+        with pytest.raises(DataError, match=r"m\.ckpt: invalid header: best_val_loss "
+                                            r"must be finite, got -?(nan|inf)$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("best_val_loss", "soon", "float"), ("best_val_loss", "0_1", "float"),
+        ("best_val_loss", "\u0660.5", "float"), ("epoch", "3.0", "int"),
+        ("epoch", "1_0", "int"), ("epoch", "\u0663", "int")])
+    def test_value_that_is_not_an_ascii_number_rejected(self, tmp_path, key, value, kind):
+        """Python reads ``1_0`` as 10 and the Arabic-Indic digit three as
+        3; a header number is ASCII without underscores."""
+        old = {"epoch": b"epoch = 3\n",
+               "best_val_loss": b"best_val_loss = 0.30000000000000004\n"}[key]
+        path = _with_header_line(tmp_path, old, f"{key} = {value}\n".encode())
+        with pytest.raises(DataError, match=rf"m\.ckpt: invalid header: .*'{key}' "
+                                            rf"needs a {kind}, got '{value}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_epoch_below_1_rejected(self, tmp_path, value):
+        """Training numbers epochs from 1, so no run writes a lower one."""
+        path = _with_header_line(tmp_path, b"epoch = 3\n", f"epoch = {value}\n".encode())
+        with pytest.raises(DataError, match=rf"m\.ckpt: invalid header: epoch must "
+                                            rf"be >= 1, got {value}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("epoch,best,message", [
+        (0, 0.3, "epoch must be >= 1"), (3, float("nan"), "best_val_loss must be finite")])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, epoch, best, message):
+        with pytest.raises(ConfigError, match=message):
+            save_checkpoint(_checkpoint(epoch=epoch, best=best), tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestPayloadValues:

@@ -272,14 +272,14 @@ class TestEval:
         assert main(["eval", "--model", str(bad),
                      "--data", str(workspace["data"]),
                      "--report", str(tmp_path / "r.txt")]) == 2
-        assert "deep.ckpt: invalid architecture in header" in capsys.readouterr().err
+        assert "deep.ckpt: invalid header" in capsys.readouterr().err
 
     def test_oversized_ascii_header_exits_2(self, workspace, tmp_path, capsys):
         # three classes, as the model expects: a class count that differs
         # exits 1 before any image is decoded
         for name in ("DME", "NORMAL"):
             (tmp_path / "data" / name).mkdir(parents=True)
-            write_pgm(tmp_path / "data" / name / "ok.pgm", np.zeros((16, 16)), 255)
+            write_pgm(tmp_path / "data" / name / "ok.pgm", np.zeros((16, 16)))
         amd = tmp_path / "data" / "AMD"
         amd.mkdir(parents=True)
         (amd / "huge.pgm").write_bytes(b"P2 2000000000 2000000000 255\n0\n")
@@ -292,7 +292,7 @@ class TestEval:
             self, workspace, tmp_path, capsys, monkeypatch):
         for name in ("AMD", "DME"):
             (tmp_path / "data" / name).mkdir(parents=True)
-            write_pgm(tmp_path / "data" / name / "x.pgm", np.zeros((16, 16)), 255)
+            write_pgm(tmp_path / "data" / name / "x.pgm", np.zeros((16, 16)))
         monkeypatch.setattr(jointnet.data, "read_netpbm", None)  # any decode fails
         assert main(["eval", "--model", str(workspace["model"]),
                      "--data", str(tmp_path / "data"),

@@ -88,6 +88,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'epochs' needs a int"):
             parse_config_text("epochs = soon\n")
 
+    @pytest.mark.parametrize("key,value,kind", [
+        ("epochs", "1_0", "int"), ("epochs", "\u0663", "int"),
+        ("phi", "\u0660.5", "float"), ("lr", "1_0e-4", "float"),
+        ("seed", "\uff17", "int")])
+    def test_number_that_is_not_ascii_without_underscores_rejected(self, key, value, kind):
+        """Python reads ``1_0`` as 10 and other scripts' digits as their
+        values; a config number is ASCII without underscores."""
+        with pytest.raises(ConfigError, match=f"config: key '{key}' needs a {kind}, "
+                                              f"got '{value}'"):
+            parse_config_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("key,value,expected", [("epochs", "+3", 3), ("lr", "1E-3", 1e-3),
+                                                    ("seed", "007", 7)])
+    def test_sign_exponent_and_leading_zeros_read(self, key, value, expected):
+        assert getattr(parse_config_text(f"{key} = {value}\n").train, key) == expected
+
+    def test_negative_number_reaches_the_range_check(self):
+        with pytest.raises(ConfigError, match="epochs must be >= 1, got -3"):
+            parse_config_text("epochs = -3\n")
+
     def test_cross_field_validation_runs(self):
         with pytest.raises(ConfigError, match="input_size"):
             parse_config_text("n_stages = 3\ninput_size = 20\n")

@@ -41,7 +41,8 @@ class TestResize:
         """At the stored size ``load_image`` skips the resize and returns
         the levels divided by maxval."""
         p = tmp_path / "same.pgm"
-        write_pgm(p, np.random.default_rng(0).integers(0, 1001, (8, 8)), 1000)
+        levels = np.random.default_rng(0).integers(0, 1001, (8, 8))
+        p.write_bytes(parent.encode_netpbm("P5", levels[None], 1000))
         raw, maxval = read_netpbm(p)
         assert load_image(p, 8, 1).data.tobytes() == (raw / maxval).tobytes()
 
@@ -76,7 +77,7 @@ class TestLoadDirectory:
             d = root / name
             d.mkdir(parents=True)
             for i in range(n):
-                write_pgm(d / f"{i}.pgm", rng.integers(0, 256, (size, size)), 255)
+                write_pgm(d / f"{i}.pgm", rng.integers(0, 256, (size, size)) / 255)
 
     def test_sorted_class_order_and_normalization(self, tmp_path):
         self._make_tree(tmp_path, classes=("zeta", "alpha"))
@@ -110,7 +111,8 @@ class TestLoadDirectory:
         """Gray is resized once and then replicated; the bits equal the
         earlier order, which replicated to three planes and resized each."""
         p = tmp_path / "gray.pgm"
-        write_pgm(p, np.random.default_rng(8).integers(0, maxval + 1, shape), maxval)
+        levels = np.random.default_rng(8).integers(0, maxval + 1, shape)
+        p.write_bytes(parent.encode_netpbm("P5", levels[None], maxval))
         raw, raw_maxval = read_netpbm(p)
         expected = parent.resize_array(np.repeat(raw / raw_maxval, 3, axis=0), size)
         image = load_image(p, size, 3).data

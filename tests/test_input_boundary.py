@@ -24,6 +24,7 @@ import re
 import struct
 import tracemalloc
 from dataclasses import astuple, fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -31,9 +32,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jointnet import (ArchConfig, Checkpoint, ConfigError, DataError, RunConfig,
-                      build, load_checkpoint, load_image, parse_config_text,
-                      read_netpbm, save_checkpoint)
-from jointnet.kvio import format_kv
+                      TrainConfig, build, load_checkpoint, load_image,
+                      parse_config_text, read_netpbm, save_checkpoint)
+from jointnet.checkpoint import _Snapshot
+from jointnet.kvio import format_kv, parse_kv
 
 import image_oracles as parent
 
@@ -235,9 +237,21 @@ value_text = st.sampled_from(VALUES) | st.text(max_size=6)
 DEEP = "9" * 4300
 
 
+def _number_keys(*kinds) -> set[str]:
+    return {key for kind in kinds for key, t in get_type_hints(kind).items()
+            if t in (int, float)}
+
+
+def _plain_numbers(raw: dict[str, str], keys: set[str]) -> bool:
+    """Whether every number among ``raw``'s ``keys`` is ASCII without
+    ``_``, the one number syntax of ``key = value`` files."""
+    return all(raw[key].isascii() and "_" not in raw[key] for key in keys & raw.keys())
+
+
 def _check_config(text: str) -> None:
-    """The property: a RunConfig whose numbers are finite and whose pairs
-    read back to it, or a ConfigError."""
+    """The property: a RunConfig whose numbers are finite and were written
+    in ASCII without ``_``, and whose pairs read back to it, or a
+    ConfigError."""
     try:
         run = _traced(CONFIG_BOUND, len(text.encode("utf-8")), parse_config_text, text)
     except ConfigError:
@@ -245,6 +259,7 @@ def _check_config(text: str) -> None:
     assert isinstance(run, RunConfig)
     numbers = astuple(run.arch) + astuple(run.train)
     assert all(math.isfinite(v) for v in numbers if isinstance(v, float))
+    assert _plain_numbers(parse_kv(text), _number_keys(ArchConfig, TrainConfig))
     assert parse_config_text(format_kv(run.pairs())) == run
 
 
@@ -281,12 +296,16 @@ def mutated_configs(draw):
 @example(f"n_stages = {DEEP}\n")
 @example("lr = inf\n")
 @example("lr = 1e999\n")
+@example("epochs = 1_0\n")
+@example("epochs = \u0663\n")
+@example("phi = \u0660.5\n")
+@example("lr = 1_0e-4\n")
 def test_config_mutated(text):
     _check_config(text)
 
 
 CKPT_ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16, base_channels=2)
-HEADER_KEYS = [f.name for f in fields(ArchConfig)] + ["epoch", "best_val_loss"]
+HEADER_KEYS = [f.name for kind in (ArchConfig, _Snapshot) for f in fields(kind)]
 
 
 @pytest.fixture(scope="module")
@@ -329,8 +348,9 @@ def _apply_bytes(blob: bytes, edits) -> bytes:
 
 
 def _check_checkpoint(path, data: bytes) -> None:
-    """The property: a checkpoint whose numbers are all finite, or a
-    DataError."""
+    """The property: a checkpoint whose numbers are all finite, whose
+    header numbers were written in ASCII without ``_`` and whose epoch is
+    1 or more, or a DataError."""
     path.write_bytes(data)
     try:
         ckpt = _traced(CHECKPOINT_BOUND, len(data), load_checkpoint, path)
@@ -338,6 +358,10 @@ def _check_checkpoint(path, data: bytes) -> None:
         return
     assert isinstance(ckpt.arch, ArchConfig)
     assert math.isfinite(ckpt.best_val_loss)
+    assert ckpt.epoch >= 1
+    (length,) = struct.unpack("<I", data[5:9])
+    header = parse_kv(data[9:9 + length].decode("utf-8"))
+    assert _plain_numbers(header, _number_keys(ArchConfig, _Snapshot))
     assert all(np.isfinite(arr).all() for arr in ckpt.params.values())
 
 
@@ -351,14 +375,20 @@ byte_edits = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", 
 @example([("n_stages", DEEP)], [])
 @example([("best_val_loss", "1e999")], [])
 @example([("base_channels", "4294967296")], [])
+@example([("epoch", "0")], [])
+@example([("epoch", "\u0663")], [])
+@example([("epoch", "1_0")], [])
+@example([("dtype", "float16")], [])
+@example([("best_val_loss", "\u0660.5")], [])
 def test_checkpoint_mutated(checkpoint_bytes, headers, edits):
     blob, path = checkpoint_bytes
     _check_checkpoint(path, _apply_bytes(_set_header(blob, headers), edits))
 
 
 def test_recipe_checkpoint_within_bound(tmp_path):
-    """A full recipe checkpoint, about 80 KB: its parameters are most of
-    the file, so a loader that copied them a few more times fails here."""
+    """A full recipe checkpoint, 41,424 bytes in float32: its parameters
+    are most of the file, so a loader that copied them a few more times
+    fails here."""
     arch = ArchConfig()
     params = {name: p.data for name, p in build(arch, seed=0).params.items()}
     path = tmp_path / "recipe.ckpt"

@@ -175,18 +175,25 @@ class TestWritePgm:
     def test_roundtrip(self, tmp_path):
         levels = np.arange(6).reshape(2, 3) * 40
         p = tmp_path / "w.pgm"
-        write_pgm(p, levels, 255)
+        write_pgm(p, levels / 255)
         pixels, maxval = read_netpbm(p)
         assert maxval == 255
         np.testing.assert_array_equal(pixels[0], levels)
 
-    def test_rejects_out_of_range(self, tmp_path):
-        with pytest.raises(ValueError, match="outside"):
-            write_pgm(tmp_path / "bad.pgm", np.array([[300.0]]), 255)
+    def test_ends_map_to_levels_0_and_255(self, tmp_path):
+        p = tmp_path / "w.pgm"
+        write_pgm(p, np.array([[0.0, 1.0]]))
+        assert p.read_bytes() == b"P5\n2 1\n255\n" + bytes([0, 255])
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, np.nan, 300.0])
+    def test_rejects_out_of_range(self, tmp_path, value):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            write_pgm(tmp_path / "bad.pgm", np.array([[0.5, value]]))
+        assert not (tmp_path / "bad.pgm").exists()
 
     def test_deterministic_bytes(self, tmp_path):
-        levels = np.eye(3) * 200
+        plane = np.eye(3) * 0.8
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        write_pgm(a, levels)
-        write_pgm(b, levels)
+        write_pgm(a, plane)
+        write_pgm(b, plane)
         assert a.read_bytes() == b.read_bytes()
