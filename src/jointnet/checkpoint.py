@@ -136,12 +136,13 @@ def _read_record(cur: _Cursor, expect_name: str, expect_shape: tuple[int, ...],
         raise DataError(
             f"{cur.source}: tensor name mismatch at byte {cur.off}: "
             f"found {name.decode('utf-8', 'replace')!r}, expected '{expect_name}'")
+    shape_at = cur.off
     rank = cur.unpack("<B", "tensor rank")
     shape = tuple(cur.unpack("<I", "tensor dim") for _ in range(rank))
     if shape != expect_shape:
         raise DataError(
-            f"{cur.source}: tensor '{expect_name}' has shape {shape}, "
-            f"expected {expect_shape}")
+            f"{cur.source}: tensor '{expect_name}' has shape {shape} at byte "
+            f"{shape_at}, expected {expect_shape}")
     count = math.prod(shape)
     at = cur.off
     size = dtype.itemsize
@@ -182,17 +183,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     expected_keys = {f.name for kind in (ArchConfig, _Snapshot) for f in fields(kind)}
     if set(header) != expected_keys:
         raise DataError(
-            f"{path}: header keys {sorted(header)} do not match {sorted(expected_keys)}")
+            f"{path}: header keys {sorted(header)} at byte {header_at} do not match "
+            f"{sorted(expected_keys)}")
     try:
         arch, snapshot = parse_records((ArchConfig, _Snapshot), header, f"{path}#header")
     except ConfigError as e:
-        raise DataError(f"{path}: invalid header: {e}") from e
+        raise DataError(f"{path}: invalid header at byte {header_at}: {e}") from e
 
     specs = parameter_specs(arch)
+    count_at = cur.off
     count = cur.unpack("<I", "tensor count")
     if count != len(specs):
         raise DataError(
-            f"{path}: {count} parameter tensors, architecture requires {len(specs)}")
+            f"{path}: {count} parameter tensors at byte {count_at}, architecture "
+            f"requires {len(specs)}")
     params = {name: _read_record(cur, name, shape, DTYPES[snapshot.dtype])
               for name, shape in specs}
     if cur.off != len(data):

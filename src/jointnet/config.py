@@ -3,8 +3,12 @@
 A run is an architecture (``ArchConfig``) and a training recipe
 (``TrainConfig``, which includes the mode). Every config key is a field of
 one of these, with that field's type and default, so an empty file is a
-valid config. Values are validated eagerly on parse; error messages carry
-the file name, line, and the violated constraint.
+valid config. Values are validated eagerly on parse. Every error message
+names the file and the violated constraint; a syntax error (a line that is
+not ``key = value``, a missing key, a duplicate) also names its line. A
+value that does not convert names its key, and a range error names the
+field, but neither has a line: records are checked after the whole file
+is read.
 """
 
 from __future__ import annotations

@@ -94,7 +94,9 @@ def metrics(counts: np.ndarray) -> MetricsReport:
 # output fits this budget shares each op's fixed cost among its images
 # without outgrowing the cache: the fastest chunks measured were 8-12
 # images for the float32 recipe, 6-8 in float64 and 2-3 at 64 px; this
-# gives 10, 5 and 2.
+# gives 10, 5 and 2. Lockstep training (``training.kfold_train``) holds
+# its folds' images in flight to the same budget: a group has
+# ``predict_chunk // batch_size`` folds, 2 for the float32 recipe.
 CHUNK_BYTES = 320 << 10
 
 

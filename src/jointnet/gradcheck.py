@@ -88,10 +88,13 @@ def gradcheck(loss_fn: Callable[[dict[str, Tensor]], Tensor],
 
 def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]], Tensor], dict[str, Tensor]]]:
     """(name, loss_fn, params) triples covering every primitive and both loss
-    heads, on one sample and on a batch of two, finishing with a full
-    two-stage joint network on one 16x16 input and on a batch of two."""
+    heads, on one sample and on a batch of two, then the primitives that
+    take a model axis on a stack of two models, finishing with a full
+    two-stage joint network on one 16x16 input and on a batch of two, and
+    the loss of a stack of two joint networks as lockstep training takes
+    it."""
     from . import training
-    from .network import ArchConfig, build
+    from .network import ArchConfig, build, stacked
     from .tensor import (conv2d, dense, fuse_skip, global_avg_pool, maxpool2x2,
                          sigmoid, softmax, tensor_sum, weighted_sum)
 
@@ -212,6 +215,33 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
              "b": t(3)},
         ))
 
+    # the same primitives on a stack of two models, each with its own
+    # parameters and its own batch of two, drawn after the checks above
+    # so that those keep their draws
+    xm_conv = t(2, 2, 2, 5, 5)
+    checks.append((
+        "conv2d_same_models2",
+        lambda p: tensor_sum(conv2d(xm_conv, p["k"], p["b"])),
+        {"k": t(2, 3, 2, 3, 3), "b": t(2, 3)},
+    ))
+    checks.append((
+        "conv2d_relu_models2",
+        lambda p: tensor_sum(conv2d(p["x"], p["k"], p["b"], relu=True)),
+        {"x": t(2, 2, 2, 5, 5), "k": t(2, 3, 2, 3, 3), "b": t(2, 3)},
+    ))
+    checks.append((
+        "fuse_skip_models2",
+        lambda p: tensor_sum(sigmoid(fuse_skip(p["s"], p["x"], p["k"], p["b"]))),
+        {"s": t(2, 2, 2, 4, 4), "x": t(2, 2, 3, 2, 2), "k": t(2, 3, 2, 3, 3),
+         "b": t(2, 3)},
+    ))
+    xm_dense = t(2, 2, 4)
+    checks.append((
+        "dense_models2",
+        lambda p: tensor_sum(sigmoid(dense(xm_dense, p["w"], p["b"]))),
+        {"w": t(2, 3, 4), "b": t(2, 3)},
+    ))
+
     # the joint instances get a fresh stream so their gradients do not
     # depend on how many draws the smaller checks consumed above
     joint_rng = make_rng(seed, GRADCHECK)
@@ -239,6 +269,22 @@ def standard_battery(seed: int) -> list[tuple[str, Callable[[dict[str, Tensor]],
                    dict(net.params)))
     checks.append(("joint_16x16_2stage_batch2",
                    joint_loss_on(images, np.array([0, 2])), dict(net.params)))
+
+    # Two models in lockstep, each with its own weights, image and label:
+    # the sum of the per-model blended losses, whose gradient in each
+    # model's parameters is that model's own. A smaller network keeps the
+    # stack's twice as many parameters cheap to perturb.
+    group_arch = ArchConfig(n_stages=1, input_channels=1, input_size=8,
+                            base_channels=2, n_classes=3)
+    group = stacked([build(group_arch, seed=seed + f, dtype=np.float64) for f in range(2)])
+    group_images = Tensor(joint_rng.uniform(0.0, 1.0, (2, 1, 1, 8, 8)))
+
+    def group_loss(p: dict[str, Tensor]) -> Tensor:
+        group.params = dict(p)
+        return tensor_sum(training._batch_losses(
+            group, group_images, np.array([[1], [2]]), config)[0])
+
+    checks.append(("joint_8x8_1stage_models2", group_loss, dict(group.params)))
     return checks
 
 

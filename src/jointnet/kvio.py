@@ -76,7 +76,8 @@ def parse_record(cls, raw: dict[str, str], source: str):
     field's type; an int or float must be ASCII without ``_``, as ``int``
     and ``float`` alone also read ``1_0`` and other scripts' digits. A value
     that does not convert is a ``ConfigError`` naming the key. Other fields
-    keep their defaults; ``cls`` validates the result."""
+    keep their defaults; ``cls`` validates the result, and a ``ConfigError``
+    it raises is prefixed with ``source``, as every error here is."""
     kinds = get_type_hints(cls)
     values = {}
     for key, text in raw.items():
@@ -87,7 +88,10 @@ def parse_record(cls, raw: dict[str, str], source: str):
         except ValueError as e:
             raise ConfigError(f"{source}: key '{key}' needs a {kinds[key].__name__}, "
                               f"got {text!r}") from e
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}") from e
 
 
 def parse_records(kinds, raw: dict[str, str], source: str) -> list:

@@ -18,6 +18,12 @@ the decoder stays at the bottleneck width.
 Both forward passes take one [C,S,S] image or an [N,C,S,S] batch; every
 output then carries the same leading batch axis.
 
+A network may also hold a stack of F same-architecture models
+(``stacked``): every parameter then has one leading model axis of F, the
+forward passes take an [F,N,C,S,S] batch per model, and every output leads
+with the model axis. One pass of a stack makes the op calls of one model's
+pass, and model f's outputs are bit for bit those of model f alone.
+
 A network computes in the dtype of its parameters, float32 or float64
 (``build``'s ``dtype``). The forward passes cast the image to that dtype
 once (``_cast_input``), so the data path stays float64 and one pass never
@@ -111,19 +117,26 @@ class JointNetwork:
     (forward passes) may run concurrently only while no tape is active,
     since the active tape is process-wide; recording and parameter
     replacement during training are single-threaded.
+
+    ``stack`` is ``()`` for one model and ``(F,)`` for a stack of F
+    models, whose parameters all lead with that axis.
     """
 
     def __init__(self, config: ArchConfig, params: dict[str, Tensor]):
         expected = parameter_specs(config)
         if list(params) != [name for name, _ in expected]:
             raise ConfigError("parameter names do not match the architecture")
+        first, first_shape = expected[0]
+        lead = params[first].shape[:params[first].ndim - len(first_shape)]
+        stack = lead if len(lead) == 1 else ()
         for name, shape in expected:
-            if params[name].shape != shape:
+            if params[name].shape != stack + shape:
                 raise ConfigError(
                     f"parameter '{name}' has shape {params[name].shape}, "
-                    f"expected {shape}")
+                    f"expected {stack + shape}")
         self.config = config
         self.params = params
+        self.stack = stack
 
     @property
     def dtype(self) -> np.dtype:
@@ -167,6 +180,25 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> JointNetwork:
     return JointNetwork(config, params)
 
 
+def stacked(nets: list[JointNetwork]) -> JointNetwork:
+    """``nets``, of one architecture and dtype, as one stack of
+    ``len(nets)`` models: model f's parameters at index f of each stacked
+    parameter. One network is returned as it is: as a stack of one, its
+    GEMMs would run as 3-D calls, about 4% slower in training."""
+    first = nets[0]
+    if len(nets) == 1:
+        return first
+    return JointNetwork(first.config, {
+        name: Tensor(np.stack([net.params[name].data for net in nets]))
+        for name in first.params})
+
+
+def model_params(net: JointNetwork, f: int) -> dict[str, np.ndarray]:
+    """Model f's parameter arrays by name: views into a stack's, or a single
+    network's own arrays (f = 0)."""
+    return {name: p.data[f] if net.stack else p.data for name, p in net.params.items()}
+
+
 @dataclass
 class JointOutput:
     """Both heads of one forward pass, the fused decoder maps (index i
@@ -181,15 +213,20 @@ class JointOutput:
 
 
 def _cast_input(net: JointNetwork, image: Tensor) -> Tensor:
-    """``image`` checked against ``net``'s input shape and the [0, 1] range,
-    in ``net``'s dtype: the image itself when it has that dtype already,
-    else one cast copy. Both forward passes start here."""
+    """``image`` checked against ``net``'s input shape (with the model axis
+    of a stack) and the [0, 1] range, in ``net``'s dtype: the image itself
+    when it has that dtype already, else one cast copy. Both forward passes
+    start here."""
     config = net.config
     expected = (config.input_channels, config.input_size, config.input_size)
-    if image.ndim not in (3, 4) or image.shape[-3:] != expected:
-        raise ValueError(
-            f"image shape {image.shape} does not match configured {expected} "
-            f"or [N, *{expected}]")
+    if net.stack:
+        fits = image.ndim == 5 and image.shape[:1] == net.stack
+        shapes = f"[{net.stack[0]}, N, *{expected}]"
+    else:
+        fits = image.ndim in (3, 4)
+        shapes = f"{expected} or [N, *{expected}]"
+    if not fits or image.shape[-3:] != expected:
+        raise ValueError(f"image shape {image.shape} does not match configured {shapes}")
     if image.data.min() < 0.0 or image.data.max() > 1.0:
         raise ValueError("image values must lie within [0, 1]")
     dtype = net.dtype

@@ -12,6 +12,18 @@ Shapes: each primitive acts on its trailing axes ([C,H,W] for the spatial
 ops, [K] for dense and softmax) and treats any leading axes as the batch,
 so one call and one tape node cover a whole minibatch.
 
+A stack of F same-shape models shares every call too. ``conv2d``,
+``fuse_skip`` and ``dense`` take parameters with one leading model axis
+(kernel [F,C_out,C_in,kH,kW], weights [F,K,D], bias [F,C_out]) and
+then read model f's batch at ``x[f]``: each of their GEMMs is one
+``np.matmul`` over the F models, which rounds each model's product as the
+unstacked call does, so model f's results are bit for bit those of model f
+alone. Without the model axis the GEMMs stay 2-D calls. The other
+primitives need no model axis: it is one more leading batch axis to them.
+The losses (``training``) return one value per model, and ``backward``
+differentiates the sum of a vector seed's entries, so each model's
+parameters get exactly their own loss's gradient.
+
 The relu is fused into the convolution, not a primitive of its own:
 ``conv2d(..., relu=True)`` adds the bias and clamps at zero in one output
 pass, and its backward masks ``g`` by ``out > 0``. The mask is taken from
@@ -191,7 +203,10 @@ def _needs_grad(t: Tensor) -> bool:
 
 
 def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
-    """Reverse-traverse the tape from a scalar seed, consuming it.
+    """Reverse-traverse the tape from a seed, consuming it. The seed is a
+    scalar loss, or a vector of one loss per model of a stack; a vector's
+    entries are summed, so the pass starts from a gradient of ones of the
+    seed's shape and records no node of its own.
 
     Each array is freed after its last reader. A node is popped off
     ``tape.nodes`` and dropped before its closure runs, so its output dies
@@ -211,14 +226,15 @@ def backward(tape: Tape, seed: Tensor) -> dict[Tensor, Array]:
     the parameter's shape. The arrays are read-only results that may share
     memory, and they are not checked for finiteness.
     """
-    if seed.shape != ():
-        raise ValueError(f"backward seed must be a scalar, got shape {seed.shape}")
+    if seed.ndim > 1:
+        raise ValueError(f"backward seed must be a scalar or a vector of "
+                         f"per-model losses, got shape {seed.shape}")
     if tape._spent:
         raise ValueError("this tape was already differentiated: "
                          "record a new tape for each backward pass")
     tape._spent = True
     nodes = tape.nodes
-    grads: dict[int, Array] = {id(seed): np.ones((), seed.data.dtype)}
+    grads: dict[int, Array] = {id(seed): np.ones(seed.shape, seed.data.dtype)}
     while nodes:
         node = nodes.pop()
         key = id(node.output)
@@ -247,27 +263,25 @@ def _accumulate(grads: dict[int, Array], keys: list[int],
 # primitives
 
 
-def _batched(x: Tensor, trailing: int) -> Array:
-    """View ``x`` as a batch: any leading axes folded into one axis in front
-    of its ``trailing`` axes."""
-    return x.data.reshape((-1,) + x.shape[x.ndim - trailing:])
-
-
 def _conv_taps(op: str, x: Tensor, kernel: Tensor,
                bias: Tensor) -> tuple[Array, Callable, Callable]:
     """The tap GEMMs of a stride-1, same-padded 2-D cross-correlation of
     ``x`` [..., C,H,W] with ``kernel`` [C_out,C_in,kH,kW] (odd kH and kW),
     and its backward rule; ``conv2d`` and ``fuse_skip`` differ only in the
-    output pass they run over the result.
+    output pass they run over the result. A stack of F models has kernel
+    [F,C_out,C_in,kH,kW], bias [F,C_out] and ``x`` [F, ..., C,H,W]; every
+    array below then has the model axis in front, and each tap GEMM is one
+    ``np.matmul`` over it.
 
     Returns ``(blocks, to_grid, conv_backward)``. ``blocks`` is a read-only
-    [C_out, N, H, W] view of the tap sums, without the bias, where N folds
-    the leading axes of ``x``. The backward rule takes two calls:
-    ``to_grid(g)`` copies the gradient of ``blocks + bias`` (shape
-    [..., C_out,H,W], any layout) into the gradient grid below and sums the
-    bias gradient, and ``conv_backward(*to_grid(g))`` returns
-    ``(dx, dkernel, dbias)``. Between them the caller drops ``g``, so ``g``
-    is not held while the grid and the GEMMs are.
+    [C_out, N, H, W] view of the tap sums ([F, C_out, N, H, W] for a
+    stack), without the bias, where N folds the batch axes of ``x``. The
+    backward rule takes two calls: ``to_grid(g)`` copies the gradient of
+    ``blocks + bias`` (shape [..., C_out,H,W], any layout) into the
+    gradient grid below and sums the bias gradient, and
+    ``conv_backward(*to_grid(g))`` returns ``(dx, dkernel, dbias)``.
+    Between them the caller drops ``g``, so ``g`` is not held while the
+    grid and the GEMMs are.
 
     Each kernel tap is one GEMM over the whole batch. The input is copied,
     channel-major, at offset (kH//2, kW//2) into a zero-filled
@@ -290,29 +304,35 @@ def _conv_taps(op: str, x: Tensor, kernel: Tensor,
     from the rest, so over N*Hp*Wp columns instead of span the outputs,
     and the checkpoints, change. The transposed GEMMs of the input
     gradient run over N*Hp*Wp columns and round every column as they did
-    over span, at every shape of the recipe network.
+    over span, at every shape of the recipe network. A stacked
+    ``np.matmul`` calls the same GEMM once per model on that model's
+    operands, so a stack keeps each model's rounding.
 
     The input gradient is computed only when the input is tracked on the
     active tape (see ``Tape``); otherwise it is None. The bias gradient
-    sums over ``g`` in an order that follows its memory layout.
+    sums over ``g`` in an order that follows its memory layout, per model.
     """
-    if x.ndim < 3 or kernel.ndim != 4 or bias.ndim != 1:
+    stack = kernel.shape[:-4]
+    if (kernel.ndim not in (4, 5) or bias.ndim != kernel.ndim - 3
+            or x.ndim < kernel.ndim - 1 or x.shape[:len(stack)] != stack):
         raise ValueError(
             f"{op} expects input [..., C,H,W], kernel [C_out,C_in,kH,kW], "
-            f"bias [C_out]; got {x.shape}, {kernel.shape}, {bias.shape}")
+            f"bias [C_out], or for F models input [F, ..., C,H,W], kernel "
+            f"[F,C_out,C_in,kH,kW], bias [F,C_out]; got {x.shape}, "
+            f"{kernel.shape}, {bias.shape}")
     c_in, h, w = x.shape[-3:]
-    c_out, kc, kh, kw = kernel.shape
+    c_out, kc, kh, kw = kernel.shape[-4:]
     if kc != c_in:
         raise ValueError(
             f"{op} channel mismatch: kernel {kernel.shape} expects {kc} input "
             f"channels but input is {x.shape}")
-    if bias.shape[0] != c_out:
+    if bias.shape != stack + (c_out,):
         raise ValueError(f"{op} bias {bias.shape} does not match {c_out} output channels")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"{op} same padding requires odd kernel dims, got {kh}x{kw}")
 
     top, left = kh // 2, kw // 2
-    n = math.prod(x.shape[:-3])
+    n = math.prod(x.shape[len(stack):-3])
     hp, wp = h + kh - 1, w + kw - 1
     cells = n * hp * wp
     # the last tap's offset: the last output reads the last grid cell with it
@@ -325,55 +345,60 @@ def _conv_taps(op: str, x: Tensor, kernel: Tensor,
 
     def padded_flat() -> Array:
         # rebuilt in backward: keeping it was 1.02x faster but +1.6 MB peak RSS
-        padded = np.zeros((c_in, n, hp, wp), dtype)
-        padded[:, :, top:top + h, left:left + w] = _batched(x, 3).transpose(1, 0, 2, 3)
-        return padded.reshape(c_in, cells)
+        padded = np.zeros(stack + (c_in, n, hp, wp), dtype)
+        padded[..., top:top + h, left:left + w] = x.data.reshape(
+            stack + (n, c_in, h, w)).swapaxes(-4, -3)
+        return padded.reshape(stack + (c_in, cells))
 
     flat = padded_flat()
     # taps sum into a C-ordered [C_out, span] array: numpy adds two
     # contiguous arrays several times faster than two strided row views
-    acc = np.empty((c_out, span), dtype)
+    acc = np.empty(stack + (c_out, span), dtype)
     tmp = np.empty_like(acc) if len(taps) > 1 else None
     for t, (ki, kj, off) in enumerate(taps):
-        np.matmul(kdata[:, :, ki, kj], flat[:, off:off + span], out=tmp if t else acc)
+        np.matmul(kdata[..., ki, kj], flat[..., off:off + span], out=tmp if t else acc)
         if t:
             acc += tmp
     del flat, tmp
     # output (c, i, y, x) is acc[c, i*hp*wp + y*wp + x], a column below span
     step = acc.itemsize
     blocks = np.lib.stride_tricks.as_strided(
-        acc, (c_out, n, h, w), (span * step, hp * wp * step, wp * step, step),
+        acc, stack + (c_out, n, h, w),
+        acc.strides[:len(stack)] + (span * step, hp * wp * step, wp * step, step),
         writeable=False)
 
     def to_grid(g: Array) -> tuple[Array, Array]:
-        gb = g.reshape(-1, c_out, h, w)
-        db = gb.sum(axis=(0, 2, 3))
+        gb = g.reshape(stack + (-1, c_out, h, w))
+        db = gb.sum(axis=(-4, -2, -1))
         # the gradient grid behind reach zero columns, which the dx taps
         # read before its start
-        gpad = np.zeros((c_out, reach + cells), dtype)
-        gpad[:, reach:].reshape(c_out, n, hp, wp)[:, :, :h, :w] = gb.transpose(1, 0, 2, 3)
+        gpad = np.zeros(stack + (c_out, reach + cells), dtype)
+        gpad[..., reach:].reshape(stack + (c_out, n, hp, wp))[..., :h, :w] = gb.swapaxes(
+            -4, -3)
         return gpad, db
 
     def conv_backward(gpad: Array, db: Array):
-        gflat = gpad[:, reach:reach + span]
+        gflat = gpad[..., reach:reach + span]
         flat = padded_flat()
+        flat_t = flat.swapaxes(-1, -2)
         dk = np.empty_like(kdata)
         for ki, kj, off in taps:
-            dk[:, :, ki, kj] = gflat @ flat[:, off:off + span].T
+            dk[..., ki, kj] = gflat @ flat_t[..., off:off + span, :]
         if not need_dx:
             return None, dk, db
         dflat = flat  # the padded input is spent; its buffer takes dx
         # each grid cell gathers the products of the outputs its taps reach,
         # so every sum adds whole contiguous arrays
         tmp = np.empty_like(dflat) if len(taps) > 1 else None
+        k_t = kdata.swapaxes(-4, -3)  # tap (i, j) is k_t[..., i, j], [C_in, C_out]
         for t, (ki, kj, off) in enumerate(taps):
-            np.matmul(kdata[:, :, ki, kj].T, gpad[:, reach - off:reach - off + cells],
+            np.matmul(k_t[..., ki, kj], gpad[..., reach - off:reach - off + cells],
                       out=tmp if t else dflat)
             if t:
                 dflat += tmp
         # a view into dflat: no copy of the input gradient
-        dx = (dflat.reshape(c_in, n, hp, wp)[:, :, top:top + h, left:left + w]
-              .transpose(1, 0, 2, 3).reshape(x.shape))
+        dx = (dflat.reshape(stack + (c_in, n, hp, wp))[..., top:top + h, left:left + w]
+              .swapaxes(-4, -3).reshape(x.shape))
         return dx, dk, db
 
     return blocks, to_grid, conv_backward
@@ -384,7 +409,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     [C_out,C_in,kH,kW] kernel (odd kH and kW); any leading axes are the
     batch. The output is [..., C_out,H,W]; bias is per output channel.
     With ``relu=True`` the output is clamped at zero, ``max(conv, 0)``, in
-    the same op: one tape node and one output array instead of two.
+    the same op: one tape node and one output array instead of two. A
+    stack of F models takes kernel [F,C_out,C_in,kH,kW], bias [F,C_out]
+    and ``x`` [F, ..., C,H,W] (see ``_conv_taps``).
 
     ``_conv_taps`` runs the tap GEMMs and holds the backward rule. The
     output pass reads the tap sums and writes them plus the bias into a fresh
@@ -397,12 +424,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     ``g`` is dropped once it is in the gradient grid.
     """
     blocks, to_grid, conv_backward = _conv_taps("conv2d", x, kernel, bias)
-    c_out, _, h, w = blocks.shape
-    out_data = blocks + bias.data[:, None, None, None]
+    c_out, _, h, w = blocks.shape[-4:]
+    out_data = blocks + bias.data[..., None, None, None]
     del blocks
     if relu:
         np.maximum(out_data, 0.0, out=out_data)
-    out = Tensor(out_data.transpose(1, 0, 2, 3).reshape(x.shape[:-3] + (c_out, h, w)))
+    out = Tensor(out_data.swapaxes(-4, -3).reshape(x.shape[:-3] + (c_out, h, w)))
 
     def backward_fn(g: Array):
         if relu:
@@ -482,7 +509,9 @@ def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     nearest-neighbor 2x upsampling of ``x``, as one op and one tape node.
     ``skip`` is [..., C,H,W] and ``x`` is [..., C_out, H/2, W/2] with the
     same leading (batch) axes; the output is a C-ordered [..., C_out,H,W]
-    array, the layout of the elementwise sum it replaced.
+    array, the layout of the elementwise sum it replaced. A stack of F
+    models takes kernel [F,C_out,C_in,kH,kW] and bias [F,C_out], and
+    ``skip`` and ``x`` then lead with the model axis (see ``_conv_taps``).
 
     The output pass writes the tap sums plus the bias into the fresh
     output array and then adds ``x`` into its four stride-2 views, so
@@ -493,14 +522,14 @@ def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     run, so ``g`` and the grid are not both held through them.
     """
     blocks, to_grid, conv_backward = _conv_taps("fuse_skip", skip, kernel, bias)
-    c_out, _, h, w = blocks.shape
+    stack, (c_out, _, h, w) = blocks.shape[:-4], blocks.shape[-4:]
     if h % 2 or w % 2 or x.shape != skip.shape[:-3] + (c_out, h // 2, w // 2):
         raise ValueError(
             f"fuse_skip expects x [..., {c_out}, H/2, W/2] for skip {skip.shape}, "
             f"got {x.shape}")
     fused = np.empty(skip.shape[:-3] + (c_out, h, w), blocks.dtype)
-    np.add(blocks.transpose(1, 0, 2, 3), bias.data[:, None, None],
-           out=fused.reshape(-1, c_out, h, w))
+    np.add(blocks.swapaxes(-4, -3), bias.data[..., None, :, None, None],
+           out=fused.reshape(stack + (-1, c_out, h, w)))
     del blocks
     for i, j in _WINDOW:
         fused[..., i::2, j::2] += x.data
@@ -519,22 +548,27 @@ def fuse_skip(skip: Tensor, x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Fully connected layer over [..., D]: out[..., k] = sum_d
-    weights[k,d]*x[..., d] + bias[k]; any leading axes are the batch."""
-    if x.ndim < 1 or weights.ndim != 2 or bias.ndim != 1:
+    weights[k,d]*x[..., d] + bias[k]; any leading axes are the batch. A
+    stack of F models takes weights [F,K,D], bias [F,K] and ``x``
+    [F, ..., D], and its GEMMs are one ``np.matmul`` over the models."""
+    if weights.ndim not in (2, 3) or bias.ndim != weights.ndim - 1 or x.ndim < bias.ndim:
         raise ValueError(
-            f"dense expects x [..., D], weights [K,D], bias [K]; got "
+            f"dense expects x [..., D], weights [K,D], bias [K], or for F models "
+            f"x [F, ..., D], weights [F,K,D], bias [F,K]; got "
             f"{x.shape}, {weights.shape}, {bias.shape}")
-    k, d = weights.shape
-    if x.shape[-1] != d or bias.shape[0] != k:
+    stack, (k, d) = weights.shape[:-2], weights.shape[-2:]
+    if x.shape[-1] != d or bias.shape != stack + (k,) or x.shape[:len(stack)] != stack:
         raise ValueError(
             f"dense dimension mismatch: weights {weights.shape} vs input "
             f"{x.shape} and bias {bias.shape}")
-    rows, wdata = _batched(x, 1), weights.data
-    out = Tensor((rows @ wdata.T + bias.data).reshape(x.shape[:-1] + (k,)))
+    rows, wdata = x.data.reshape(stack + (-1, d)), weights.data
+    out = Tensor((rows @ wdata.swapaxes(-1, -2) + bias.data[..., None, :])
+                 .reshape(x.shape[:-1] + (k,)))
 
     def backward_fn(g: Array):
-        grows = g.reshape(-1, k)
-        return (grows @ wdata).reshape(x.shape), grows.T @ rows, grows.sum(axis=0)
+        grows = g.reshape(stack + (-1, k))
+        return ((grows @ wdata).reshape(x.shape), grows.swapaxes(-1, -2) @ rows,
+                grows.sum(axis=-2))
 
     record("dense", (x, weights, bias), out, backward_fn)
     return out
@@ -561,7 +595,7 @@ def softmax(x: Tensor) -> Tensor:
     mandatory); any leading axes are the batch."""
     if x.ndim < 1 or x.size < 1:
         raise ValueError(f"softmax expects a non-empty tensor [..., K], got {x.shape}")
-    rows = _batched(x, 1)
+    rows = x.data.reshape(-1, x.shape[-1])
     e = np.exp(rows - rows.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     out = Tensor(p.reshape(x.shape))

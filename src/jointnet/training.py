@@ -14,6 +14,19 @@ Training is deterministic for a fixed seed: the epoch shuffle has its own
 random stream, and each minibatch is stacked in ascending sample-index
 order.
 
+Folds of one size train in lockstep. ``kfold_train`` stacks consecutive
+folds whose training sets have equal size into one network of F models
+(``network.stacked``), as many as keep the images in flight within one
+eval chunk (``predict_chunk // batch_size``), and ``_train_group`` steps
+them together: one tape, one op call per layer and one Adam step per
+batch for all F, so they share the per-op dispatch, tape and optimizer
+cost that does not grow with the batch (the stacked ensembles of
+BatchEnsemble, Wen et al., ICLR 2020). The losses return one value per
+model and ``backward`` differentiates their sum, so each model gets its
+own gradient; its shuffle stream, schedule, validation counts,
+checkpoint and log stay its own, and every fold's result is bit for bit
+that of training it alone. ``train`` is the group of one.
+
 Training computes in the network's dtype: ``kfold_train`` builds float32
 networks, whose tap GEMMs move half the bytes of float64 ones, and the
 one-hot targets, the losses, the gradients and Adam's moments all take
@@ -32,7 +45,9 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericError
-from .network import ArchConfig, JointNetwork, build, forward_backbone, forward_joint
+from .evaluation import predict_chunk
+from .network import (ArchConfig, JointNetwork, build, forward_backbone, forward_joint,
+                      model_params, stacked)
 from .rng import SHUFFLE, make_rng
 from .tensor import Tape, Tensor, backward, record, weighted_sum
 
@@ -86,25 +101,26 @@ class TrainConfig:
 
 def cross_entropy(true_onehot: Tensor, predicted: Tensor) -> Tensor:
     """Mean over rows of -sum(y * log(max(p, 1e-12))) for one-hot labels and
-    probability vectors along the last axis; any leading axes are the
-    batch. The clamp bounds the loss; where it engages, the gradient is
-    exactly zero."""
+    probability vectors along the last axis: [K] is one row and [N, K] a
+    batch. Any axes in front of the rows are models: a stack's [F, N, K]
+    gives [F], one mean per model. The clamp bounds the loss; where it
+    engages, the gradient is exactly zero."""
     if true_onehot.shape != predicted.shape or predicted.ndim < 1:
         raise ValueError(
             f"cross_entropy expects matching [..., K] tensors, got "
             f"{true_onehot.shape} and {predicted.shape}")
-    y = true_onehot.data.reshape(-1, predicted.shape[-1])
+    y = true_onehot.data.reshape(predicted.shape[:-2] + (-1, predicted.shape[-1]))
     p = predicted.data.reshape(y.shape)
-    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) == 1.0)):
+    if not (np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=-1) == 1.0)):
         raise ValueError("true_onehot must hold one-hot vectors")
-    if p.min() < 0.0 or np.any(np.abs(p.sum(axis=1) - 1.0) > _sum_tolerance(p)):
+    if p.min() < 0.0 or np.any(np.abs(p.sum(axis=-1) - 1.0) > _sum_tolerance(p)):
         raise ValueError("predicted must hold probability vectors")
-    rows = y.shape[0]
+    rows = y.shape[-2]
     clamped = np.maximum(p, LOG_CLAMP)
-    out = Tensor(-(y * np.log(clamped)).sum(axis=1).mean())
+    out = Tensor(-(y * np.log(clamped)).sum(axis=-1).mean(axis=-1))
 
     def backward_fn(g):
-        dp = np.where(p > LOG_CLAMP, -y / clamped, 0.0) * (g / rows)
+        dp = np.where(p > LOG_CLAMP, -y / clamped, 0.0) * (g / rows)[..., None, None]
         return None, dp.reshape(predicted.shape)
 
     record("cross_entropy", (true_onehot, predicted), out, backward_fn)
@@ -126,16 +142,19 @@ def _sum_tolerance(p: np.ndarray) -> float:
 
 def mse(input_pixels: Tensor, reconstructed: Tensor) -> Tensor:
     """Mean squared error over all entries of two same-shape tensors; for a
-    batch of equal-size images that is the mean of the per-image losses."""
+    batch of equal-size images that is the mean of the per-image losses.
+    Images are [C,H,W] and batches [N,C,H,W]; any axes in front of those
+    four are models: a stack's [F,N,C,H,W] gives [F], one mean per model."""
     if input_pixels.shape != reconstructed.shape:
         raise ValueError(
             f"mse shape mismatch: {input_pixels.shape} vs {reconstructed.shape}")
     diff = reconstructed.data - input_pixels.data
-    n = diff.size
-    out = Tensor(np.mean(diff * diff))
+    stack = diff.shape[:-4]
+    n = diff.size // math.prod(stack)
+    out = Tensor(np.mean(diff * diff, axis=tuple(range(len(stack), diff.ndim))))
 
     def backward_fn(g):
-        return None, (2.0 / n) * diff * g
+        return None, (2.0 / n) * diff * g.reshape(g.shape + (1,) * (diff.ndim - g.ndim))
 
     record("mse", (input_pixels, reconstructed), out, backward_fn)
     return out
@@ -171,26 +190,35 @@ class Adam:
     functional: it makes fresh moment and parameter vectors and never
     mutates its inputs or an earlier step's arrays, so a checkpoint's
     parameters stay valid by reference.
+
+    For a stack of F models (``stack`` = (F,), as ``JointNetwork.stack``)
+    ``shapes`` are one model's, the parameters and gradients lead with the
+    model axis, and the moments are [F, P]: row f is model f's state, and
+    ``lr`` is an [F, 1] array of the models' rates in the parameters'
+    dtype (a float64 array would promote a float32 update to float64).
     """
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], stack: tuple[int, ...] = ()):
         self._slots: dict[str, tuple[slice, tuple[int, ...]]] = {}
         offset = 0
         for name, shape in shapes.items():
             size = math.prod(shape)
             self._slots[name] = (slice(offset, offset + size), tuple(shape))
             offset += size
+        self._stack = stack
         self._m = self._v = None
         self.step_count = 0
 
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
-             lr: float) -> dict[str, Tensor]:
-        g = np.concatenate([np.ravel(grads[name]) for name in self._slots])
+             lr: float | np.ndarray) -> dict[str, Tensor]:
+        flat = self._stack + (-1,)
+        g = np.concatenate([grads[name].reshape(flat) for name in self._slots], axis=-1)
         if not np.all(np.isfinite(g)):
             bad = next(name for name in params
                        if not np.all(np.isfinite(grads[name])))
             raise NumericError(f"non-finite gradient for parameter '{bad}'")
-        p = np.concatenate([params[name].data.ravel() for name in self._slots])
+        p = np.concatenate([params[name].data.reshape(flat) for name in self._slots],
+                           axis=-1)
         if self._m is None:
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.step_count += 1
@@ -200,7 +228,7 @@ class Adam:
         self._m = m = BETA1 * self._m + (1.0 - BETA1) * g
         self._v = v = BETA2 * self._v + (1.0 - BETA2) * (g * g)
         updated = p - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
-        return {name: Tensor(updated[sl].reshape(shape))
+        return {name: Tensor(updated[..., sl].reshape(self._stack + shape))
                 for name, (sl, shape) in self._slots.items()}
 
 
@@ -260,23 +288,23 @@ class TrainResult:
 
 
 def _batch_losses(net: JointNetwork, images: Tensor, labels: int | np.ndarray,
-                  config: TrainConfig) -> tuple[Tensor, float, float, Tensor]:
-    """One batch's blended mean loss tensor in ``config.mode``, float L_s and
-    L_u readings, and the class probabilities. ``labels`` holds the class
+                  config: TrainConfig) -> tuple[Tensor, np.ndarray, np.ndarray, Tensor]:
+    """One batch's blended mean loss tensor in ``config.mode``, the L_s and
+    L_u values, and the class probabilities. ``labels`` holds the class
     index of each image (one index for one unbatched image); their one-hot
     rows are made here, in the network's dtype. The forward pass casts the
     image to that dtype, and the reconstruction loss compares against the
-    cast it hands back."""
+    cast it hands back. For a stack the losses and values have one entry
+    per model; backbone mode's L_u is zero."""
     targets = Tensor(np.eye(net.config.n_classes, dtype=net.dtype)[labels])
     if config.mode == "joint":
         out = forward_joint(net, images)
         ls = cross_entropy(targets, out.class_probs)
         lu = mse(out.image, out.reconstruction)
-        return (combined_loss(ls, lu, config.phi), float(ls.data), float(lu.data),
-                out.class_probs)
+        return combined_loss(ls, lu, config.phi), ls.data, lu.data, out.class_probs
     probs = forward_backbone(net, images)
     ls = cross_entropy(targets, probs)
-    return ls, float(ls.data), 0.0, probs
+    return ls, ls.data, np.zeros_like(ls.data), probs
 
 
 def _validate_sets(net: JointNetwork, train_set: Dataset, val_set: Dataset) -> None:
@@ -290,63 +318,102 @@ def _validate_sets(net: JointNetwork, train_set: Dataset, val_set: Dataset) -> N
                     f"outside 0..{net.config.n_classes - 1}")
 
 
+def _joined(net: JointNetwork, parts) -> tuple[Tensor, np.ndarray]:
+    """Each model's (images, labels) batch as one input to ``net``: a single
+    model's own batch, or the batches stacked on the model axis, the
+    images cast to ``net``'s dtype as the forward pass would cast them."""
+    if not net.stack:
+        (part,) = parts
+        return part
+    return (Tensor(np.stack([images.data for images, _ in parts], dtype=net.dtype)),
+            np.stack([labels for _, labels in parts]))
+
+
 def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
           config: TrainConfig) -> TrainResult:
     """Optimize ``net`` in place in ``config.mode``; returns the best-epoch
     checkpoint (lowest validation loss, earlier epoch on ties) and the full
-    epoch log."""
-    _validate_sets(net, train_set, val_set)
+    epoch log. This is the group of one of ``_train_group``."""
+    (result,) = _train_group(net, [(train_set, val_set)], [config])
+    return result
 
-    shuffle_rng = make_rng(config.seed, SHUFFLE)
-    optimizer = Adam({name: p.shape for name, p in net.params.items()})
-    scheduler = PlateauScheduler(config.lr, config.patience, config.kappa)
 
-    best: Checkpoint | None = None
-    log: list[EpochLog] = []
-    n_train, n_val = len(train_set), len(val_set)
+def _train_group(net: JointNetwork, sets: list[tuple[Dataset, Dataset]],
+                 configs: list[TrainConfig]) -> list[TrainResult]:
+    """Optimize the models of ``net`` in place, in lockstep: model f trains
+    on ``sets[f]`` (training and validation set) with ``configs[f]``. A
+    single network is a group of one; a stack (``stacked``) steps its F
+    models on one tape, with one op call per layer and one Adam step per
+    batch. Model f keeps its own shuffle stream (``configs[f].seed``),
+    plateau schedule, validation counts, best-epoch checkpoint and log, so
+    its result is bit for bit that of training it alone.
+
+    The configs may differ only in their seeds, and every training set
+    must have the same size, and every validation set, so that each step's
+    batches and each validation chunk match across the models."""
+    config, models = configs[0], len(configs)
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("the configs of a group may differ only in their seeds")
+    if net.stack != ((models,) if models > 1 else ()):
+        raise ValueError(f"a group of {models} needs a network of {models} models, "
+                         f"got one of stack {net.stack}")
+    for train_set, val_set in sets:
+        _validate_sets(net, train_set, val_set)
+    n_train, n_val = len(sets[0][0]), len(sets[0][1])
+    if any((len(t), len(v)) != (n_train, n_val) for t, v in sets):
+        raise ValueError("the training sets of a group must have one size, "
+                         "and so must its validation sets")
+
+    shuffles = [make_rng(c.seed, SHUFFLE) for c in configs]
+    optimizer = Adam({name: p.shape[len(net.stack):] for name, p in net.params.items()},
+                     net.stack)
+    schedulers = [PlateauScheduler(c.lr, c.patience, c.kappa) for c in configs]
+
+    best: list[Checkpoint | None] = [None] * models
+    logs: list[list[EpochLog]] = [[] for _ in configs]
 
     for epoch in range(1, config.epochs + 1):
-        lr_used = scheduler.lr
-        order = shuffle_rng.permutation(n_train)
-        sum_l = sum_ls = sum_lu = 0.0
+        lrs = [scheduler.lr for scheduler in schedulers]
+        lr = np.array(lrs, net.dtype)[:, None] if net.stack else lrs[0]
+        orders = [rng.permutation(n_train) for rng in shuffles]
+        # per model: the batch-size-weighted sums of L, L_s and L_u
+        sums = np.zeros((3, models))
         for start in range(0, n_train, config.batch_size):
-            batch = sorted(order[start:start + config.batch_size].tolist())
-            images, labels = train_set.batch(batch)
+            picks = [sorted(order[start:start + config.batch_size].tolist())
+                     for order in orders]
+            images, labels = _joined(net, [train_set.batch(pick) for (train_set, _), pick
+                                           in zip(sets, picks)])
             tape = Tape()
             with tape:
                 for p in net.params.values():
                     tape.watch(p)
-                batch_loss, ls_val, lu_val, _ = _batch_losses(
-                    net, images, labels, config)
-            sum_l += float(batch_loss.data) * len(batch)
-            sum_ls += ls_val * len(batch)
-            sum_lu += lu_val * len(batch)
+                batch_loss, ls, lu, _ = _batch_losses(net, images, labels, config)
+            values = np.stack([batch_loss.data, ls, lu]).astype(np.float64)
+            sums += values.reshape(3, models) * len(picks[0])
             grads = backward(tape, batch_loss)
             net.params = optimizer.step(
-                net.params, {name: grads[p] for name, p in net.params.items()}, lr_used)
+                net.params, {name: grads[p] for name, p in net.params.items()}, lr)
 
-        val_correct = 0
-        val_sum = 0.0
-        for images, labels in val_set.batches(config.batch_size):
+        val_correct = np.zeros(models, np.int64)
+        val_sum = np.zeros(models)
+        for parts in zip(*(val_set.batches(config.batch_size) for _, val_set in sets)):
+            images, labels = _joined(net, parts)
             loss, _, _, probs = _batch_losses(net, images, labels, config)
-            val_sum += float(loss.data) * len(labels)
-            val_correct += int(np.sum(probs.data.argmax(axis=1) == labels))
-        val_loss = val_sum / n_val
-        val_accuracy = val_correct / n_val
+            val_sum += loss.data.astype(np.float64).reshape(models) * labels.shape[-1]
+            hits = probs.data.argmax(axis=-1) == labels
+            val_correct += hits.reshape(models, -1).sum(axis=1)
 
-        if best is None or val_loss < best.best_val_loss:
-            best = Checkpoint(
-                arch=net.config,
-                params={name: p.data for name, p in net.params.items()},
-                epoch=epoch,
-                best_val_loss=val_loss,
-            )
-        log.append(EpochLog(epoch, sum_l / n_train, sum_ls / n_train,
-                            sum_lu / n_train, val_loss, val_accuracy,
-                            lr_used, config.phi))
-        scheduler.step(val_loss)
+        for f in range(models):
+            val_loss = float(val_sum[f] / n_val)
+            if best[f] is None or val_loss < best[f].best_val_loss:
+                best[f] = Checkpoint(arch=net.config, params=model_params(net, f),
+                                     epoch=epoch, best_val_loss=val_loss)
+            train_loss, train_ls, train_lu = (float(v) for v in sums[:, f] / n_train)
+            logs[f].append(EpochLog(epoch, train_loss, train_ls, train_lu, val_loss,
+                                    int(val_correct[f]) / n_val, lrs[f], config.phi))
+            schedulers[f].step(val_loss)
 
-    return TrainResult(best, log)
+    return [TrainResult(checkpoint, log) for checkpoint, log in zip(best, logs)]
 
 
 @dataclass
@@ -359,11 +426,30 @@ def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFol
     """Stratified k-fold training: fold f trains a fresh network seeded
     ``config.seed + f``. The overall winner has the highest best-epoch
     validation accuracy; ties prefer lower validation loss, then the
-    earlier fold."""
+    earlier fold.
+
+    Consecutive folds whose training sets have one size train as a group
+    (``_train_group``), in fold order, with each fold's results those of
+    training it alone. A group holds at most as many models as keep the
+    images in flight within one eval chunk: ``predict_chunk`` over the
+    batch size, and at least one. That is 2 for the float32 recipe, and 1
+    in float64 and at 64 px."""
     splits = stratified_folds(dataset, config.folds, config.seed)
-    folds = [train(build(arch, seed=config.seed + f), dataset.subset(train_idx),
-                   dataset.subset(val_idx), replace(config, seed=config.seed + f))
-             for f, (train_idx, val_idx) in enumerate(splits)]
+    configs = [replace(config, seed=config.seed + f) for f in range(len(splits))]
+    nets = [build(arch, seed=c.seed) for c in configs]
+    group_size = max(1, predict_chunk(nets[0]) // config.batch_size)
+    groups: list[list[int]] = []
+    for f, (train_idx, _) in enumerate(splits):
+        if (groups and len(groups[-1]) < group_size
+                and len(splits[groups[-1][0]][0]) == len(train_idx)):
+            groups[-1].append(f)
+        else:
+            groups.append([f])
+    folds: list[TrainResult] = []
+    for group in groups:
+        sets = [(dataset.subset(splits[f][0]), dataset.subset(splits[f][1])) for f in group]
+        folds += _train_group(stacked([nets[f] for f in group]), sets,
+                              [configs[f] for f in group])
     # max keeps the first of equal keys, so full ties go to the earlier fold
     best = max(range(len(folds)), key=lambda f: (
         folds[f].val_accuracy, -folds[f].checkpoint.best_val_loss))

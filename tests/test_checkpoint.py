@@ -225,8 +225,9 @@ class TestFormat:
     def test_unknown_dtype_rejected(self, tmp_path, value):
         path = _with_header_line(tmp_path, b"dtype = float32\n",
                                  b"dtype = " + value + b"\n")
-        with pytest.raises(DataError, match=r"m\.ckpt: invalid header: dtype must be "
-                                            r"one of \['float32', 'float64'\], got '"):
+        with pytest.raises(DataError, match=r"m\.ckpt: invalid header at byte 9: "
+                                            r"\S+#header: dtype must be one of "
+                                            r"\['float32', 'float64'\], got '"):
             load_checkpoint(path)
 
 
@@ -260,6 +261,47 @@ class TestCorruptText:
             load_checkpoint(path)
 
 
+def _header_keys_case(blob):
+    return replace_header_line(blob, b"epoch = 3\n", b""), 9
+
+
+def _invalid_header_case(blob):
+    return replace_header_line(blob, b"epoch = 3\n", b"epoch = 0\n"), 9
+
+
+def _tensor_count_case(blob):
+    (header_length,) = struct.unpack("<I", blob[5:9])
+    at = 4 + 1 + 4 + header_length
+    return bytes(blob[:at]) + struct.pack("<I", 3) + bytes(blob[at + 4:]), at
+
+
+def _tensor_shape_case(blob):
+    (header_length,) = struct.unpack("<I", blob[5:9])
+    name, _ = parameter_specs(ARCH)[0]
+    # the first record's rank byte follows the tensor count, name length, name
+    at = 4 + 1 + 4 + header_length + 4 + 2 + len(name)
+    return bytes(blob[:at + 1]) + struct.pack("<I", 5) + bytes(blob[at + 5:]), at
+
+
+class TestErrorOffsets:
+    """Each structural load error names the byte where the offending field
+    starts: the header for its keys and its values, the tensor count, and
+    a record's rank byte for its shape."""
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (_header_keys_case, r"header keys \[.*\] at byte {at} do not match"),
+        (_invalid_header_case, r"invalid header at byte {at}: \S+#header: epoch must"),
+        (_tensor_count_case, r"3 parameter tensors at byte {at}, architecture requires"),
+        (_tensor_shape_case, r"tensor 'enc1\.conv1\.w' has shape \(5, 1, 3, 3\) "
+                             r"at byte {at}, expected \(2, 1, 3, 3\)")])
+    def test_error_names_the_offset(self, tmp_path, corrupt, message):
+        path, blob = _saved(tmp_path)
+        corrupted, at = corrupt(bytes(blob))
+        path.write_bytes(corrupted)
+        with pytest.raises(DataError, match=r"^\S*m\.ckpt: " + message.format(at=at)):
+            load_checkpoint(path)
+
+
 class TestHeaderValues:
     """Header values that parse but no training run can write are a
     DataError, which the CLI reports with exit code 2."""
@@ -268,7 +310,7 @@ class TestHeaderValues:
         path = _with_header_line(tmp_path, b"n_stages = 1\n",
                                  b"n_stages = 1000000000000\n")
         with pytest.raises(DataError,
-                           match=r"invalid header: .*2\^1000000000001, got 16"):
+                           match=r"invalid header at byte 9: .*2\^1000000000001, got 16"):
             load_checkpoint(path)
 
     def test_n_stages_past_the_print_limit_rejected(self, tmp_path):
@@ -277,13 +319,13 @@ class TestHeaderValues:
         path = _with_header_line(tmp_path, b"n_stages = 1\n",
                                  b"n_stages = " + b"9" * 4300 + b"\n")
         with pytest.raises(DataError,
-                           match=r"invalid header: .*2\^\(n_stages\+1\), got 16"):
+                           match=r"invalid header at byte 9: .*2\^\(n_stages\+1\), got 16"):
             load_checkpoint(path)
 
     def test_arch_value_that_is_not_an_integer_rejected(self, tmp_path):
         path = _with_header_line(tmp_path, b"base_channels = 2\n",
                                  b"base_channels = two\n")
-        with pytest.raises(DataError, match=r"m\.ckpt: invalid header: "
+        with pytest.raises(DataError, match=r"m\.ckpt: invalid header at byte 9: "
                                             r".*'base_channels' needs a int, got 'two'"):
             load_checkpoint(path)
 
@@ -291,7 +333,8 @@ class TestHeaderValues:
     def test_best_val_loss_must_be_finite(self, tmp_path, value):
         path = _with_header_line(tmp_path, b"best_val_loss = 0.30000000000000004\n",
                                  f"best_val_loss = {value}\n".encode())
-        with pytest.raises(DataError, match=r"m\.ckpt: invalid header: best_val_loss "
+        with pytest.raises(DataError, match=r"m\.ckpt: invalid header at byte 9: "
+                                            r"\S+#header: best_val_loss "
                                             r"must be finite, got -?(nan|inf)$"):
             load_checkpoint(path)
 
@@ -305,7 +348,7 @@ class TestHeaderValues:
         old = {"epoch": b"epoch = 3\n",
                "best_val_loss": b"best_val_loss = 0.30000000000000004\n"}[key]
         path = _with_header_line(tmp_path, old, f"{key} = {value}\n".encode())
-        with pytest.raises(DataError, match=rf"m\.ckpt: invalid header: .*'{key}' "
+        with pytest.raises(DataError, match=rf"m\.ckpt: invalid header at byte 9: .*'{key}' "
                                             rf"needs a {kind}, got '{value}'"):
             load_checkpoint(path)
 
@@ -313,7 +356,8 @@ class TestHeaderValues:
     def test_epoch_below_1_rejected(self, tmp_path, value):
         """Training numbers epochs from 1, so no run writes a lower one."""
         path = _with_header_line(tmp_path, b"epoch = 3\n", f"epoch = {value}\n".encode())
-        with pytest.raises(DataError, match=rf"m\.ckpt: invalid header: epoch must "
+        with pytest.raises(DataError, match=rf"m\.ckpt: invalid header at byte 9: "
+                                            rf"\S+#header: epoch must "
                                             rf"be >= 1, got {value}$"):
             load_checkpoint(path)
 

@@ -105,8 +105,15 @@ class TestParseConfig:
         assert getattr(parse_config_text(f"{key} = {value}\n").train, key) == expected
 
     def test_negative_number_reaches_the_range_check(self):
-        with pytest.raises(ConfigError, match="epochs must be >= 1, got -3"):
+        with pytest.raises(ConfigError, match="^config: epochs must be >= 1, got -3$"):
             parse_config_text("epochs = -3\n")
+
+    def test_range_error_names_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr = 0.001\nepochs = -3\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            parse_config(path)
+        assert str(caught.value) == f"{path}: epochs must be >= 1, got -3"
 
     def test_cross_field_validation_runs(self):
         with pytest.raises(ConfigError, match="input_size"):

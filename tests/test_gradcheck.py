@@ -106,6 +106,16 @@ class TestBattery:
                      "joint_16x16_2stage"):
             assert case in names and f"{case}_batch2" in names, case
 
+    def test_model_axis_cases_stack_two_models(self):
+        """The ops that take a model axis, and the lockstep joint loss, are
+        checked on a stack of two models: every parameter leads with it."""
+        cases = {name: params for name, _, params in standard_battery(seed=0)}
+        for case in ("conv2d_same", "conv2d_relu", "fuse_skip", "dense",
+                     "joint_8x8_1stage"):
+            params = cases[f"{case}_models2"]
+            assert {p.shape[0] for name, p in params.items()
+                    if name in ("k", "b", "w") or "." in name} == {2}, case
+
     def test_primitive_checks_cover_every_op_the_network_records(self):
         """Each op on a joint or backbone training tape is also on the tape
         of a battery entry smaller than the full network, so gate 1 checks

@@ -2,7 +2,8 @@
 fused decoder stage, the branch-free sigmoid, the flat Adam update and the
 skipped input gradient, bit for bit against the formulations they
 replaced; every backward closure of a recipe joint tape, called twice; and
-every node of a recipe tape, called again by its op name.
+every node of a recipe tape, called again by its op name; and the ops
+that take a model axis, on a stack of models against each model alone.
 
 The oracles below are the earlier implementations, kept verbatim: the
 reshape/argmax max pool, the reshape/sum upsample gradient, conv2d
@@ -22,7 +23,7 @@ import pytest
 
 import jointnet
 from jointnet import (Adam, ArchConfig, NumericError, Tape, Tensor, backward,
-                      build, combined_loss, conv2d, cross_entropy,
+                      build, combined_loss, conv2d, cross_entropy, dense,
                       forward_backbone, forward_joint, fuse_skip, maxpool2x2,
                       mse, sigmoid, tensor_sum)
 from jointnet.training import BETA1, BETA2, EPSILON
@@ -596,6 +597,34 @@ class TestFlatAdam:
         for name in SHAPES_ADAM:
             assert_same_bits(held[name], snapshot[name])
 
+    def test_stack_matches_one_optimizer_per_model(self):
+        """[F, P] moments and an [F, 1] rate in the parameters' dtype: each
+        model's parameters and moments are bit for bit those of its own
+        optimizer, in float32, with a different rate per model."""
+        rng = np.random.default_rng(43)
+        models = 3
+        starts = [{name: v.astype(np.float32) for name, v in self._draw(rng).items()}
+                  for _ in range(models)]
+        stack = Adam(SHAPES_ADAM, (models,))
+        alone = [Adam(SHAPES_ADAM) for _ in range(models)]
+        params = {name: Tensor(np.stack([s[name] for s in starts])) for name in SHAPES_ADAM}
+        singles = [{name: Tensor(v) for name, v in s.items()} for s in starts]
+        for step in range(1, 6):
+            grads = [{name: v.astype(np.float32) for name, v in self._draw(rng).items()}
+                     for _ in range(models)]
+            rates = [10.0 ** -step, 3e-3, 0.1 / step]
+            params = stack.step(params, {name: np.stack([g[name] for g in grads])
+                                         for name in SHAPES_ADAM},
+                                np.array(rates, np.float32)[:, None])
+            singles = [opt.step(p, g, lr)
+                       for opt, p, g, lr in zip(alone, singles, grads, rates)]
+            for f in range(models):
+                for name in SHAPES_ADAM:
+                    assert params[name].data.dtype == np.float32
+                    assert_same_bits(params[name].data[f], singles[f][name].data)
+                assert_same_bits(stack._m[f], alone[f]._m)
+                assert_same_bits(stack._v[f], alone[f]._v)
+
     def test_non_finite_gradient_names_the_first_bad_parameter(self):
         opt = Adam(SHAPES_ADAM)
         params = {name: Tensor(np.zeros(shape)) for name, shape in SHAPES_ADAM.items()}
@@ -741,3 +770,88 @@ class TestNodesCallableByName:
         assert "conv2d" in ops and "cross_entropy" in ops
         if mode == "joint":
             assert "weighted_sum" in ops
+
+
+# ---------------------------------------------------------------------------
+# the model axis
+
+
+def per_model_layout(values):
+    """A stack of arrays [F, ...] with each model's array laid out as
+    ``channel_major`` lays out one: model-major, then channel-major."""
+    buf = np.ascontiguousarray(values.swapaxes(-4, -3))
+    return buf.swapaxes(-4, -3)
+
+
+def assert_stack_matches_models(op, inputs, grad_layout, relu=None):
+    """``op`` on the [F, ...] stacked ``inputs`` (every input watched)
+    against ``op`` on model f's slices, for each f: the output and every
+    input gradient, bit for bit and layout for layout."""
+    kwargs = {} if relu is None else {"relu": relu}
+
+    def run(arrays):
+        tensors = [Tensor(a) for a in arrays]
+        tape = Tape()
+        with tape:
+            for t in tensors:
+                tape.watch(t)
+            out = op(*tensors, **kwargs)
+        (node,) = tape.nodes
+        return out, node
+
+    out, node = run(inputs)
+    rng = np.random.default_rng(list(out.shape))
+    g = rng.normal(size=out.shape).astype(out.data.dtype)
+    if grad_layout == "per_model_channel_major":
+        g = per_model_layout(g)
+    grads = node.backward(g)
+    for f in range(out.shape[0]):
+        out_f, node_f = run([a[f] for a in inputs])
+        assert_same_array(out.data[f], out_f.data)
+        for a, e in zip(grads, node_f.backward(g[f])):
+            assert_same_array(a[f], e)
+
+
+class TestModelAxis:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("models", [2, 4])
+    @pytest.mark.parametrize("layer", RECIPE_CONVS)
+    def test_recipe_convs_bitwise(self, layer, models, dtype):
+        """A stacked conv at every recipe conv shape (batch 4 per model)
+        is each model's own conv: one 3-D ``np.matmul`` per tap calls each
+        model's GEMM on its own operands."""
+        c_in, c_out, k, size, relu = RECIPE_CONVS[layer]
+        rng = np.random.default_rng([models, *map(ord, layer)])
+        x = per_model_layout(
+            np.maximum(rng.normal(size=(models, 4, c_in, size, size)), 0.0))
+        kernel = rng.normal(size=(models, c_out, c_in, k, k)) / math.sqrt(c_in * k * k)
+        bias = rng.normal(size=(models, c_out))
+        assert_stack_matches_models(
+            conv2d, [a.astype(dtype) for a in (x, kernel, bias)],
+            "per_model_channel_major" if relu else "c_order", relu=relu)
+
+    @pytest.mark.parametrize("stage", ["dec1", "dec2"])
+    def test_recipe_decoder_stages_bitwise(self, stage):
+        rng = np.random.default_rng([*map(ord, stage)])
+        cases = [stage_case(stage, rng) for _ in range(2)]
+        inputs = [np.stack([case[i].data for case in cases]).astype(np.float32)
+                  for i in range(4)]
+        inputs[0] = per_model_layout(inputs[0])
+        assert_stack_matches_models(fuse_skip, inputs, "c_order")
+
+    def test_dense_bitwise(self):
+        rng = np.random.default_rng(97)
+        inputs = [rng.normal(size=shape).astype(np.float32)
+                  for shape in ((2, 4, 16), (2, 3, 16), (2, 3))]
+        assert_stack_matches_models(dense, inputs, "c_order")
+
+    @pytest.mark.parametrize("op,shapes", [
+        (conv2d, ((3, 4, 2, 6, 6), (2, 3, 2, 3, 3), (2, 3))),  # 3 batches, 2 models
+        (conv2d, ((2, 4, 2, 6, 6), (2, 3, 2, 3, 3), (3,))),  # an unstacked bias
+        (conv2d, ((2, 2, 6, 6), (2, 3, 2, 3, 3), (2,))),  # bias of the wrong width
+        (dense, ((3, 4, 5), (2, 3, 5), (2, 3))),
+        (dense, ((2, 4, 5), (2, 3, 5), (3,))),
+    ])
+    def test_mismatched_model_axes_rejected(self, op, shapes):
+        with pytest.raises(ValueError):
+            op(*(Tensor(np.zeros(shape)) for shape in shapes))

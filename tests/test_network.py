@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from jointnet import (ArchConfig, ConfigError, Tensor, build,
+from jointnet import (ArchConfig, ConfigError, JointNetwork, Tensor, build,
                       extract_attention, forward_backbone, forward_joint,
                       parameter_specs)
+from jointnet.network import model_params, stacked
 
 
 def _image(arch: ArchConfig, seed: int = 0) -> Tensor:
@@ -255,6 +256,63 @@ class TestBatchedForward:
                             Tensor(np.stack([_image(arch).data] * 2)))
         with pytest.raises(ValueError, match="one image"):
             extract_attention(out, 1)
+
+
+class TestStackedForward:
+    """A stack of F networks forwards an [F, N, C, S, S] batch, model f's
+    batch through model f's parameters, bit for bit as model f alone."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_joint_outputs_are_each_models_own(self, dtype):
+        arch = ArchConfig()
+        nets = [build(arch, seed=f, dtype=dtype) for f in range(2)]
+        rng = np.random.default_rng(31)
+        images = rng.uniform(0.0, 1.0, (2, 4, 3, 32, 32))
+        out = forward_joint(stacked(nets), Tensor(images))
+        for f, net in enumerate(nets):
+            alone = forward_joint(net, Tensor(images[f]))
+            for got, want in ([(out.class_probs, alone.class_probs),
+                               (out.reconstruction, alone.reconstruction),
+                               (out.image, alone.image)]
+                              + list(zip(out.attention_maps, alone.attention_maps))):
+                assert got.data.dtype == want.data.dtype == dtype
+                assert got.data[f].tobytes() == want.data.tobytes()
+
+    def test_backbone_outputs_are_each_models_own(self):
+        arch = ArchConfig(n_stages=3, input_size=32, base_channels=4)
+        nets = [build(arch, seed=f) for f in range(3)]
+        images = np.random.default_rng(37).uniform(0.0, 1.0, (3, 2, 3, 32, 32))
+        probs = forward_backbone(stacked(nets), Tensor(images))
+        for f, net in enumerate(nets):
+            assert probs.data[f].tobytes() == forward_backbone(
+                net, Tensor(images[f])).data.tobytes()
+
+    def test_stack_of_one_is_the_network(self):
+        net = build(ArchConfig(), seed=0)
+        assert stacked([net]) is net and net.stack == ()
+
+    def test_model_params_are_each_models_arrays(self):
+        nets = [build(ArchConfig(), seed=f) for f in range(2)]
+        stack = stacked(nets)
+        assert stack.stack == (2,)
+        for f, net in enumerate(nets):
+            for name, arr in model_params(stack, f).items():
+                assert np.array_equal(arr, net.params[name].data), name
+        single = nets[0].params["enc1.conv1.w"]
+        assert model_params(nets[0], 0)["enc1.conv1.w"] is single.data
+
+    @pytest.mark.parametrize("shape", [(4, 3, 32, 32), (3, 4, 3, 32, 32), (3, 32, 32)])
+    def test_stack_rejects_a_batch_without_its_model_axis(self, shape):
+        net = stacked([build(ArchConfig(), seed=f) for f in range(2)])
+        with pytest.raises(ValueError, match="shape"):
+            forward_joint(net, Tensor(np.zeros(shape)))
+
+    def test_parameters_of_different_stacks_rejected(self):
+        nets = [build(ArchConfig(), seed=f) for f in range(2)]
+        params = dict(stacked(nets).params)
+        params["recon.conv.b"] = nets[0].params["recon.conv.b"]
+        with pytest.raises(ConfigError, match="recon.conv.b"):
+            JointNetwork(ArchConfig(), params)
 
 
 class TestAttention:

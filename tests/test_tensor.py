@@ -226,14 +226,31 @@ class TestBackward:
             loss = weighted_sum(tensor_sum(w), tensor_sum(w), Tensor(np.ones(2)))
         np.testing.assert_array_equal(backward(tape, loss)[w], [2.0])
 
-    def test_non_scalar_seed_rejected(self):
-        w = Tensor(np.ones(2))
+    def test_seed_of_two_axes_rejected(self):
+        w = Tensor(np.ones((2, 2)))
         tape = Tape()
         with tape:
             tape.watch(w)
             out = sigmoid(w)
-        with pytest.raises(ValueError, match="scalar"):
+        with pytest.raises(ValueError, match="scalar or a vector"):
             backward(tape, out)
+
+    def test_vector_seed_differentiates_the_sum(self):
+        """A vector of per-model losses seeds ones: the gradient of its
+        sum, bit for bit, without a summing node on the tape."""
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=3)
+        grads = []
+        for summed in (False, True):
+            w = Tensor(values)
+            tape = Tape()
+            with tape:
+                tape.watch(w)
+                out = sigmoid(w)
+                if summed:
+                    out = tensor_sum(out)
+            grads.append(backward(tape, out)[w])
+        assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_intermediate_activation_freed_by_backward(self):
         """backward releases each node as it goes: once it returns, nothing

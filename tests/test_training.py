@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from jointnet import (Adam, ArchConfig, ConfigError, NumericError,
                       PlateauScheduler, Tape, Tensor, TrainConfig, backward,
                       build, combined_loss, cross_entropy, forward_joint,
-                      kfold_train, mse, record, softmax, synth_generate, train,
-                      weighted_sum)
+                      kfold_train, mse, record, save_checkpoint, softmax,
+                      stratified_folds, synth_generate, train, weighted_sum)
+from jointnet import training
 from jointnet.data import Dataset, Sample
+from jointnet.network import stacked
 from jointnet.training import LR_FLOOR, _batch_losses
 
 from peaks import traced_peak, traced_peaks
@@ -452,12 +455,16 @@ def tape_held_bytes(tape: Tape, params) -> int:
 
 class TestStepMemory:
     @staticmethod
-    def _recipe():
-        net = build(ArchConfig(n_stages=2, input_size=32, base_channels=8), seed=0,
-                    dtype=np.float64)
+    def _recipe(models: int = 1):
+        """A float64 recipe joint step's recording; with ``models`` > 1, that
+        of a stack of that many models, each with its own batch of 4."""
+        net = stacked([build(ArchConfig(n_stages=2, input_size=32, base_channels=8),
+                             seed=f, dtype=np.float64) for f in range(models)])
         rng = np.random.default_rng(0)
-        images = Tensor(rng.uniform(0.0, 1.0, (4, 3, 32, 32)))
-        labels = np.array([0, 1, 2, 0])
+        lead = (models,) if models > 1 else ()
+        images = Tensor(rng.uniform(0.0, 1.0, lead + (4, 3, 32, 32)))
+        labels = np.array([[0, 1, 2, 0], [2, 2, 1, 0], [1, 0, 0, 2]][:models]).reshape(
+            lead + (4,))
         config = TrainConfig(phi=0.5)
 
         def record():
@@ -498,6 +505,17 @@ class TestStepMemory:
         assert len(tape.nodes) == 18
         held = tape_held_bytes(tape, net.params.values())
         assert held <= TAPE_HELD_BOUND, f"the tape holds {held} bytes"
+
+    def test_group_of_two_step_peak(self):
+        """A lockstep step of two recipe models holds two models' maps, and
+        no more: within twice the one-model bounds, with the same 18 nodes."""
+        net, record = self._recipe(models=2)
+        peak = traced_peak(lambda: backward(*record()))
+        assert peak <= 2 * STEP_PEAK_BOUND, f"a group step peaked at {peak} bytes"
+        tape, _ = record()
+        assert len(tape.nodes) == 18
+        held = tape_held_bytes(tape, net.params.values())
+        assert held <= 2 * TAPE_HELD_BOUND, f"the group's tape holds {held} bytes"
 
 
 class TestTrainLoop:
@@ -622,13 +640,13 @@ class TestKFold:
     def test_fold_seeds_offset_by_fold(self, monkeypatch):
         from jointnet import training
         seen = []
-        original = training.train
+        original = training._train_group
 
-        def recording(net, train_set, val_set, config):
-            seen.append(config)
-            return original(net, train_set, val_set, config)
+        def recording(net, sets, configs):
+            seen.extend(configs)
+            return original(net, sets, configs)
 
-        monkeypatch.setattr(training, "train", recording)
+        monkeypatch.setattr(training, "_train_group", recording)
         config = TrainConfig(epochs=1, folds=2, seed=5, lr=1e-3, batch_size=3)
         kfold_train(_tiny_dataset(2), TINY_ARCH, config)
         assert [c.seed for c in seen] == [5, 6]
@@ -647,7 +665,8 @@ class TestKFold:
                         [EpochLog(1, 1.0, 1.0, 0.0, loss + 1.0, 1.0, 1e-3, 0.5),
                          EpochLog(2, 1.0, 1.0, 0.0, loss, accuracy, 1e-3, 0.5)])
             for accuracy, loss in scores)
-        monkeypatch.setattr(training, "train", lambda *args: next(canned))
+        monkeypatch.setattr(training, "_train_group",
+                            lambda net, sets, configs: [next(canned) for _ in configs])
         result = kfold_train(_tiny_dataset(len(scores)), TINY_ARCH,
                              TrainConfig(epochs=2, folds=len(scores), seed=0))
         assert len(result.folds) == len(scores)
@@ -666,3 +685,124 @@ class TestKFold:
         ds = _tiny_dataset(2)
         with pytest.raises(DataError, match="fewer"):
             kfold_train(ds, TINY_ARCH, TrainConfig(epochs=1, folds=3, seed=0))
+
+
+def _alone(dataset: Dataset, arch: ArchConfig, config: TrainConfig):
+    """Each fold of ``kfold_train`` trained on its own with ``train``."""
+    return [train(build(arch, seed=config.seed + f), dataset.subset(train_idx),
+                  dataset.subset(val_idx), replace(config, seed=config.seed + f))
+            for f, (train_idx, val_idx) in enumerate(
+                stratified_folds(dataset, config.folds, config.seed))]
+
+
+def assert_same_results(got, expected, tmp_path):
+    """Bit-identical checkpoint files and logs, model by model."""
+    assert len(got) == len(expected)
+    for f, (a, b) in enumerate(zip(got, expected)):
+        save_checkpoint(a.checkpoint, tmp_path / "got.ckpt")
+        save_checkpoint(b.checkpoint, tmp_path / "expected.ckpt")
+        assert ((tmp_path / "got.ckpt").read_bytes()
+                == (tmp_path / "expected.ckpt").read_bytes()), f"model {f}"
+        assert [repr(astuple(e)) for e in a.log] == [repr(astuple(e)) for e in b.log], f
+
+
+def _recording_groups(monkeypatch) -> list[list[int]]:
+    """Patch ``_train_group`` to record each group's seeds."""
+    groups = []
+    original = training._train_group
+
+    def recording(net, sets, configs):
+        groups.append([c.seed for c in configs])
+        return original(net, sets, configs)
+
+    monkeypatch.setattr(training, "_train_group", recording)
+    return groups
+
+
+def _uneven_dataset(counts) -> Dataset:
+    """``_tiny_dataset``'s images with ``counts[c]`` samples of class c."""
+    full = _tiny_dataset(max(counts))
+    per_class = max(counts)
+    return full.subset([c * per_class + i for c, n in enumerate(counts) for i in range(n)])
+
+
+class TestLockstep:
+    """A group of folds trained on one tape gives, fold for fold, the
+    checkpoint bytes and the log of training each fold alone."""
+
+    # recipe width at 32 px: one eval chunk holds 10 float32 images, so at
+    # batch 4 a group holds 2 folds
+    ARCH = ArchConfig()
+
+    @pytest.mark.parametrize("mode", ["joint", "backbone"])
+    def test_kfold_float32_matches_folds_alone(self, monkeypatch, tmp_path, mode):
+        """Three equal folds at group size 2: a group of two, then the odd
+        fold alone."""
+        dataset = synth_generate(3, 32, seed=4)
+        config = TrainConfig(epochs=2, folds=3, seed=2, batch_size=4, lr=1e-3, mode=mode)
+        groups = _recording_groups(monkeypatch)
+        result = kfold_train(dataset, self.ARCH, config)
+        assert groups == [[2, 3], [4]]
+        assert_same_results(result.folds, _alone(dataset, self.ARCH, config), tmp_path)
+
+    @pytest.mark.parametrize("mode", ["joint", "backbone"])
+    def test_group_float64_matches_models_alone(self, tmp_path, mode):
+        dataset = synth_generate(3, 32, seed=5)
+        config = TrainConfig(epochs=2, batch_size=4, seed=7, lr=1e-3, mode=mode)
+        configs = [replace(config, seed=7 + f) for f in range(3)]
+        sets = [(dataset.subset(train_idx), dataset.subset(val_idx))
+                for train_idx, val_idx in stratified_folds(dataset, 3, seed=1)]
+
+        def net(c):
+            return build(self.ARCH, seed=c.seed, dtype=np.float64)
+
+        grouped = training._train_group(stacked([net(c) for c in configs]), sets, configs)
+        alone = [train(net(c), t, v, c) for c, (t, v) in zip(configs, sets)]
+        assert {a.dtype for r in grouped for a in r.checkpoint.params.values()} == {
+            np.dtype(np.float64)}
+        assert_same_results(grouped, alone, tmp_path)
+
+    def test_plateau_cut_in_one_model_only(self, tmp_path):
+        """Each model keeps its own schedule: here the second model's
+        validation loss stalls and its rate is cut, the first's is not."""
+        config = TrainConfig(epochs=6, batch_size=4, seed=0, lr=0.03, patience=1,
+                             kappa=0.5)
+        configs = [config, replace(config, seed=1)]
+        sets = [(_tiny_dataset(3), _tiny_dataset(2, seed=9))] * 2
+
+        def net(c):
+            return build(TINY_ARCH, seed=c.seed, dtype=np.float64)
+
+        grouped = training._train_group(stacked([net(c) for c in configs]), sets, configs)
+        assert {e.lr for e in grouped[0].log} == {0.03}
+        assert len({e.lr for e in grouped[1].log}) > 1
+        alone = [train(net(c), *pair, c) for c, pair in zip(configs, sets)]
+        assert_same_results(grouped, alone, tmp_path)
+
+    @pytest.mark.parametrize("counts,expected", [
+        ((4, 5, 3), [[0], [1], [2]]),  # training sets of 7, 8 and 9
+        ((5, 5, 5), [[0, 1], [2]]),  # 9, 9 and 12
+    ])
+    def test_unequal_folds_train_apart(self, monkeypatch, tmp_path, counts, expected):
+        dataset = _uneven_dataset(counts)
+        config = TrainConfig(epochs=2, folds=3, seed=0, batch_size=4)
+        groups = _recording_groups(monkeypatch)
+        result = kfold_train(dataset, TINY_ARCH, config)
+        assert groups == expected
+        assert_same_results(result.folds, _alone(dataset, TINY_ARCH, config), tmp_path)
+
+    def test_group_size_follows_the_eval_chunk(self, monkeypatch):
+        """At most ``predict_chunk // batch_size`` folds share a group: 2 for
+        the float32 recipe at batch 4, and one fold per group at batch 8."""
+        dataset = synth_generate(4, 32, seed=6)
+        for batch_size, expected in ((4, [[0, 1], [2, 3]]), (8, [[0], [1], [2], [3]])):
+            groups = _recording_groups(monkeypatch)
+            kfold_train(dataset, self.ARCH, TrainConfig(epochs=1, folds=4, seed=0,
+                                                        batch_size=batch_size))
+            assert groups == expected
+
+    def test_configs_of_a_group_may_differ_only_in_seed(self):
+        configs = [TrainConfig(epochs=1), TrainConfig(epochs=1, lr=1e-3)]
+        net = stacked([build(TINY_ARCH, seed=0), build(TINY_ARCH, seed=1)])
+        with pytest.raises(ValueError, match="only in their seeds"):
+            training._train_group(net, [(_tiny_dataset(1), _tiny_dataset(1))] * 2, configs)
