@@ -113,7 +113,7 @@ def _stream(listing, nets):
     in chunks of the smallest ``predict_chunk`` among them."""
     arch = nets[0].config
     return listing.batches(arch.input_size, arch.input_channels,
-                           min(map(predict_chunk, nets)))
+                           min(predict_chunk(net.config, net.dtype) for net in nets))
 
 
 def _cmd_train(args) -> int:

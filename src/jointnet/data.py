@@ -100,9 +100,13 @@ class Listing:
 def _axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
     """(index, frac): the ``n_in`` positions a bilinear resize to ``n_out``
     reads, lo of every output then hi, and the weight of hi per output;
-    memoised, so the arrays are read-only."""
+    memoised, so the arrays are read-only. A size too large for numpy to
+    allocate is a ConfigError naming it."""
     # half-pixel-center mapping; endpoints clamp instead of extrapolating
-    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    try:
+        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    except (MemoryError, OverflowError, ValueError) as e:
+        raise ConfigError(f"cannot resize to size {n_out}: {e}") from None
     src = np.clip(src, 0.0, n_in - 1.0)
     lo = np.floor(src).astype(np.int64)
     coords = (np.concatenate([lo, np.minimum(lo + 1, n_in - 1)]), src - lo)
@@ -291,7 +295,8 @@ def synth_generate(n_per_class: int, size: int, shift: str = "none",
 def synth_samples(n_per_class: int, size: int, shift: str = "none",
                   seed: int = 0, channels: int = 3) -> Iterator[Sample]:
     """The samples of ``synth_generate``, in its order, each drawn only when
-    it is taken. The arguments are checked here, before the first draw."""
+    it is taken. The arguments are checked here, before the first draw; a
+    size too large for numpy to allocate is a ConfigError at the draw."""
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     if size < 16:
@@ -305,7 +310,11 @@ def synth_samples(n_per_class: int, size: int, shift: str = "none",
     def draw() -> Iterator[Sample]:
         for label, name in enumerate(CLASS_NAMES):
             for i in range(n_per_class):
-                plane = _synth_image(rng, size, label, shift == "wild")
+                try:
+                    plane = _synth_image(rng, size, label, shift == "wild")
+                except (MemoryError, OverflowError, ValueError) as e:
+                    raise ConfigError(
+                        f"an image of size {size} cannot be allocated: {e}") from None
                 img = np.repeat(plane[None, :, :], channels, axis=0)
                 yield Sample(Tensor(img), label, f"synth/{name}/{shift}/{seed}/{i}")
 

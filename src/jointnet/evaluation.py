@@ -26,7 +26,8 @@ import numpy as np
 from .data import Dataset
 from .kvio import format_kv
 from .netpbm import write_pgm
-from .network import JointNetwork, extract_attention, forward_backbone, forward_joint
+from .network import (ArchConfig, JointNetwork, extract_attention, forward_backbone,
+                      forward_joint)
 from .tensor import Tensor
 
 
@@ -100,13 +101,13 @@ def metrics(counts: np.ndarray) -> MetricsReport:
 CHUNK_BYTES = 320 << 10
 
 
-def predict_chunk(net: JointNetwork) -> int:
-    """Images per forward pass: as many as keep the first conv's output,
-    ``base_channels`` maps of ``input_size**2`` values in ``net``'s dtype,
-    within ``CHUNK_BYTES``, and at least one."""
-    arch = net.config
+def predict_chunk(arch: ArchConfig, dtype) -> int:
+    """Images per forward pass of a network of ``arch`` computing in
+    ``dtype``: as many as keep the first conv's output, ``base_channels``
+    maps of ``input_size**2`` values, within ``CHUNK_BYTES``, and at least
+    one."""
     return max(1, CHUNK_BYTES // (arch.base_channels * arch.input_size ** 2
-                                  * net.dtype.itemsize))
+                                  * np.dtype(dtype).itemsize))
 
 
 Batches = Iterable[tuple[Tensor, np.ndarray]]
@@ -130,11 +131,12 @@ def tally(nets: list[JointNetwork], batches: Batches, n_classes: int) -> list[np
 
 def evaluate(net: JointNetwork, dataset: Dataset) -> tuple[np.ndarray, MetricsReport]:
     """The confusion counts of the classifier path on ``dataset``, one
-    forward pass per chunk of ``predict_chunk(net)`` images, and their
+    forward pass per chunk of ``predict_chunk`` images, and their
     metrics."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    (counts,) = tally([net], dataset.batches(predict_chunk(net)), net.config.n_classes)
+    chunk = predict_chunk(net.config, net.dtype)
+    (counts,) = tally([net], dataset.batches(chunk), net.config.n_classes)
     return counts, metrics(counts)
 
 

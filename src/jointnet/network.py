@@ -183,20 +183,12 @@ def build(config: ArchConfig, seed: int = 0, dtype=np.float32) -> JointNetwork:
 def stacked(nets: list[JointNetwork]) -> JointNetwork:
     """``nets``, of one architecture and dtype, as one stack of
     ``len(nets)`` models: model f's parameters at index f of each stacked
-    parameter. One network is returned as it is: as a stack of one, its
-    GEMMs would run as 3-D calls, about 4% slower in training."""
+    parameter. One network makes a stack of one: training steps every run
+    as a stack, and inference keeps the network unstacked."""
     first = nets[0]
-    if len(nets) == 1:
-        return first
     return JointNetwork(first.config, {
         name: Tensor(np.stack([net.params[name].data for net in nets]))
         for name in first.params})
-
-
-def model_params(net: JointNetwork, f: int) -> dict[str, np.ndarray]:
-    """Model f's parameter arrays by name: views into a stack's, or a single
-    network's own arrays (f = 0)."""
-    return {name: p.data[f] if net.stack else p.data for name, p in net.params.items()}
 
 
 @dataclass

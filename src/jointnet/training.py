@@ -14,18 +14,18 @@ Training is deterministic for a fixed seed: the epoch shuffle has its own
 random stream, and each minibatch is stacked in ascending sample-index
 order.
 
-Folds of one size train in lockstep. ``kfold_train`` stacks consecutive
-folds whose training sets have equal size into one network of F models
-(``network.stacked``), as many as keep the images in flight within one
-eval chunk (``predict_chunk // batch_size``), and ``_train_group`` steps
-them together: one tape, one op call per layer and one Adam step per
-batch for all F, so they share the per-op dispatch, tape and optimizer
-cost that does not grow with the batch (the stacked ensembles of
-BatchEnsemble, Wen et al., ICLR 2020). The losses return one value per
-model and ``backward`` differentiates their sum, so each model gets its
-own gradient; its shuffle stream, schedule, validation counts,
-checkpoint and log stay its own, and every fold's result is bit for bit
-that of training it alone. ``train`` is the group of one.
+Every run trains as a stack of models (``network.stacked``), and
+``_train_group`` is the one training loop: one tape, one op call per
+layer and one Adam step per batch for all F models of the stack.
+``train`` is the group of one. ``kfold_train`` stacks consecutive folds
+whose training sets have equal size, as many as keep the images in
+flight within one eval chunk (``predict_chunk // batch_size``), so they
+share the per-op dispatch, tape and optimizer cost that does not grow
+with the batch (the stacked ensembles of BatchEnsemble, Wen et al., ICLR
+2020). The losses return one value per model and ``backward``
+differentiates their sum, so each model gets its own gradient; its
+shuffle stream, schedule, validation counts, checkpoint and log stay its
+own, and every fold's result is bit for bit that of training it alone.
 
 Training computes in the network's dtype: ``kfold_train`` builds float32
 networks, whose tap GEMMs move half the bytes of float64 ones, and the
@@ -38,7 +38,7 @@ finite-difference checks build float64 networks on the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .data import Dataset, stratified_folds
 from .errors import ConfigError, NumericError
 from .evaluation import predict_chunk
 from .network import (ArchConfig, JointNetwork, build, forward_backbone, forward_joint,
-                      model_params, stacked)
+                      stacked)
 from .rng import SHUFFLE, make_rng
 from .tensor import Tape, Tensor, backward, record, weighted_sum
 
@@ -318,45 +318,37 @@ def _validate_sets(net: JointNetwork, train_set: Dataset, val_set: Dataset) -> N
                     f"outside 0..{net.config.n_classes - 1}")
 
 
-def _joined(net: JointNetwork, parts) -> tuple[Tensor, np.ndarray]:
-    """Each model's (images, labels) batch as one input to ``net``: a single
-    model's own batch, or the batches stacked on the model axis, the
-    images cast to ``net``'s dtype as the forward pass would cast them."""
-    if not net.stack:
-        (part,) = parts
-        return part
-    return (Tensor(np.stack([images.data for images, _ in parts], dtype=net.dtype)),
-            np.stack([labels for _, labels in parts]))
-
-
 def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
           config: TrainConfig) -> TrainResult:
     """Optimize ``net`` in place in ``config.mode``; returns the best-epoch
     checkpoint (lowest validation loss, earlier epoch on ties) and the full
-    epoch log. This is the group of one of ``_train_group``."""
-    (result,) = _train_group(net, [(train_set, val_set)], [config])
+    epoch log. ``net`` trains as a stack of one (``_train_group``), and its
+    final parameters are written back."""
+    if net.stack:
+        raise ValueError(f"train takes one network, got a stack of {net.stack[0]}")
+    group = stacked([net])
+    (result,) = _train_group(group, [(train_set, val_set)], config, [config.seed])
+    net.params = {name: Tensor(p.data[0]) for name, p in group.params.items()}
     return result
 
 
 def _train_group(net: JointNetwork, sets: list[tuple[Dataset, Dataset]],
-                 configs: list[TrainConfig]) -> list[TrainResult]:
-    """Optimize the models of ``net`` in place, in lockstep: model f trains
-    on ``sets[f]`` (training and validation set) with ``configs[f]``. A
-    single network is a group of one; a stack (``stacked``) steps its F
-    models on one tape, with one op call per layer and one Adam step per
-    batch. Model f keeps its own shuffle stream (``configs[f].seed``),
-    plateau schedule, validation counts, best-epoch checkpoint and log, so
-    its result is bit for bit that of training it alone.
+                 config: TrainConfig, seeds: list[int]) -> list[TrainResult]:
+    """Optimize the F models of the stack ``net`` (``stacked``) in place, in
+    lockstep: model f trains on ``sets[f]`` (training and validation set)
+    with ``config`` and the shuffle seed ``seeds[f]``. One tape, one op call
+    per layer and one Adam step per batch serve all F. Model f keeps its
+    own shuffle stream, plateau schedule, validation counts, best-epoch
+    checkpoint and log, so its result is bit for bit that of training it
+    in a stack of one.
 
-    The configs may differ only in their seeds, and every training set
-    must have the same size, and every validation set, so that each step's
-    batches and each validation chunk match across the models."""
-    config, models = configs[0], len(configs)
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("the configs of a group may differ only in their seeds")
-    if net.stack != ((models,) if models > 1 else ()):
-        raise ValueError(f"a group of {models} needs a network of {models} models, "
-                         f"got one of stack {net.stack}")
+    Every training set must have the same size, and every validation set,
+    so that each step's batches and each validation chunk match across the
+    models."""
+    models = len(seeds)
+    if net.stack != (models,) or len(sets) != models:
+        raise ValueError(f"a group of {models} seeds needs {models} pairs of sets and "
+                         f"a stack of {models} models, got {len(sets)} and {net.stack}")
     for train_set, val_set in sets:
         _validate_sets(net, train_set, val_set)
     n_train, n_val = len(sets[0][0]), len(sets[0][1])
@@ -364,32 +356,35 @@ def _train_group(net: JointNetwork, sets: list[tuple[Dataset, Dataset]],
         raise ValueError("the training sets of a group must have one size, "
                          "and so must its validation sets")
 
-    shuffles = [make_rng(c.seed, SHUFFLE) for c in configs]
-    optimizer = Adam({name: p.shape[len(net.stack):] for name, p in net.params.items()},
-                     net.stack)
-    schedulers = [PlateauScheduler(c.lr, c.patience, c.kappa) for c in configs]
+    shuffles = [make_rng(seed, SHUFFLE) for seed in seeds]
+    optimizer = Adam({name: p.shape[1:] for name, p in net.params.items()}, net.stack)
+    schedulers = [PlateauScheduler(config.lr, config.patience, config.kappa) for _ in seeds]
 
     best: list[Checkpoint | None] = [None] * models
-    logs: list[list[EpochLog]] = [[] for _ in configs]
+    logs: list[list[EpochLog]] = [[] for _ in seeds]
+
+    def joined(parts) -> tuple[Tensor, np.ndarray]:
+        """The models' (images, labels) batches on the model axis, in net's dtype."""
+        return (Tensor(np.stack([images.data for images, _ in parts], dtype=net.dtype)),
+                np.stack([labels for _, labels in parts]))
 
     for epoch in range(1, config.epochs + 1):
         lrs = [scheduler.lr for scheduler in schedulers]
-        lr = np.array(lrs, net.dtype)[:, None] if net.stack else lrs[0]
+        lr = np.array(lrs, net.dtype)[:, None]
         orders = [rng.permutation(n_train) for rng in shuffles]
         # per model: the batch-size-weighted sums of L, L_s and L_u
         sums = np.zeros((3, models))
         for start in range(0, n_train, config.batch_size):
             picks = [sorted(order[start:start + config.batch_size].tolist())
                      for order in orders]
-            images, labels = _joined(net, [train_set.batch(pick) for (train_set, _), pick
-                                           in zip(sets, picks)])
+            images, labels = joined([train_set.batch(pick) for (train_set, _), pick
+                                     in zip(sets, picks)])
             tape = Tape()
             with tape:
                 for p in net.params.values():
                     tape.watch(p)
                 batch_loss, ls, lu, _ = _batch_losses(net, images, labels, config)
-            values = np.stack([batch_loss.data, ls, lu]).astype(np.float64)
-            sums += values.reshape(3, models) * len(picks[0])
+            sums += np.stack([batch_loss.data, ls, lu]).astype(np.float64) * len(picks[0])
             grads = backward(tape, batch_loss)
             net.params = optimizer.step(
                 net.params, {name: grads[p] for name, p in net.params.items()}, lr)
@@ -397,17 +392,17 @@ def _train_group(net: JointNetwork, sets: list[tuple[Dataset, Dataset]],
         val_correct = np.zeros(models, np.int64)
         val_sum = np.zeros(models)
         for parts in zip(*(val_set.batches(config.batch_size) for _, val_set in sets)):
-            images, labels = _joined(net, parts)
+            images, labels = joined(parts)
             loss, _, _, probs = _batch_losses(net, images, labels, config)
-            val_sum += loss.data.astype(np.float64).reshape(models) * labels.shape[-1]
-            hits = probs.data.argmax(axis=-1) == labels
-            val_correct += hits.reshape(models, -1).sum(axis=1)
+            val_sum += loss.data.astype(np.float64) * labels.shape[-1]
+            val_correct += (probs.data.argmax(axis=-1) == labels).sum(axis=-1)
 
         for f in range(models):
             val_loss = float(val_sum[f] / n_val)
             if best[f] is None or val_loss < best[f].best_val_loss:
-                best[f] = Checkpoint(arch=net.config, params=model_params(net, f),
-                                     epoch=epoch, best_val_loss=val_loss)
+                # copies, so a checkpoint holds no other model's parameters
+                params = {name: p.data[f].copy() for name, p in net.params.items()}
+                best[f] = Checkpoint(net.config, params, epoch, val_loss)
             train_loss, train_ls, train_lu = (float(v) for v in sums[:, f] / n_train)
             logs[f].append(EpochLog(epoch, train_loss, train_ls, train_lu, val_loss,
                                     int(val_correct[f]) / n_val, lrs[f], config.phi))
@@ -423,21 +418,20 @@ class KFoldResult:
 
 
 def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFoldResult:
-    """Stratified k-fold training: fold f trains a fresh network seeded
-    ``config.seed + f``. The overall winner has the highest best-epoch
-    validation accuracy; ties prefer lower validation loss, then the
-    earlier fold.
+    """Stratified k-fold training: fold f trains a fresh float32 network
+    seeded ``config.seed + f``. The overall winner has the highest
+    best-epoch validation accuracy; ties prefer lower validation loss, then
+    the earlier fold.
 
     Consecutive folds whose training sets have one size train as a group
     (``_train_group``), in fold order, with each fold's results those of
     training it alone. A group holds at most as many models as keep the
     images in flight within one eval chunk: ``predict_chunk`` over the
-    batch size, and at least one. That is 2 for the float32 recipe, and 1
-    in float64 and at 64 px."""
+    batch size, and at least one. That is 2 for the recipe, and 1 at 64 px
+    and above. A group's networks are built when it starts."""
+    dtype = np.float32
     splits = stratified_folds(dataset, config.folds, config.seed)
-    configs = [replace(config, seed=config.seed + f) for f in range(len(splits))]
-    nets = [build(arch, seed=c.seed) for c in configs]
-    group_size = max(1, predict_chunk(nets[0]) // config.batch_size)
+    group_size = max(1, predict_chunk(arch, dtype) // config.batch_size)
     groups: list[list[int]] = []
     for f, (train_idx, _) in enumerate(splits):
         if (groups and len(groups[-1]) < group_size
@@ -447,9 +441,10 @@ def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFol
             groups.append([f])
     folds: list[TrainResult] = []
     for group in groups:
+        seeds = [config.seed + f for f in group]
         sets = [(dataset.subset(splits[f][0]), dataset.subset(splits[f][1])) for f in group]
-        folds += _train_group(stacked([nets[f] for f in group]), sets,
-                              [configs[f] for f in group])
+        net = stacked([build(arch, seed=seed, dtype=dtype) for seed in seeds])
+        folds += _train_group(net, sets, config, seeds)
     # max keeps the first of equal keys, so full ties go to the earlier fold
     best = max(range(len(folds)), key=lambda f: (
         folds[f].val_accuracy, -folds[f].checkpoint.best_val_loss))

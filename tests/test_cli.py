@@ -632,6 +632,37 @@ class TestWidths:
         assert err.startswith("error: ") and name in err
 
 
+class TestSizes:
+    # image sizes numpy refuses before touching memory: more bytes than
+    # numpy's size limit, or than the address space
+    @pytest.mark.parametrize("size", [2 ** 60, 10 ** 17])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "export-attn"])
+    def test_size_numpy_refuses_exits_1(self, workspace, tmp_path, capsys, command, size):
+        """A size from the command line, the config or a checkpoint's header
+        that numpy cannot allocate is a configuration error naming it."""
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), "--per-class", "1", "--size", str(size)]
+        elif command == "train":
+            config = tmp_path / "big.cfg"
+            config.write_text(TINY_CONFIG.replace("input_size = 16", f"input_size = {size}"))
+            argv = ["train", "--data", str(workspace["data"]), "--config", str(config),
+                    "--out", str(out)]
+        else:
+            ckpt = load_checkpoint(workspace["model"])
+            model = tmp_path / "big.ckpt"
+            save_checkpoint(replace(ckpt, arch=replace(ckpt.arch, input_size=size)), model)
+            image = next(workspace["data"].glob("*/*.pgm"))
+            argv = (["eval", "--model", str(model), "--data", str(workspace["data"]),
+                     "--report", str(out)] if command == "eval" else
+                    ["export-attn", "--model", str(model), "--image", str(image),
+                     "--out", str(out)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"size {size}" in err
+        assert not out.exists()
+
+
 class TestUsage:
     def test_no_subcommand_exits_1(self, capsys):
         assert main([]) == 1

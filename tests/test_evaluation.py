@@ -140,7 +140,7 @@ class TestPredictEvaluate:
         image at 32 px, so 10 fit the budget; at 256 px one image is over
         it and still makes a chunk."""
         arch = ArchConfig(n_stages=2, input_size=size, base_channels=8)
-        assert predict_chunk(build(arch, seed=0, dtype=dtype)) == chunk
+        assert predict_chunk(arch, dtype) == chunk
 
     def test_tally_matches_argmax(self):
         """The chunked counts are those of each sample's classifier-path
@@ -149,7 +149,7 @@ class TestPredictEvaluate:
         arch = ArchConfig(n_stages=2, input_size=32, base_channels=8)
         net = build(arch, seed=0)
         ds = self._dataset(arch, n=23)
-        chunk = predict_chunk(net)
+        chunk = predict_chunk(arch, net.dtype)
         assert [len(labels) for _, labels in ds.batches(chunk)] == [10, 10, 3]
         (counts,) = tally([net], ds.batches(chunk), arch.n_classes)
         assert counts.sum() == len(ds)

@@ -812,9 +812,16 @@ def assert_stack_matches_models(op, inputs, grad_layout, relu=None):
             assert_same_array(a[f], e)
 
 
+# A stack of F models through each recipe layer is each model's own call;
+# at F = 1, the stack of one every training run is, that is the unstacked
+# call bit for bit and layout for layout.
+stacks = pytest.mark.parametrize("models", [1, 2, 4])
+dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
 class TestModelAxis:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("models", [2, 4])
+    @dtypes
+    @stacks
     @pytest.mark.parametrize("layer", RECIPE_CONVS)
     def test_recipe_convs_bitwise(self, layer, models, dtype):
         """A stacked conv at every recipe conv shape (batch 4 per model)
@@ -830,19 +837,23 @@ class TestModelAxis:
             conv2d, [a.astype(dtype) for a in (x, kernel, bias)],
             "per_model_channel_major" if relu else "c_order", relu=relu)
 
+    @dtypes
+    @stacks
     @pytest.mark.parametrize("stage", ["dec1", "dec2"])
-    def test_recipe_decoder_stages_bitwise(self, stage):
+    def test_recipe_decoder_stages_bitwise(self, stage, models, dtype):
         rng = np.random.default_rng([*map(ord, stage)])
-        cases = [stage_case(stage, rng) for _ in range(2)]
-        inputs = [np.stack([case[i].data for case in cases]).astype(np.float32)
+        cases = [stage_case(stage, rng) for _ in range(models)]
+        inputs = [np.stack([case[i].data for case in cases]).astype(dtype)
                   for i in range(4)]
         inputs[0] = per_model_layout(inputs[0])
         assert_stack_matches_models(fuse_skip, inputs, "c_order")
 
-    def test_dense_bitwise(self):
+    @dtypes
+    @stacks
+    def test_dense_bitwise(self, models, dtype):
         rng = np.random.default_rng(97)
-        inputs = [rng.normal(size=shape).astype(np.float32)
-                  for shape in ((2, 4, 16), (2, 3, 16), (2, 3))]
+        inputs = [rng.normal(size=shape).astype(dtype)
+                  for shape in ((models, 4, 16), (models, 3, 16), (models, 3))]
         assert_stack_matches_models(dense, inputs, "c_order")
 
     @pytest.mark.parametrize("op,shapes", [

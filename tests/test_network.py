@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from jointnet import (ArchConfig, ConfigError, JointNetwork, Tensor, build,
+from jointnet import (ArchConfig, ConfigError, JointNetwork, Tensor, TrainConfig, build,
                       extract_attention, forward_backbone, forward_joint,
-                      parameter_specs)
-from jointnet.network import model_params, stacked
+                      parameter_specs, synth_generate, train)
+from jointnet.network import stacked
 
 
 def _image(arch: ArchConfig, seed: int = 0) -> Tensor:
@@ -288,18 +288,25 @@ class TestStackedForward:
                 net, Tensor(images[f])).data.tobytes()
 
     def test_stack_of_one_is_the_network(self):
+        """A stack of one forwards images[None] as the network forwards
+        images, bit for bit; ``train`` takes the network, not a stack."""
         net = build(ArchConfig(), seed=0)
-        assert stacked([net]) is net and net.stack == ()
-
-    def test_model_params_are_each_models_arrays(self):
-        nets = [build(ArchConfig(), seed=f) for f in range(2)]
-        stack = stacked(nets)
-        assert stack.stack == (2,)
-        for f, net in enumerate(nets):
-            for name, arr in model_params(stack, f).items():
-                assert np.array_equal(arr, net.params[name].data), name
-        single = nets[0].params["enc1.conv1.w"]
-        assert model_params(nets[0], 0)["enc1.conv1.w"] is single.data
+        one = stacked([net])
+        assert one.stack == (1,) and net.stack == ()
+        images = np.random.default_rng(41).uniform(0.0, 1.0, (4, 3, 32, 32))
+        out, alone = (forward_joint(one, Tensor(images[None])),
+                      forward_joint(net, Tensor(images)))
+        for got, want in ([(out.class_probs, alone.class_probs),
+                           (out.reconstruction, alone.reconstruction),
+                           (out.image, alone.image)]
+                          + list(zip(out.attention_maps, alone.attention_maps))):
+            assert got.data.shape == (1,) + want.data.shape
+            assert got.data[0].tobytes() == want.data.tobytes()
+        assert forward_backbone(one, Tensor(images[None])).data[0].tobytes() == (
+            forward_backbone(net, Tensor(images)).data.tobytes())
+        data = synth_generate(1, 32, seed=0)
+        with pytest.raises(ValueError, match="stack of 1"):
+            train(one, data, data, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("shape", [(4, 3, 32, 32), (3, 4, 3, 32, 32), (3, 32, 32)])
     def test_stack_rejects_a_batch_without_its_model_axis(self, shape):

@@ -1,6 +1,8 @@
 """Losses, optimizer, scheduler, and the training loops."""
 
 import dataclasses
+import hashlib
+import json
 import math
 from dataclasses import astuple, replace
 
@@ -17,6 +19,7 @@ from jointnet.data import Dataset, Sample
 from jointnet.network import stacked
 from jointnet.training import LR_FLOOR, _batch_losses
 
+import golden
 from peaks import traced_peak, traced_peaks
 from upsample_op import add
 
@@ -394,7 +397,8 @@ class TestBatchedStep:
 
         def counting(net, images):
             key = "untaped" if active_tape() is None else "taped"
-            calls[key].append(images.shape[0])
+            assert images.shape[:1] == net.stack == (1,)
+            calls[key].append(images.shape[1])
             return original(net, images)
 
         monkeypatch.setattr(training, name, counting)
@@ -456,15 +460,13 @@ def tape_held_bytes(tape: Tape, params) -> int:
 class TestStepMemory:
     @staticmethod
     def _recipe(models: int = 1):
-        """A float64 recipe joint step's recording; with ``models`` > 1, that
-        of a stack of that many models, each with its own batch of 4."""
+        """The recording of a float64 recipe joint step of a stack of
+        ``models`` models, as training runs it, each with its own batch of 4."""
         net = stacked([build(ArchConfig(n_stages=2, input_size=32, base_channels=8),
                              seed=f, dtype=np.float64) for f in range(models)])
         rng = np.random.default_rng(0)
-        lead = (models,) if models > 1 else ()
-        images = Tensor(rng.uniform(0.0, 1.0, lead + (4, 3, 32, 32)))
-        labels = np.array([[0, 1, 2, 0], [2, 2, 1, 0], [1, 0, 0, 2]][:models]).reshape(
-            lead + (4,))
+        images = Tensor(rng.uniform(0.0, 1.0, (models, 4, 3, 32, 32)))
+        labels = np.array([[0, 1, 2, 0], [2, 2, 1, 0], [1, 0, 0, 2]][:models])
         config = TrainConfig(phi=0.5)
 
         def record():
@@ -642,16 +644,14 @@ class TestKFold:
         seen = []
         original = training._train_group
 
-        def recording(net, sets, configs):
-            seen.extend(configs)
-            return original(net, sets, configs)
+        def recording(net, sets, config, seeds):
+            seen.append((config, seeds))
+            return original(net, sets, config, seeds)
 
         monkeypatch.setattr(training, "_train_group", recording)
         config = TrainConfig(epochs=1, folds=2, seed=5, lr=1e-3, batch_size=3)
         kfold_train(_tiny_dataset(2), TINY_ARCH, config)
-        assert [c.seed for c in seen] == [5, 6]
-        assert all(c == TrainConfig(epochs=1, folds=2, seed=c.seed, lr=1e-3,
-                                    batch_size=3) for c in seen)
+        assert seen == [(config, [5, 6])]
 
     @staticmethod
     def _best_of(monkeypatch, scores) -> int:
@@ -666,7 +666,7 @@ class TestKFold:
                          EpochLog(2, 1.0, 1.0, 0.0, loss, accuracy, 1e-3, 0.5)])
             for accuracy, loss in scores)
         monkeypatch.setattr(training, "_train_group",
-                            lambda net, sets, configs: [next(canned) for _ in configs])
+                            lambda net, sets, config, seeds: [next(canned) for _ in seeds])
         result = kfold_train(_tiny_dataset(len(scores)), TINY_ARCH,
                              TrainConfig(epochs=2, folds=len(scores), seed=0))
         assert len(result.folds) == len(scores)
@@ -711,9 +711,9 @@ def _recording_groups(monkeypatch) -> list[list[int]]:
     groups = []
     original = training._train_group
 
-    def recording(net, sets, configs):
-        groups.append([c.seed for c in configs])
-        return original(net, sets, configs)
+    def recording(net, sets, config, seeds):
+        groups.append(seeds)
+        return original(net, sets, config, seeds)
 
     monkeypatch.setattr(training, "_train_group", recording)
     return groups
@@ -749,15 +749,17 @@ class TestLockstep:
     def test_group_float64_matches_models_alone(self, tmp_path, mode):
         dataset = synth_generate(3, 32, seed=5)
         config = TrainConfig(epochs=2, batch_size=4, seed=7, lr=1e-3, mode=mode)
-        configs = [replace(config, seed=7 + f) for f in range(3)]
+        seeds = [7, 8, 9]
         sets = [(dataset.subset(train_idx), dataset.subset(val_idx))
                 for train_idx, val_idx in stratified_folds(dataset, 3, seed=1)]
 
-        def net(c):
-            return build(self.ARCH, seed=c.seed, dtype=np.float64)
+        def net(seed):
+            return build(self.ARCH, seed=seed, dtype=np.float64)
 
-        grouped = training._train_group(stacked([net(c) for c in configs]), sets, configs)
-        alone = [train(net(c), t, v, c) for c, (t, v) in zip(configs, sets)]
+        stack = stacked([net(s) for s in seeds])
+        grouped = training._train_group(stack, sets, config, seeds)
+        alone = [train(net(s), t, v, replace(config, seed=s))
+                 for s, (t, v) in zip(seeds, sets)]
         assert {a.dtype for r in grouped for a in r.checkpoint.params.values()} == {
             np.dtype(np.float64)}
         assert_same_results(grouped, alone, tmp_path)
@@ -767,16 +769,18 @@ class TestLockstep:
         validation loss stalls and its rate is cut, the first's is not."""
         config = TrainConfig(epochs=6, batch_size=4, seed=0, lr=0.03, patience=1,
                              kappa=0.5)
-        configs = [config, replace(config, seed=1)]
+        seeds = [0, 1]
         sets = [(_tiny_dataset(3), _tiny_dataset(2, seed=9))] * 2
 
-        def net(c):
-            return build(TINY_ARCH, seed=c.seed, dtype=np.float64)
+        def net(seed):
+            return build(TINY_ARCH, seed=seed, dtype=np.float64)
 
-        grouped = training._train_group(stacked([net(c) for c in configs]), sets, configs)
+        stack = stacked([net(s) for s in seeds])
+        grouped = training._train_group(stack, sets, config, seeds)
         assert {e.lr for e in grouped[0].log} == {0.03}
         assert len({e.lr for e in grouped[1].log}) > 1
-        alone = [train(net(c), *pair, c) for c, pair in zip(configs, sets)]
+        alone = [train(net(s), *pair, replace(config, seed=s))
+                 for s, pair in zip(seeds, sets)]
         assert_same_results(grouped, alone, tmp_path)
 
     @pytest.mark.parametrize("counts,expected", [
@@ -801,8 +805,79 @@ class TestLockstep:
                                                         batch_size=batch_size))
             assert groups == expected
 
-    def test_configs_of_a_group_may_differ_only_in_seed(self):
-        configs = [TrainConfig(epochs=1), TrainConfig(epochs=1, lr=1e-3)]
-        net = stacked([build(TINY_ARCH, seed=0), build(TINY_ARCH, seed=1)])
-        with pytest.raises(ValueError, match="only in their seeds"):
-            training._train_group(net, [(_tiny_dataset(1), _tiny_dataset(1))] * 2, configs)
+    @pytest.mark.parametrize("models, seeds", [(2, [0]), (1, [0, 1])])
+    def test_group_needs_one_model_per_seed(self, models, seeds):
+        net = stacked([build(TINY_ARCH, seed=f) for f in range(models)])
+        with pytest.raises(ValueError, match="stack of"):
+            training._train_group(net, [(_tiny_dataset(1), _tiny_dataset(1))] * len(seeds),
+                                  TrainConfig(epochs=1), seeds)
+
+    def test_group_networks_are_built_when_the_group_starts(self, monkeypatch):
+        """The four recipe folds make two groups of two, and each group's
+        two networks are built just before it trains."""
+        calls = []
+        build_, train_group = training.build, training._train_group
+
+        def recording_build(*args, **kwargs):
+            calls.append("build")
+            return build_(*args, **kwargs)
+
+        def recording_group(*args):
+            calls.append("group")
+            return train_group(*args)
+
+        monkeypatch.setattr(training, "build", recording_build)
+        monkeypatch.setattr(training, "_train_group", recording_group)
+        kfold_train(synth_generate(4, 32, seed=6), self.ARCH,
+                    TrainConfig(epochs=1, folds=4, seed=0, batch_size=4))
+        assert calls == ["build", "build", "group"] * 2
+
+    def test_checkpoints_share_no_memory(self):
+        """Each fold's best checkpoint owns its arrays and shares no memory
+        with another fold's. A view of its row of the stack that trained
+        it would overlap no other fold's row, but would keep the whole
+        stack, the other folds' parameters with it, alive: its base shows
+        it."""
+        result = kfold_train(synth_generate(4, 32, seed=6), self.ARCH,
+                             TrainConfig(epochs=2, folds=4, seed=0, batch_size=4))
+        params = [fold.checkpoint.params for fold in result.folds]
+        for f, mine in enumerate(params):
+            assert all(a.base is None for a in mine.values())
+            for other in params[f + 1:]:
+                assert not any(np.shares_memory(a, b)
+                               for a in mine.values() for b in other.values())
+
+
+# sha256 of ``_train_digest(mode)`` as the unstacked training loop of
+# earlier versions gave it, where the numeric environment is the golden
+# manifest's: training a network as a stack of one changed no byte.
+UNSTACKED_DIGESTS = {
+    "joint": "ac879c9cef1f75367fb7a3513d50199eddb63ba5c3dcbf56b32dc7cbb3e9448b",
+    "backbone": "2bf2aa70a977f13eeacf7188042a1d7db8cb6872832616c5338232eb0a95e4fe",
+}
+
+
+def _train_digest(mode: str, tmp_path) -> str:
+    """sha256 of a recipe ``train`` run: its checkpoint file, its log and
+    the network's final parameters, which differ from the checkpoint's,
+    as the best epoch is not the last. The joint run also cuts its rate."""
+    net = build(ArchConfig(), seed=3)
+    result = train(net, synth_generate(3, 32, seed=11), synth_generate(2, 32, seed=12),
+                   TrainConfig(epochs=4, batch_size=4, seed=3, lr=3e-2, patience=1,
+                               mode=mode))
+    digest = hashlib.sha256()
+    save_checkpoint(result.checkpoint, tmp_path / "m.ckpt")
+    digest.update((tmp_path / "m.ckpt").read_bytes())
+    for e in result.log:
+        digest.update(repr(astuple(e)).encode())
+    for p in net.params.values():
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["joint", "backbone"])
+def test_train_bytes_match_the_unstacked_loop(tmp_path, mode):
+    manifest = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+    if golden.fingerprint() != manifest["fingerprint"]:
+        pytest.skip("the numeric environment is not the golden manifest's")
+    assert _train_digest(mode, tmp_path) == UNSTACKED_DIGESTS[mode]
