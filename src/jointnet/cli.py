@@ -17,6 +17,8 @@ import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint, to_network
 from .config import parse_config
@@ -110,10 +112,13 @@ def _list_for(arch, data_dir: str):
 
 def _stream(listing, nets):
     """The listed images decoded for ``nets``, which share an input shape,
-    in chunks of the smallest ``predict_chunk`` among them."""
+    in chunks of the smallest ``predict_chunk`` among them and in the nets'
+    common dtype: float32 chunks for float32 nets, and float64 ones beside
+    a float64 net, which each float32 net casts."""
     arch = nets[0].config
     return listing.batches(arch.input_size, arch.input_channels,
-                           min(predict_chunk(net.config, net.dtype) for net in nets))
+                           min(predict_chunk(net.config, net.dtype) for net in nets),
+                           np.result_type(*(net.dtype for net in nets)))
 
 
 def _cmd_train(args) -> int:

@@ -1,6 +1,10 @@
 """Datasets: directory loading, bilinear resizing, synthetic generation,
 and stratified fold assignment.
 
+``decode`` is the one image decoder: ``Listing.batches`` decodes each
+chunk of a directory with it, in the dtype asked for, and ``load_image``
+(so ``load_directory``, file by file) is its float64 decode of one file.
+
 A dataset directory holds one subdirectory per class; class indices follow
 the sorted subdirectory names. The synthetic generator emits a three-class
 retinal-slice lookalike (AMD, DME, NORMAL): four horizontal intensity
@@ -13,6 +17,7 @@ translation, a contrast change, and pixel noise to every image.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -81,14 +86,15 @@ class Listing:
     files: list[tuple[Path, int]]
     class_names: list[str]
 
-    def batches(self, size: int, channels: int,
-                chunk: int) -> Iterator[tuple[Tensor, np.ndarray]]:
+    def batches(self, size: int, channels: int, chunk: int,
+                dtype) -> Iterator[tuple[Tensor, np.ndarray]]:
         """The images decoded ``chunk`` files at a time, in order, each
-        chunk as ``Dataset.batch`` stacks the same images and labels; no
+        chunk one ``decode`` in ``dtype``: the images and labels that
+        ``Dataset.batch`` stacks from the loaded set, cast to ``dtype``. No
         image outlives the chunk that holds it."""
         for start in range(0, len(self.files), chunk):
             part = self.files[start:start + chunk]
-            yield (Tensor(np.stack([load_image(f, size, channels).data for f, _ in part])),
+            yield (Tensor(decode([f for f, _ in part], size, channels, dtype)),
                    np.array([label for _, label in part], dtype=np.int64))
 
 
@@ -127,58 +133,90 @@ def _gather(img: np.ndarray, out_size: int) -> np.ndarray:
 
 
 def _interpolate(samples: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Blend the samples ``_gather`` took from an [H,W] plane: down the
+    """Blend the samples ``_gather`` took from [..., H, W] planes: down the
     rows, then across the columns."""
-    n = samples.shape[1] // 2
-    yf, xf = _axis_coords(h, n)[1], _axis_coords(w, n)[1]
-    rows = (samples[:, :n] * (1.0 - yf)[None, :, None]
-            + samples[:, n:] * yf[None, :, None])
-    return (rows[:, :, :n] * (1.0 - xf)[None, None, :]
-            + rows[:, :, n:] * xf[None, None, :])
+    n = samples.shape[-1] // 2
+    yf, xf = _axis_coords(h, n)[1][:, None], _axis_coords(w, n)[1]
+    rows = samples[..., :n, :] * (1.0 - yf) + samples[..., n:, :] * yf
+    return rows[..., :n] * (1.0 - xf) + rows[..., n:] * xf
 
 
 # ---------------------------------------------------------------------------
 # directory loading
 
 
-def _adapt_channels(img: np.ndarray, channels: int, source: str) -> np.ndarray:
-    c = img.shape[0]
-    if c == channels:
-        return img
-    if c == 1:
+def decode(paths: list, size: int, channels: int, dtype) -> np.ndarray:
+    """Read netpbm files, one or more, as [N, channels, size, size]
+    intensities in [0, 1] in ``dtype``, adapted to ``channels`` and resized.
+
+    The files are read in order, and each one's channels are checked as
+    soon as it is read, so an error names the first bad file. From each
+    integer raster only the four stored levels around each output pixel
+    are gathered. Then, once per group of rasters of one stored shape, the
+    levels are divided by each image's maxval, reduced to gray if the
+    images are RGB and ``channels`` is 1, blended, and written into the
+    output, gray replicated, with one cast to ``dtype``. Every value goes
+    through the float64 operations of normalizing the whole raster and
+    then resizing it, so the bits are the same, and a float32 decode is
+    the float64 one cast. RGB is reduced to gray before blending, because
+    the channel mean does not commute with the blend bit for bit. The
+    output is allocated after the first read and before any gather; a
+    size or channel count numpy cannot hold is a ConfigError naming it.
+    """
+    out = None
+    groups: dict[tuple, tuple[list, list, list]] = {}  # shape: indices, levels, maxvals
+    for i, path in enumerate(paths):
+        raw, maxval = read_netpbm(path)
+        c, h, w = raw.shape
+        if c != channels and 1 not in (c, channels):
+            raise DataError(f"{path}: cannot adapt {c}-channel image to {channels} channels")
+        if out is None:
+            try:
+                out = np.empty((len(paths), channels, size, size), dtype)
+            except (MemoryError, OverflowError, ValueError) as e:
+                what = (f"{path}: cannot replicate gray to {channels} channels at"
+                        if c < channels else "cannot resize to")
+                raise ConfigError(f"{what} size {size}: {e}") from None
+        if (h, w) != (size, size):
+            try:
+                raw = _gather(raw, size)
+            except (MemoryError, OverflowError, ValueError) as e:
+                raise ConfigError(f"cannot resize to size {size}: {e}") from None
+        indices, levels, maxvals = groups.setdefault((c, h, w), ([], [], []))
+        indices.append(i)
+        levels.append(raw)
+        maxvals.append(maxval)
+    for (c, h, w), (indices, levels, maxvals) in groups.items():
         try:
-            return np.repeat(img, channels, axis=0)
+            img = np.stack(levels) / np.array(maxvals, dtype=np.float64)[:, None, None, None]
+            if c > channels:
+                img = img.mean(axis=1, keepdims=True)
+            if (h, w) != (size, size):
+                img = _interpolate(img, h, w)
         except (MemoryError, OverflowError, ValueError) as e:
-            raise ConfigError(
-                f"{source}: cannot replicate gray to {channels} channels: {e}") from None
-    if channels == 1:
-        return img.mean(axis=0, keepdims=True)
-    raise DataError(f"{source}: cannot adapt {c}-channel image to {channels} channels")
+            raise ConfigError(f"cannot resize to size {size}: {e}") from None
+        out[indices] = img
+    return out
 
 
 def load_image(path: str | Path, size: int, channels: int = 3) -> Tensor:
-    """Read one netpbm image as [channels, size, size] intensities in
-    [0, 1], adapted to ``channels`` and resized.
+    """Read one netpbm image as [channels, size, size] float64 intensities
+    in [0, 1], adapted to ``channels`` and resized: a ``decode`` of one
+    file."""
+    return Tensor(decode([path], size, channels, np.float64)[0])
 
-    Only the samples the bilinear resize reads are converted: the four
-    stored levels around each output pixel are gathered from the integer
-    raster, divided by maxval, reduced to gray if the image is RGB and
-    ``channels`` is 1, and then blended. Every output value goes through
-    the same float operations as normalizing the whole raster and then
-    resizing it, so the bits are the same. Gray is replicated to
-    ``channels`` after resizing: replication commutes with the resize.
-    RGB is reduced to gray before blending, because the channel mean
-    does not commute with the blend bit for bit.
-    """
-    raw, maxval = read_netpbm(path)
-    _, h, w = raw.shape
-    resize = (h, w) != (size, size)
-    img = (_gather(raw, size) if resize else raw) / maxval
-    if img.shape[0] != 1:
-        img = _adapt_channels(img, channels, str(path))
-    if resize:
-        img = _interpolate(img, h, w)
-    return Tensor(_adapt_channels(img, channels, str(path)))
+
+def _is_netpbm(entry: os.DirEntry) -> bool:
+    """Whether a directory entry is a file with a netpbm suffix, by the
+    rules of ``Path.suffix`` and ``Path.is_file``."""
+    name = entry.name
+    dot = name.rfind(".")
+    if dot <= 0 or name[dot:].lower() not in _EXTENSIONS:
+        return False
+    try:
+        return entry.is_file()
+    except OSError:  # a symlink loop, say: ``Path.is_file`` decides
+        return Path(entry.path).is_file()
 
 
 def list_directory(root: str | Path) -> Listing:
@@ -194,17 +232,19 @@ def list_directory(root: str | Path) -> Listing:
         raise DataError(f"{root}: contains no class subdirectories")
     files: list[tuple[Path, int]] = []
     for label, class_dir in enumerate(class_dirs):
-        found = sorted(f for f in class_dir.iterdir()
-                       if f.is_file() and f.suffix.lower() in _EXTENSIONS)
-        if not found:
+        # within one directory, names sort as their paths do
+        with os.scandir(class_dir) as entries:
+            names = sorted(e.name for e in entries if _is_netpbm(e))
+        if not names:
             raise DataError(f"{class_dir}: class directory contains no netpbm images")
-        files += [(f, label) for f in found]
+        files += [(class_dir / name, label) for name in names]
     return Listing(files, [d.name for d in class_dirs])
 
 
 def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dataset:
     """Load every netpbm image that ``list_directory`` finds under ``root``,
-    normalized to [0, 1] and resized to ``target_size``."""
+    normalized to [0, 1] and resized to ``target_size``: each file one
+    ``load_image``, so one raster at a time is held beside the images."""
     listing = list_directory(root)
     return Dataset([Sample(load_image(f, target_size, channels), label, str(f))
                     for f, label in listing.files], listing.class_names)

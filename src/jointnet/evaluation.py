@@ -5,8 +5,9 @@ Evaluation streams: ``tally`` classifies one batch of ``predict_chunk``
 images at a time with every net it is given and adds each batch into the
 confusion counts, so memory does not grow with the image count when the
 batches are decoded as they are taken (``Listing.batches``, which the
-``eval`` and ``compare`` commands use). ``evaluate`` runs the same loop
-over a loaded ``Dataset``.
+``eval`` and ``compare`` commands use, decoding each chunk in the nets'
+common dtype: float32 for float32 nets). ``evaluate`` runs the same loop
+over a loaded ``Dataset``, whose float64 batches each forward pass casts.
 
 Metrics follow the one-vs-rest reading of a K-class confusion matrix
 (rows = true class, columns = predicted class): accuracy is trace over

@@ -23,13 +23,13 @@ _TOKEN = re.compile(rb"[^#%s]*" % _WHITESPACE)
 
 
 class _Scanner:
-    def __init__(self, data: bytes, path: str):
+    def __init__(self, data: bytes, path: str | Path):
         self.data = data
         self.off = 0
         self.path = path
 
     def fail(self, message: str) -> None:
-        raise DataError(f"{self.path}: {message} at byte {self.off}")
+        raise DataError(f"{Path(self.path)}: {message} at byte {self.off}")
 
     def skip_space(self) -> None:
         self.off = _SPACE.match(self.data, self.off).end()
@@ -57,19 +57,21 @@ class _Scanner:
 
 
 def read_netpbm(path: str | Path) -> tuple[np.ndarray, int]:
-    """Returns (stored integer levels [C,H,W], maxval).
+    """Returns (stored integer levels [C,H,W], maxval) of the file at
+    ``path``, a ``str`` or a ``Path``.
 
     C is 1 for P2/P5 and 3 for P3/P6. The levels are not converted:
     a binary raster is a read-only view over the file bytes (``uint8``,
     or big-endian ``>u2`` when maxval exceeds 255), and an ASCII raster
-    is ``int64``. Divide by maxval for intensities.
+    is ``int64``. Divide by maxval for intensities. An error names the
+    file as ``Path`` spells it.
     """
-    path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as f:  # one read, no buffer copy
+            data = f.read()
     except OSError as e:
-        raise DataError(f"{path}: cannot read file: {e}") from e
-    sc = _Scanner(data, str(path))
+        raise DataError(f"{Path(path)}: cannot read file: {e}") from e
+    sc = _Scanner(data, path)
     magic = data[:2]
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         sc.fail(f"unsupported netpbm magic {magic!r}")
@@ -109,7 +111,7 @@ def read_netpbm(path: str | Path) -> tuple[np.ndarray, int]:
             sc.fail(f"{len(data) - sc.off} trailing bytes after raster")
     if values.max(initial=0) > maxval:
         raise DataError(
-            f"{path}: raster contains value {int(values.max())} above maxval {maxval}")
+            f"{Path(path)}: raster contains value {int(values.max())} above maxval {maxval}")
 
     if channels == 1:
         return values.reshape(1, height, width), maxval

@@ -359,12 +359,13 @@ class TestStreaming:
 
     @staticmethod
     def _record_batches(monkeypatch):
-        """(dtype, image count) of every classifier forward pass, in order."""
+        """(net dtype, chunk dtype, image count) of every classifier forward
+        pass, in order."""
         seen = []
         real = jointnet.evaluation.forward_backbone
 
         def recording(net, images):
-            seen.append((net.dtype, len(images.data)))
+            seen.append((net.dtype, images.data.dtype, len(images.data)))
             return real(net, images)
 
         monkeypatch.setattr(jointnet.evaluation, "forward_backbone", recording)
@@ -381,15 +382,18 @@ class TestStreaming:
     def test_eval_forwards_predict_chunks_and_a_tail(self, recipe_sets, capsys,
                                                      monkeypatch):
         """A float32 recipe model classifies 10 images per pass, so 12
-        images make one chunk of 10 and a tail of 2."""
+        images make one chunk of 10 and a tail of 2, each decoded in
+        float32."""
         seen = self._record_batches(monkeypatch)
         succeeds(self._eval(recipe_sets, 12))
-        assert seen == [(np.dtype(np.float32), 10), (np.dtype(np.float32), 2)]
+        f32 = np.dtype(np.float32)
+        assert seen == [(f32, f32, 10), (f32, f32, 2)]
 
     def test_compare_forwards_the_smaller_chunk_to_both(self, recipe_sets, tmp_path,
                                                         capsys, monkeypatch):
         """Beside a float64 model of the same shape (5 per pass), the float32
-        model (10 per pass) gets the same chunks of 5, from one decode."""
+        model (10 per pass) gets the same chunks of 5, from one float64
+        decode."""
         a = recipe_sets["models"][0]
         b = as_float64(recipe_sets["models"][1], tmp_path / "f64.ckpt")
         seen = self._record_batches(monkeypatch)
@@ -397,7 +401,23 @@ class TestStreaming:
                   "--data", str(recipe_sets["sets"][12]),
                   "--report", str(tmp_path / "compare.txt")])
         f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
-        assert seen == [(f32, 5), (f64, 5), (f32, 5), (f64, 5), (f32, 2), (f64, 2)]
+        assert seen == [(f32, f64, 5), (f64, f64, 5), (f32, f64, 5), (f64, f64, 5),
+                        (f32, f64, 2), (f64, f64, 2)]
+
+    def test_mixed_dtype_compare_matches_evaluating_the_loaded_set(
+            self, recipe_sets, tmp_path, capsys):
+        """A float32 and a float64 model compared on float64 chunks give
+        the table of each one's ``evaluate`` on the loaded set."""
+        a = recipe_sets["models"][0]
+        b = as_float64(recipe_sets["models"][1], tmp_path / "f64.ckpt")
+        data = recipe_sets["sets"][96]
+        succeeds(["compare", "--model-a", str(a), "--model-b", str(b),
+                  "--data", str(data), "--report", str(tmp_path / "compare.txt")])
+        dataset = load_directory(data, 32, 3)
+        a_report, b_report = (evaluate(to_network(load_checkpoint(m)), dataset)[1]
+                              for m in (a, b))
+        assert ((tmp_path / "compare.txt").read_bytes()
+                == compare_report("m0", a_report, "f64", b_report).encode("utf-8"))
 
     @pytest.mark.parametrize("n", [12, 96])
     def test_reports_match_evaluating_the_loaded_set(self, recipe_sets, capsys, n):
@@ -660,6 +680,41 @@ class TestSizes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"size {size}" in err
+        assert not out.exists()
+
+
+class TestDecodeAllocation:
+    @pytest.mark.parametrize("command", ["train", "eval", "export-attn"])
+    def test_unholdable_chunk_exits_1(self, workspace, tmp_path, capsys, monkeypatch,
+                                      command):
+        """A decoded chunk that cannot be allocated is a configuration error
+        naming the size, raised before any gather: 32 px images decoded for
+        a 16 px model."""
+        data = tmp_path / "data32"
+        assert main(["synth", "--out", str(data), "--per-class", "2", "--size", "32"]) == 0
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if len(shape) == 4 and shape[2:] == (16, 16):
+                raise MemoryError("cannot allocate a decoded chunk")
+            return real_empty(shape, *args, **kwargs)
+
+        def no_gather(*args):
+            raise AssertionError("nothing is gathered before the output exists")
+
+        monkeypatch.setattr(jointnet.data.np, "empty", empty)
+        monkeypatch.setattr(jointnet.data, "_gather", no_gather)
+        out = tmp_path / "out"
+        image = next(data.glob("*/*.pgm"))
+        argv = {"train": ["train", "--data", str(data),
+                          "--config", str(workspace["config"]), "--out", str(out)],
+                "eval": ["eval", "--model", str(workspace["model"]),
+                         "--data", str(data), "--report", str(out)],
+                "export-attn": ["export-attn", "--model", str(workspace["model"]),
+                                "--image", str(image), "--out", str(out)]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "size 16" in err
         assert not out.exists()
 
 

@@ -1,14 +1,16 @@
 """Dataset loading, resizing, synthesis, and fold assignment."""
 
+import re
+
 import numpy as np
 import pytest
 
 from jointnet import (ConfigError, DataError, Tensor, load_directory,
                       load_image, read_netpbm, stratified_folds,
                       synth_generate, write_pgm)
-from jointnet.data import (CLASS_NAMES, Dataset, Sample, _axis_coords,
-                           _gather, _interpolate, list_directory, synth_samples,
-                           write_samples)
+from jointnet.data import (_EXTENSIONS, CLASS_NAMES, Dataset, Listing, Sample,
+                           _axis_coords, _gather, _interpolate, decode,
+                           list_directory, synth_samples, write_samples)
 
 import image_oracles as parent
 
@@ -146,7 +148,7 @@ class TestLoadDirectory:
         loaded = load_directory(tmp_path, 8, channels=3)
         assert listing.class_names == loaded.class_names
         assert [str(f) for f, _ in listing.files] == [s.source_id for s in loaded.samples]
-        streamed, batched = list(listing.batches(8, 3, 4)), list(loaded.batches(4))
+        streamed, batched = list(listing.batches(8, 3, 4, np.float64)), list(loaded.batches(4))
         assert [len(labels) for _, labels in streamed] == [4, 4, 1]
         for (images, labels), (want_images, want_labels) in zip(streamed, batched,
                                                                  strict=True):
@@ -214,6 +216,94 @@ class TestParentParity:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+
+class TestDecode:
+    """``decode`` of a chunk is the per-image decode of each of its files,
+    bit for bit, in float64 and, cast once, in float32."""
+
+    # (magic, maxval, stored height, stored width): gray and RGB, ASCII and
+    # binary, 8-bit and 16-bit levels; most stored shapes group files of
+    # different maxvals and encodings
+    FILES = [("P5", 255, 40, 40), ("P6", 255, 40, 40), ("P2", 1000, 40, 40),
+             ("P3", 65535, 12, 12), ("P5", 65535, 12, 12), ("P6", 200, 16, 16),
+             ("P5", 255, 16, 16), ("P3", 255, 9, 30), ("P2", 15, 16, 16),
+             ("P6", 4000, 12, 12), ("P5", 1, 40, 40), ("P3", 255, 16, 16)]
+
+    def _chunk(self, tmp_path):
+        rng = np.random.default_rng(29)
+        paths = []
+        for i, (magic, maxval, h, w) in enumerate(self.FILES):
+            c = 3 if magic in ("P3", "P6") else 1
+            p = tmp_path / f"{i}.pnm"
+            p.write_bytes(parent.encode_netpbm(
+                magic, rng.integers(0, maxval + 1, (c, h, w)), maxval))
+            paths.append(p)
+        return paths
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("size", [16, 24, 5])  # unresized, downsized, upsized
+    def test_chunk_is_each_image_decoded(self, tmp_path, size, channels):
+        paths = self._chunk(tmp_path)
+        chunk = decode(paths, size, channels, np.float64)
+        assert chunk.dtype == np.float64 and chunk.shape == (len(paths), channels, size, size)
+        for p, image in zip(paths, chunk, strict=True):
+            raw, maxval = read_netpbm(p)
+            want = parent.load_levels(raw.astype(np.float64), maxval, size, channels, str(p))
+            assert image.tobytes() == want.tobytes()
+            assert image.tobytes() == load_image(p, size, channels).data.tobytes()
+        single = decode(paths, size, channels, np.float32)
+        assert single.dtype == np.float32
+        assert single.tobytes() == chunk.astype(np.float32).tobytes()
+
+    def test_errors_come_in_file_order(self, tmp_path):
+        """A file that cannot be adapted stops the chunk before a later
+        truncated file is read, and the error names it."""
+        rgb = tmp_path / "rgb.ppm"
+        rgb.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+        truncated = tmp_path / "truncated.pgm"
+        truncated.write_bytes(b"P5\n4 4\n255\n" + bytes(5))
+        gray = tmp_path / "gray.pgm"
+        gray.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        with pytest.raises(DataError, match=f"^{re.escape(str(rgb))}: cannot adapt 3-channel"):
+            decode([gray, rgb, truncated], 4, 2, np.float64)
+        with pytest.raises(DataError, match=f"^{re.escape(str(truncated))}: raster truncated"):
+            decode([gray, truncated, rgb], 4, 2, np.float64)
+
+    def test_listing_batches_decode_in_the_given_dtype(self, tmp_path):
+        paths = self._chunk(tmp_path)
+        listing = Listing([(p, i % 3) for i, p in enumerate(paths)], ["a", "b", "c"])
+        for dtype in (np.float32, np.float64):
+            batches = list(listing.batches(8, 3, 5, dtype))
+            assert [images.data.dtype for images, _ in batches] == [np.dtype(dtype)] * 3
+            assert np.concatenate([images.data for images, _ in batches]).tobytes() == (
+                decode(paths, 8, 3, dtype).tobytes())
+
+
+class TestListDirectory:
+    NAMES = ["b.pgm", "B.pgm", "a.PGM", "a10.pgm", "a9.pgm", "a.b.pgm", "a..pgm",
+             "_x.ppm", "x.pnm", "x.Pnm", ".pgm", "..pgm", ".hidden.pgm", "notes.txt",
+             "image.png", "pgm", "a.pgm.bak", "z.pgm"]
+
+    def test_order_and_filters_are_the_path_rules(self, tmp_path):
+        """Each class lists what sorting its ``Path``s with the ``is_file``
+        and suffix rules lists: names that differ in case, digits and dots,
+        a hidden file, other files, a subdirectory and symlinks."""
+        cls = tmp_path / "cls"
+        cls.mkdir()
+        for name in self.NAMES:
+            (cls / name).write_bytes(b"P5\n1 1\n255\n\x00")
+        (cls / "dir.pgm").mkdir()
+        (cls / "link.pgm").symlink_to(cls / "z.pgm")
+        (cls / "dangling.pgm").symlink_to(cls / "absent.pgm")
+        (cls / "loop.pgm").symlink_to(cls / "loop.pgm")
+        want = sorted(f for f in cls.iterdir()
+                      if f.is_file() and f.suffix.lower() in _EXTENSIONS)
+        got = list_directory(tmp_path)
+        assert got.files == [(f, 0) for f in want]
+        assert [f.name for f in want] == ["..pgm", ".hidden.pgm", "B.pgm", "_x.ppm", "a..pgm",
+                                          "a.PGM", "a.b.pgm", "a10.pgm", "a9.pgm",
+                                          "b.pgm", "link.pgm", "x.Pnm", "x.pnm", "z.pgm"]
 
 
 class TestSynth:

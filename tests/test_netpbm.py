@@ -48,6 +48,17 @@ class TestReadP5:
         with pytest.raises(DataError, match=rf"{p.name}.*byte 0"):
             read_netpbm(p)
 
+    @pytest.mark.parametrize("data", [None, b"P7\n1 1\n255\n\x00", b"P2 1 1 1 2"])
+    def test_str_path_named_as_path_spells_it(self, tmp_path, data):
+        """A ``str`` path is read as given, and every error (unreadable,
+        malformed, a level above maxval) names the file as ``Path`` does."""
+        p = tmp_path / "bad.pgm"
+        if data is not None:
+            p.write_bytes(data)
+        with pytest.raises(DataError) as got:
+            read_netpbm(f"{tmp_path}//./bad.pgm")
+        assert str(got.value).startswith(f"{p}: ")
+
 
 class TestReadAscii:
     def test_p2(self, tmp_path):
