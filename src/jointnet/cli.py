@@ -29,7 +29,7 @@ from .evaluation import (compare_report, export_attention, metrics, predict_chun
                          render_metrics_kv, tally)
 from .fileio import write_atomic
 from .gradcheck import TOLERANCE, run_battery
-from .training import MODES, EpochLog, kfold_train
+from .training import MODES, TRAIN_DTYPE, EpochLog, kfold_train
 
 
 @functools.cache
@@ -99,7 +99,9 @@ def _check_classes(arch, data_dir: str, class_names: list[str]) -> None:
 
 
 def _load_for(arch, data_dir: str):
-    dataset = load_directory(data_dir, arch.input_size, arch.input_channels)
+    """The directory loaded for training: in the dtype ``kfold_train`` trains
+    in, so no batch is cast."""
+    dataset = load_directory(data_dir, arch.input_size, arch.input_channels, TRAIN_DTYPE)
     _check_classes(arch, data_dir, dataset.class_names)
     return dataset
 

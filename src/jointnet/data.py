@@ -2,8 +2,14 @@
 and stratified fold assignment.
 
 ``decode`` is the one image decoder: ``Listing.batches`` decodes each
-chunk of a directory with it, in the dtype asked for, and ``load_image``
-(so ``load_directory``, file by file) is its float64 decode of one file.
+chunk of a directory with it, in the dtype asked for, ``load_image`` is
+its float64 decode of one file, and ``load_directory`` runs its two
+halves chunk by chunk into one preallocated array.
+
+A ``Dataset`` holds its images as one array, in the dtype they were
+loaded in, with gray held once, and builds each minibatch with one gather
+(``Dataset.batch``); fold subsets share that array. ``jointnet train``
+loads in float32, the dtype it trains in, so no batch is cast.
 
 A dataset directory holds one subdirectory per class; class indices follow
 the sorted subdirectory names. The synthetic generator emits a three-class
@@ -30,6 +36,11 @@ from .rng import FOLDS, SYNTH, make_rng
 from .tensor import Tensor
 
 _EXTENSIONS = {".pgm", ".ppm", ".pnm"}
+# ``load_directory`` reads and blends LOAD_CHUNK files at a time, or fewer
+# where their float64 levels, four per output pixel of a plane, would pass
+# LOAD_BYTES: 10 files at 32 px, 2 at 224 px
+LOAD_CHUNK = 10
+LOAD_BYTES = 4 << 20
 
 CLASS_NAMES = ("AMD", "DME", "NORMAL")
 SHIFTS = ("none", "wild")
@@ -43,39 +54,74 @@ _ROW_JITTER = 0.02
 
 @dataclass
 class Sample:
-    """One image with its class index and a provenance string."""
+    """One image with its class index and a provenance string: what
+    ``synth_samples`` draws, ``write_samples`` writes and
+    ``Dataset.samples`` builds."""
 
     image: Tensor
     label: int
     source_id: str
 
 
-@dataclass
 class Dataset:
-    samples: list[Sample]
-    class_names: list[str]
+    """A labelled image set held as one array: ``images`` [M, k, S, S]
+    holds each image once, where ``k`` is ``channels``, or 1 when every
+    image is gray, and ``batch`` replicates that plane to ``channels``.
+    ``rows`` says which rows of ``images`` the set's samples are, in order;
+    ``labels`` (int64) and ``sources`` (provenance strings) follow the
+    samples. A subset shares ``images`` and holds only its rows.
+
+    The set never copies ``images``, so the caller must not write to it.
+    """
+
+    def __init__(self, images: np.ndarray, labels, sources, class_names,
+                 channels: int | None = None, rows=None):
+        if images.ndim != 4 or channels is not None and images.shape[1] not in (1, channels):
+            raise ValueError(f"images must be [M, 1 or channels, S, S], got {images.shape}")
+        self.images = images
+        self.channels = images.shape[1] if channels is None else channels
+        self.rows = (np.arange(len(images)) if rows is None
+                     else np.asarray(rows, dtype=np.int64))
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.sources = list(sources)
+        self.class_names = list(class_names)
+        if not len(self.rows) == len(self.labels) == len(self.sources):
+            raise ValueError(f"{len(self.rows)} rows, {len(self.labels)} labels and "
+                             f"{len(self.sources)} sources do not match")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.rows)
 
     def subset(self, indices) -> "Dataset":
-        return Dataset([self.samples[i] for i in indices], list(self.class_names))
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        """The samples at ``indices``, in the given order, as a set that
+        shares this one's image array."""
+        picks = np.asarray(indices, dtype=np.int64)
+        return Dataset(self.images, self.labels[picks], [self.sources[i] for i in picks],
+                       self.class_names, self.channels, self.rows[picks])
 
     def batch(self, indices) -> tuple[Tensor, np.ndarray]:
-        """The samples at ``indices``, in the given order: their images
-        stacked as one [N,C,H,W] Tensor, and their labels as int64."""
-        samples = [self.samples[i] for i in indices]
-        return (Tensor(np.stack([s.image.data for s in samples])),
-                np.array([s.label for s in samples], dtype=np.int64))
+        """The samples at ``indices``, in the given order: their images as one
+        [N, channels, S, S] Tensor in the stored dtype, gathered at once and
+        gray replicated exactly, and their labels as int64."""
+        picks = np.asarray(indices, dtype=np.int64)
+        images = self.images[self.rows[picks]]
+        if images.shape[1] != self.channels:
+            images = np.repeat(images, self.channels, axis=1)
+        return Tensor(images), self.labels[picks]
 
     def batches(self, chunk: int) -> Iterator[tuple[Tensor, np.ndarray]]:
         """Every sample in order, ``chunk`` at a time, as ``batch`` builds them."""
         n = len(self)
         for start in range(0, n, chunk):
             yield self.batch(range(start, min(start + chunk, n)))
+
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """Each sample as a ``Sample``, built on access from a copy of its
+        image: a read-only view for callers that take one image at a time."""
+        images, _ = self.batch(range(len(self)))
+        return tuple(Sample(Tensor(image), int(label), source)
+                     for image, label, source in zip(images.data, self.labels, self.sources))
 
 
 @dataclass
@@ -164,19 +210,40 @@ def decode(paths: list, size: int, channels: int, dtype) -> np.ndarray:
     size or channel count numpy cannot hold is a ConfigError naming it.
     """
     out = None
-    groups: dict[tuple, tuple[list, list, list]] = {}  # shape: indices, levels, maxvals
+
+    def allocate(path, c: int) -> None:
+        nonlocal out
+        out = _empty((len(paths), channels, size, size), dtype,
+                     f"{path}: cannot replicate gray to {channels} channels at size {size}"
+                     if c < channels else f"cannot resize to size {size}")
+
+    _write_levels(_read_levels(paths, size, channels, allocate), out, size, channels)
+    return out
+
+
+def _empty(shape: tuple, dtype, what: str) -> np.ndarray:
+    """``np.empty(shape, dtype)``; a shape numpy cannot hold is a ConfigError
+    that begins with ``what``."""
+    try:
+        return np.empty(shape, dtype)
+    except (MemoryError, OverflowError, ValueError) as e:
+        raise ConfigError(f"{what}: {e}") from None
+
+
+def _read_levels(paths: list, size: int, channels: int, first_read) -> dict:
+    """The first half of a decode: read the files in order, check each one's
+    channels as soon as it is read, and gather from each raster the levels
+    its resize reads, grouped by stored shape as {(c, h, w): (indices,
+    levels, maxvals)}. ``first_read(path, c)`` runs after the first read
+    and before any gather."""
+    groups: dict[tuple, tuple[list, list, list]] = {}
     for i, path in enumerate(paths):
         raw, maxval = read_netpbm(path)
         c, h, w = raw.shape
         if c != channels and 1 not in (c, channels):
             raise DataError(f"{path}: cannot adapt {c}-channel image to {channels} channels")
-        if out is None:
-            try:
-                out = np.empty((len(paths), channels, size, size), dtype)
-            except (MemoryError, OverflowError, ValueError) as e:
-                what = (f"{path}: cannot replicate gray to {channels} channels at"
-                        if c < channels else "cannot resize to")
-                raise ConfigError(f"{what} size {size}: {e}") from None
+        if i == 0:
+            first_read(path, c)
         if (h, w) != (size, size):
             try:
                 raw = _gather(raw, size)
@@ -186,6 +253,14 @@ def decode(paths: list, size: int, channels: int, dtype) -> np.ndarray:
         indices.append(i)
         levels.append(raw)
         maxvals.append(maxval)
+    return groups
+
+
+def _write_levels(groups: dict, out: np.ndarray, size: int, channels: int) -> None:
+    """The second half: per group, normalize, reduce RGB to gray when
+    ``channels`` is 1, blend, and write into ``out`` [N, k, size, size],
+    where k is ``channels``, or 1 when every image of ``groups`` is gray;
+    a gray image is replicated to k planes."""
     for (c, h, w), (indices, levels, maxvals) in groups.items():
         try:
             img = np.stack(levels) / np.array(maxvals, dtype=np.float64)[:, None, None, None]
@@ -196,7 +271,6 @@ def decode(paths: list, size: int, channels: int, dtype) -> np.ndarray:
         except (MemoryError, OverflowError, ValueError) as e:
             raise ConfigError(f"cannot resize to size {size}: {e}") from None
         out[indices] = img
-    return out
 
 
 def load_image(path: str | Path, size: int, channels: int = 3) -> Tensor:
@@ -241,13 +315,47 @@ def list_directory(root: str | Path) -> Listing:
     return Listing(files, [d.name for d in class_dirs])
 
 
-def load_directory(root: str | Path, target_size: int, channels: int = 3) -> Dataset:
+def load_directory(root: str | Path, target_size: int, channels: int = 3,
+                   dtype=np.float64) -> Dataset:
     """Load every netpbm image that ``list_directory`` finds under ``root``,
-    normalized to [0, 1] and resized to ``target_size``: each file one
-    ``load_image``, so one raster at a time is held beside the images."""
+    normalized to [0, 1] and resized to ``target_size``, into one array in
+    ``dtype``: each image is its ``decode``, bit for bit.
+
+    The array is allocated after the first read and filled one chunk of
+    files at a time (``LOAD_CHUNK``, ``LOAD_BYTES``), each chunk read and
+    blended as one ``decode`` does, so the load holds the array and one
+    chunk, and reads each file once. Gray images are held as one plane
+    each, which ``Dataset.batch`` replicates, so a gray first file also
+    checks that one image replicated to ``channels`` can be allocated. The
+    first color file kept in color (``channels`` > 1) widens the array to
+    ``channels`` planes, replicating the gray planes loaded before it;
+    only that copy holds two arrays.
+    """
     listing = list_directory(root)
-    return Dataset([Sample(load_image(f, target_size, channels), label, str(f))
-                    for f, label in listing.files], listing.class_names)
+    paths = [f for f, _ in listing.files]
+    n, size = len(paths), target_size
+    chunk = max(1, min(LOAD_CHUNK, LOAD_BYTES // (4 * 8 * size * size)))
+    images = None
+
+    def allocate(path, c: int) -> None:
+        nonlocal images
+        if images is not None:
+            return
+        planes = channels if c > 1 else 1
+        images = _empty((n, planes, size, size), dtype, f"cannot resize to size {size}")
+        if planes < channels:
+            _empty((1, channels, size, size), dtype,
+                   f"{path}: cannot replicate gray to {channels} channels at size {size}")
+
+    for start in range(0, n, chunk):
+        groups = _read_levels(paths[start:start + chunk], size, channels, allocate)
+        if images.shape[1] < channels and any(c > 1 for c, _, _ in groups):
+            wide = _empty((n, channels, size, size), dtype, f"cannot resize to size {size}")
+            wide[:start] = images[:start]
+            images = wide
+        _write_levels(groups, images[start:start + chunk], size, channels)
+    return Dataset(images, [label for _, label in listing.files], map(str, paths),
+                   listing.class_names, channels)
 
 
 def write_samples(samples: Iterable[Sample], class_names: list[str],
@@ -326,10 +434,13 @@ def synth_generate(n_per_class: int, size: int, shift: str = "none",
     """Generate ``n_per_class`` images per class at ``size`` x ``size``.
 
     ``shift`` is "none" for clean images or "wild" for the perturbed
-    variant. Identical arguments produce identical datasets.
+    variant. Identical arguments produce identical datasets. Each image is
+    held as one float64 gray plane, which ``Dataset.batch`` replicates to
+    ``channels``.
     """
-    return Dataset(list(synth_samples(n_per_class, size, shift, seed, channels)),
-                   list(CLASS_NAMES))
+    samples = list(synth_samples(n_per_class, size, shift, seed, channels=1))
+    return Dataset(np.stack([s.image.data for s in samples]), [s.label for s in samples],
+                   [s.source_id for s in samples], CLASS_NAMES, channels)
 
 
 def synth_samples(n_per_class: int, size: int, shift: str = "none",
@@ -372,7 +483,7 @@ def stratified_folds(dataset: Dataset, folds: int,
     lists, both sorted, for each fold."""
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
-    labels = dataset.labels()
+    labels = dataset.labels
     rng = make_rng(seed, FOLDS)
     fold_of = np.empty(len(dataset), dtype=np.int64)
     for label in range(len(dataset.class_names)):

@@ -7,7 +7,8 @@ confusion counts, so memory does not grow with the image count when the
 batches are decoded as they are taken (``Listing.batches``, which the
 ``eval`` and ``compare`` commands use, decoding each chunk in the nets'
 common dtype: float32 for float32 nets). ``evaluate`` runs the same loop
-over a loaded ``Dataset``, whose float64 batches each forward pass casts.
+over a loaded ``Dataset``, whose batches come in the dtype it was loaded
+in; a forward pass casts them only for a network of another dtype.
 
 Metrics follow the one-vs-rest reading of a K-class confusion matrix
 (rows = true class, columns = predicted class): accuracy is trace over

@@ -109,7 +109,8 @@ def read_netpbm(path: str | Path) -> tuple[np.ndarray, int]:
         sc.skip_space()
         if sc.off != len(data):
             sc.fail(f"{len(data) - sc.off} trailing bytes after raster")
-    if values.max(initial=0) > maxval:
+    # no scan where the dtype holds no level above maxval: uint8 at 255, >u2 at 65535
+    if maxval < 256 ** values.itemsize - 1 and values.max(initial=0) > maxval:
         raise DataError(
             f"{Path(path)}: raster contains value {int(values.max())} above maxval {maxval}")
 

@@ -27,8 +27,9 @@ pass, and model f's outputs are bit for bit those of model f alone.
 A network computes in the dtype of its parameters, float32 or float64
 (``build``'s ``dtype``). The forward passes cast the image to that dtype
 once (``_cast_input``), so one pass never mixes the two: a float64 image
-(``load_image``, ``synth``, a ``Dataset``) is cast, and a chunk the CLI
-decoded in the network's dtype is used as it is.
+(``load_image``, a ``synth_generate`` batch) is cast, and a batch already
+in the network's dtype is used as it is: a chunk the CLI decoded for it,
+or a training batch of the float32 set ``jointnet train`` loads.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ forward pass per chunk of ``batch_size`` samples and reads the loss and
 the accuracy from it.
 
 Training is deterministic for a fixed seed: the epoch shuffle has its own
-random stream, and each minibatch is stacked in ascending sample-index
+random stream, and each minibatch is gathered in ascending sample-index
 order.
 
 Every run trains as a stack of models (``network.stacked``), and
@@ -31,7 +31,8 @@ Training computes in the network's dtype: ``kfold_train`` builds float32
 networks, whose tap GEMMs move half the bytes of float64 ones, and the
 one-hot targets, the losses, the gradients and Adam's moments all take
 that dtype (Gupta et al., ICML 2015; Micikevicius et al., ICLR 2018,
-where the weights and their updates stay in float32). The
+where the weights and their updates stay in float32). ``jointnet train``
+loads its set in that dtype (``TRAIN_DTYPE``), so no batch is cast. The
 finite-difference checks build float64 networks on the same code.
 """
 
@@ -57,6 +58,8 @@ EPSILON = 1e-8
 LOG_CLAMP = 1e-12
 LR_FLOOR = 1e-7
 MODES = ("joint", "backbone")
+# the dtype ``kfold_train`` trains in, and so the one ``jointnet train`` loads in
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -308,14 +311,16 @@ def _batch_losses(net: JointNetwork, images: Tensor, labels: int | np.ndarray,
 
 
 def _validate_sets(net: JointNetwork, train_set: Dataset, val_set: Dataset) -> None:
+    n_classes = net.config.n_classes
     for role, ds in (("training", train_set), ("validation", val_set)):
         if len(ds) == 0:
             raise ValueError(f"{role} set is empty")
-        for s in ds.samples:
-            if not 0 <= s.label < net.config.n_classes:
-                raise ValueError(
-                    f"{role} sample '{s.source_id}' has label {s.label}, "
-                    f"outside 0..{net.config.n_classes - 1}")
+        bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= n_classes))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"{role} sample '{ds.sources[i]}' has label {ds.labels[i]}, "
+                f"outside 0..{n_classes - 1}")
 
 
 def train(net: JointNetwork, train_set: Dataset, val_set: Dataset,
@@ -429,9 +434,8 @@ def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFol
     images in flight within one eval chunk: ``predict_chunk`` over the
     batch size, and at least one. That is 2 for the recipe, and 1 at 64 px
     and above. A group's networks are built when it starts."""
-    dtype = np.float32
     splits = stratified_folds(dataset, config.folds, config.seed)
-    group_size = max(1, predict_chunk(arch, dtype) // config.batch_size)
+    group_size = max(1, predict_chunk(arch, TRAIN_DTYPE) // config.batch_size)
     groups: list[list[int]] = []
     for f, (train_idx, _) in enumerate(splits):
         if (groups and len(groups[-1]) < group_size
@@ -443,7 +447,7 @@ def kfold_train(dataset: Dataset, arch: ArchConfig, config: TrainConfig) -> KFol
     for group in groups:
         seeds = [config.seed + f for f in group]
         sets = [(dataset.subset(splits[f][0]), dataset.subset(splits[f][1])) for f in group]
-        net = stacked([build(arch, seed=seed, dtype=dtype) for seed in seeds])
+        net = stacked([build(arch, seed=seed, dtype=TRAIN_DTYPE) for seed in seeds])
         folds += _train_group(net, sets, config, seeds)
     # max keeps the first of equal keys, so full ties go to the earlier fold
     best = max(range(len(folds)), key=lambda f: (

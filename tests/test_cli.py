@@ -18,6 +18,7 @@ import jointnet.data
 import jointnet.evaluation
 import jointnet.fileio
 import jointnet.network
+import jointnet.training
 from jointnet import (ArchConfig, Checkpoint, build, compare_report, evaluate,
                       load_checkpoint, load_directory, read_netpbm,
                       render_metrics_kv, save_checkpoint, to_network, write_pgm)
@@ -161,6 +162,35 @@ class TestTrain:
                      "--log", str(tmp_path / "l")])
         assert code == 1
         assert "unknown key 'learning_rate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_holds_gray_once_in_float32_and_casts_no_batch(self, workspace, tmp_path,
+                                                           monkeypatch, channels):
+        """``train`` loads the gray set as one float32 plane per image, the
+        dtype it trains in, so every batch reaches the network in the
+        network's dtype, replicated to the configured channels."""
+        loaded, seen = [], []
+        real_load, real_losses = jointnet.cli.load_directory, jointnet.training._batch_losses
+
+        def load(*args):
+            loaded.append(real_load(*args))
+            return loaded[-1]
+
+        def losses(net, images, labels, config):
+            seen.append((net.dtype, images.data.dtype, images.shape[-3]))
+            return real_losses(net, images, labels, config)
+
+        monkeypatch.setattr(jointnet.cli, "load_directory", load)
+        monkeypatch.setattr(jointnet.training, "_batch_losses", losses)
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG.replace("input_channels = 1",
+                                              f"input_channels = {channels}"))
+        succeeds(["train", "--data", str(workspace["data"]), "--config", str(config),
+                  "--out", str(tmp_path / "m.ckpt")])
+        (dataset,) = loaded
+        assert dataset.images.dtype == np.float32 and dataset.images.shape == (18, 1, 16, 16)
+        f32 = np.dtype(np.float32)
+        assert seen and set(seen) == {(f32, f32, channels)}
 
     def test_missing_data_dir_exits_2(self, workspace, tmp_path):
         assert main(["train", "--data", str(tmp_path / "absent"),

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from jointnet import (ConfigError, DataError, Tensor, load_directory,
+import jointnet.data
+from jointnet import (ConfigError, DataError, load_directory,
                       load_image, read_netpbm, stratified_folds,
                       synth_generate, write_pgm)
 from jointnet.data import (_EXTENSIONS, CLASS_NAMES, Dataset, Listing, Sample,
@@ -13,6 +14,11 @@ from jointnet.data import (_EXTENSIONS, CLASS_NAMES, Dataset, Listing, Sample,
                            list_directory, synth_samples, write_samples)
 
 import image_oracles as parent
+from peaks import traced_peak
+
+# what a load holds beside its array and one chunk: the listing, the
+# sources and the labels of 150 files, and the Dataset
+LOAD_BASE = 128 << 10
 
 
 def resize(img, size):
@@ -404,11 +410,125 @@ class TestBatch:
         assert labels.tolist() == [s.label for s in samples]
 
 
+def _write_tree(root, kind: str, per_class: int = 9) -> list:
+    """Three classes of ``per_class`` files of mixed stored shapes and
+    maxvals, in load order: every file gray, every file RGB, or ("mixed")
+    RGB only at class b's odd names, so with 9 per class the first RGB
+    file is the 11th loaded and gray files follow it."""
+    rng = np.random.default_rng([31, len(kind)])
+    paths = []
+    for cls in "abc":
+        (root / cls).mkdir()
+        for i in range(per_class):
+            color = kind == "rgb" or (kind == "mixed" and cls == "b" and i % 2 == 1)
+            h, w = ((8, 8), (12, 10), (20, 20))[i % 3]
+            maxval = (255, 1000)[i % 2]
+            levels = rng.integers(0, maxval + 1, (3 if color else 1, h, w))
+            path = root / cls / f"{i}.pnm"
+            path.write_bytes(parent.encode_netpbm("P6" if color else "P5", levels, maxval))
+            paths.append(path)
+    return paths
+
+
+class TestHeldDataset:
+    """A loaded ``Dataset`` holds one array, gray once, and its batches are
+    the earlier per-sample stacks: each image decoded alone in float64
+    (``load_image``), stacked, and cast once to the training dtype."""
+
+    @pytest.mark.parametrize("chunk", [1, 4, 10, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("kind", ["gray", "rgb", "mixed"])
+    def test_batches_are_the_per_sample_stacks(self, tmp_path, monkeypatch, kind,
+                                               channels, dtype, chunk):
+        paths = _write_tree(tmp_path, kind)
+        monkeypatch.setattr(jointnet.data, "LOAD_CHUNK", chunk)
+        ds = load_directory(tmp_path, 8, channels, dtype)
+        held = 1 if kind == "gray" or channels == 1 else channels
+        assert ds.images.shape == (len(paths), held, 8, 8) and ds.images.dtype == dtype
+        assert ds.sources == [str(p) for p in paths]
+        assert ds.labels.tolist() == [i // 9 for i in range(len(paths))]
+        alone = np.stack([load_image(p, 8, channels).data for p in paths]).astype(dtype)
+        for picks in ([3, 0, 26, 10, 11], [10], range(len(paths))[::-1]):
+            images, labels = ds.batch(picks)
+            assert images.data.dtype == dtype and images.data.flags.c_contiguous
+            assert images.shape == (len(picks), channels, 8, 8)
+            assert images.data.tobytes() == alone[list(picks)].tobytes()
+            assert labels.dtype == np.int64 and labels.tolist() == [i // 9 for i in picks]
+        batches = list(ds.batches(4))
+        assert [len(labels) for _, labels in batches] == [4] * 6 + [3]
+        assert np.concatenate([b.data for b, _ in batches]).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("kind", ["gray", "mixed"])
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch, kind):
+        paths = _write_tree(tmp_path, kind)
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_netpbm(path)
+
+        monkeypatch.setattr(jointnet.data, "read_netpbm", counting)
+        load_directory(tmp_path, 8, 3, np.float32)
+        assert reads == paths
+
+    def test_subsets_share_the_image_array(self, tmp_path):
+        _write_tree(tmp_path, "gray")
+        ds = load_directory(tmp_path, 8, 3, np.float32)
+        sub = ds.subset([20, 2, 7, 9])
+        inner = sub.subset([3, 0])
+        for part in (sub, inner):
+            assert part.images is ds.images and part.channels == 3
+        assert inner.sources == [ds.sources[9], ds.sources[20]]
+        assert inner.labels.tolist() == [1, 2]
+        assert inner.batch([1, 0])[0].data.tobytes() == ds.batch([20, 9])[0].data.tobytes()
+
+    def test_samples_are_built_on_access(self, tmp_path):
+        """``samples`` is a tuple of copies: changing one changes nothing
+        the set holds."""
+        _write_tree(tmp_path, "gray", per_class=2)
+        ds = load_directory(tmp_path, 8, 3)
+        samples = ds.samples
+        assert isinstance(samples, tuple) and all(isinstance(s, Sample) for s in samples)
+        assert samples[0].image.shape == (3, 8, 8) and samples[0].label == 0
+        samples[0].image.data[...] = 0.5
+        samples[0].label = 2
+        assert ds.samples[0].image.data.tobytes() == ds.batch([0])[0].data[0].tobytes()
+        assert ds.samples[0].label == 0 and not np.all(ds.images[0] == 0.5)
+
+    @pytest.mark.parametrize("shape, labels", [((3, 2, 4, 4), [0, 1, 2]),
+                                               ((3, 1, 4), [0, 1, 2]),
+                                               ((3, 1, 4, 4), [0, 1])])
+    def test_inconsistent_arrays_rejected(self, shape, labels):
+        with pytest.raises(ValueError):
+            Dataset(np.zeros(shape), labels, ["x"] * 3, ["a", "b", "c"], channels=3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_peak_is_the_array_plus_one_chunk(self, tmp_path, dtype):
+        """150 gray 256 px files loaded at 32 px for three channels peak at
+        the gray array, one chunk's decode and a fixed base. Loaded file by
+        file as three-channel float64 Tensors, the 150 images alone held
+        3.5 MiB."""
+        rng = np.random.default_rng(5)
+        for cls in "abc":
+            (tmp_path / cls).mkdir()
+            for i in range(50):
+                (tmp_path / cls / f"{i:02d}.pgm").write_bytes(
+                    b"P5\n256 256\n255\n" + rng.bytes(256 * 256))
+        paths = list_directory(tmp_path).files
+        first = [p for p, _ in paths[:jointnet.data.LOAD_CHUNK]]
+        chunk = traced_peak(lambda: decode(first, 32, 1, dtype))
+        peak = traced_peak(lambda: load_directory(tmp_path, 32, 3, dtype))
+        array = 150 * 32 * 32 * np.dtype(dtype).itemsize
+        assert peak <= array + chunk + LOAD_BASE, (peak, array, chunk)
+
+
 class TestStratifiedFolds:
     def _dataset(self, per_class=5, classes=3):
-        samples = [Sample(Tensor(np.zeros((1, 4, 4))), c, f"{c}/{i}")
-                   for c in range(classes) for i in range(per_class)]
-        return Dataset(samples, [f"c{c}" for c in range(classes)])
+        labels = np.repeat(np.arange(classes), per_class)
+        return Dataset(np.zeros((len(labels), 1, 4, 4)), labels,
+                       [f"{c}/{i}" for c in range(classes) for i in range(per_class)],
+                       [f"c{c}" for c in range(classes)])
 
     def test_balanced_partition(self):
         """15 samples, 3 classes, 5 folds: every val split is one per class."""
@@ -417,7 +537,7 @@ class TestStratifiedFolds:
         seen = []
         for train_idx, val_idx in folds:
             assert len(val_idx) == 3
-            labels = [ds.samples[i].label for i in val_idx]
+            labels = ds.labels[val_idx].tolist()
             assert sorted(labels) == [0, 1, 2]
             assert sorted(train_idx + val_idx) == list(range(15))
             seen += val_idx

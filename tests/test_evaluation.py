@@ -6,7 +6,7 @@ import pytest
 from jointnet import (ArchConfig, MetricsReport, Tensor, build, compare_report,
                       confusion, evaluate, export_attention, forward_backbone,
                       metrics, read_netpbm, render_metrics_kv)
-from jointnet.data import Dataset, Sample
+from jointnet.data import Dataset
 from jointnet.evaluation import predict_chunk, tally
 from jointnet.kvio import parse_kv
 
@@ -124,12 +124,13 @@ class TestCompareReport:
 class TestPredictEvaluate:
     def _dataset(self, arch, n=6, seed=0):
         rng = np.random.default_rng(seed)
-        samples = [Sample(Tensor(rng.uniform(0, 1, (arch.input_channels,
-                                                    arch.input_size,
-                                                    arch.input_size))),
-                          int(rng.integers(0, arch.n_classes)), f"s{i}")
-                   for i in range(n)]
-        return Dataset(samples, [f"c{c}" for c in range(arch.n_classes)])
+        images, labels = [], []
+        for _ in range(n):
+            images.append(rng.uniform(0, 1, (arch.input_channels, arch.input_size,
+                                             arch.input_size)))
+            labels.append(int(rng.integers(0, arch.n_classes)))
+        return Dataset(np.stack(images), labels, [f"s{i}" for i in range(n)],
+                       [f"c{c}" for c in range(arch.n_classes)])
 
     @pytest.mark.parametrize("dtype, size, chunk", [(np.float32, 32, 10),
                                                     (np.float64, 32, 5),
@@ -154,7 +155,7 @@ class TestPredictEvaluate:
         (counts,) = tally([net], ds.batches(chunk), arch.n_classes)
         assert counts.sum() == len(ds)
         argmax = [int(forward_backbone(net, s.image).data.argmax()) for s in ds.samples]
-        np.testing.assert_array_equal(counts, confusion(ds.labels(), argmax, arch.n_classes))
+        np.testing.assert_array_equal(counts, confusion(ds.labels, argmax, arch.n_classes))
         np.testing.assert_array_equal(counts, tally([net], ds.batches(chunk), arch.n_classes)[0])
 
     def test_evaluate_consistency(self):

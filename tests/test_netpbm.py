@@ -5,7 +5,7 @@ import pytest
 
 from jointnet import DataError, read_netpbm, write_pgm
 
-from image_oracles import encode_netpbm
+from image_oracles import encode_netpbm, read_netpbm_bytes
 
 
 class TestReadP5:
@@ -170,6 +170,40 @@ class TestIntegerLevels:
         p.write_bytes(f"P5\n2 1\n{maxval}\n".encode()
                       + np.array([0, sample], dtype=dtype).tobytes())
         with pytest.raises(DataError, match=f"value {sample} above maxval {maxval}"):
+            read_netpbm(p)
+
+
+class TestMaxvalBoundary:
+    """A raster is scanned for a level above maxval unless its dtype holds
+    none: binary 8-bit at maxval 255 and 16-bit at 65535 skip the scan, so
+    the boundary cases must read as the reference reader reads them."""
+
+    @pytest.mark.parametrize("magic", ["P2", "P5", "P3", "P6"])
+    @pytest.mark.parametrize("maxval", [254, 255, 65534, 65535])
+    def test_top_level_of_the_dtype(self, tmp_path, magic, maxval):
+        c = 3 if magic in ("P3", "P6") else 1
+        top = 255 if maxval < 256 else 65535
+        levels = np.random.default_rng(maxval).integers(0, maxval + 1, (c, 3, 4))
+        levels[-1, -1, -1] = top
+        p = tmp_path / "t.pnm"
+        p.write_bytes(encode_netpbm(magic, levels, maxval))
+        if top > maxval:
+            with pytest.raises(DataError, match=f"value {top} above maxval {maxval}$"):
+                read_netpbm(p)
+            with pytest.raises(DataError, match=f"value {top} above maxval {maxval}$"):
+                read_netpbm_bytes(p.read_bytes(), str(p))
+            return
+        pixels, got_maxval = read_netpbm(p)
+        oracle, oracle_maxval = read_netpbm_bytes(p.read_bytes(), str(p))
+        assert got_maxval == oracle_maxval == maxval
+        assert pixels.astype(np.float64).tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("magic", ["P2", "P3"])
+    def test_ascii_level_above_16_bits_still_scanned(self, tmp_path, magic):
+        c = 3 if magic == "P3" else 1
+        p = tmp_path / "a.pnm"
+        p.write_bytes(f"{magic}\n1 1\n65535\n".encode() + b" 65536" * c)
+        with pytest.raises(DataError, match="value 65536 above maxval 65535"):
             read_netpbm(p)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from jointnet import (Adam, ArchConfig, ConfigError, NumericError,
                       kfold_train, mse, record, save_checkpoint, softmax,
                       stratified_folds, synth_generate, train, weighted_sum)
 from jointnet import training
-from jointnet.data import Dataset, Sample
+from jointnet.data import Dataset
 from jointnet.network import stacked
 from jointnet.training import LR_FLOOR, _batch_losses
 
@@ -30,12 +31,13 @@ TINY_ARCH = ArchConfig(n_stages=1, input_channels=1, input_size=16,
 def _tiny_dataset(n_per_class: int, seed: int = 0) -> Dataset:
     """Random images whose mean brightness encodes the class."""
     rng = np.random.default_rng(seed)
-    samples = []
+    images, labels, sources = [], [], []
     for label, level in enumerate((0.2, 0.5, 0.8)):
         for i in range(n_per_class):
-            img = np.clip(rng.normal(level, 0.05, (1, 16, 16)), 0.0, 1.0)
-            samples.append(Sample(Tensor(img), label, f"tiny/{label}/{i}"))
-    return Dataset(samples, ["dark", "mid", "bright"])
+            images.append(np.clip(rng.normal(level, 0.05, (1, 16, 16)), 0.0, 1.0))
+            labels.append(label)
+            sources.append(f"tiny/{label}/{i}")
+    return Dataset(np.stack(images), labels, sources, ["dark", "mid", "bright"])
 
 
 class TestLosses:
@@ -553,15 +555,24 @@ class TestTrainLoop:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train(build(TINY_ARCH, seed=0), Dataset([], ["a", "b", "c"]),
+            train(build(TINY_ARCH, seed=0),
+                  Dataset(np.empty((0, 1, 16, 16)), [], [], ["a", "b", "c"]),
                   _tiny_dataset(1), TrainConfig(epochs=1))
 
-    def test_label_out_of_range_rejected(self):
-        bad = _tiny_dataset(2)
-        bad.samples[0].label = 7
-        with pytest.raises(ValueError, match="label"):
-            train(build(TINY_ARCH, seed=0), bad, _tiny_dataset(1),
-                  TrainConfig(epochs=1))
+    @pytest.mark.parametrize("role, row, label", [("training", 0, 7),
+                                                   ("validation", 1, -1),
+                                                   ("validation", 2, 3)])
+    def test_label_out_of_range_rejected(self, role, row, label):
+        """The message names the first offending sample's source."""
+        good = _tiny_dataset(1)
+        labels = good.labels.copy()
+        labels[row:] = label
+        bad = Dataset(good.images, labels, good.sources, good.class_names)
+        sets = (bad, good) if role == "training" else (good, bad)
+        want = (f"{role} sample '{good.sources[row]}' has label {label}, "
+                f"outside 0..2")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            train(build(TINY_ARCH, seed=0), *sets, TrainConfig(epochs=1))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -679,6 +690,24 @@ class TestKFold:
     def test_full_tie_goes_to_earlier_fold(self, monkeypatch):
         assert self._best_of(monkeypatch,
                              [(0.75, 0.4), (0.75, 0.3), (0.75, 0.3)]) == 1
+
+    def test_fold_sets_share_the_dataset_array(self, monkeypatch):
+        """Every fold's training and validation set holds rows of the
+        dataset's one image array, not a copy."""
+        dataset = _tiny_dataset(4)
+        seen = []
+        original = training._train_group
+
+        def recording(net, sets, config, seeds):
+            seen.extend(sets)
+            return original(net, sets, config, seeds)
+
+        monkeypatch.setattr(training, "_train_group", recording)
+        kfold_train(dataset, TINY_ARCH, TrainConfig(epochs=1, folds=2, seed=0))
+        assert len(seen) == 2
+        for train_set, val_set in seen:
+            assert train_set.images is dataset.images and val_set.images is dataset.images
+            assert sorted(train_set.rows.tolist() + val_set.rows.tolist()) == list(range(12))
 
     def test_class_smaller_than_folds_rejected(self):
         from jointnet import DataError
